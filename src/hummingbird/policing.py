@@ -14,61 +14,31 @@ budget from rounding.
 
 from __future__ import annotations
 
-import logging
 from array import array
 from fractions import Fraction
 from math import ceil
 
 from .wire import WireError, decode_bw
 
-log = logging.getLogger(__name__)
-
 NS_PER_S = 1_000_000_000
 DEFAULT_BURST_NS = 50_000_000  # absorbs scheduling jitter; see size notes below
 DEFAULT_OVER_ALLOCATION = 3  # ResID space head room for the online allocator
 ENTRY_BYTES = 8
-
-# The reciprocal table turns the per-packet division into one multiply
-# and shift.  With m = floor(2**_RECIP_SHIFT / d) + 1 the identity
-# floor(n * m >> shift) == floor(n / d) holds whenever n * (m*d - 2**shift)
-# < 2**shift; the build below checks that bound for every code against
-# the largest possible numerator (16-bit pkt_len, 1 ns ticks).
-_RECIP_SHIFT = 90
-_MAX_NUMERATOR = 0xFFFF * 8 * NS_PER_S + (1 << 36)
 
 
 class PolicingError(ValueError):
     pass
 
 
-def _build_reciprocals() -> list[int | None]:
-    table: list[int | None] = [None]  # code 0 decodes to zero bandwidth
-    for code in range(1, 1024):
-        d = decode_bw(code)
-        m = (1 << _RECIP_SHIFT) // d + 1
-        err = m * d - (1 << _RECIP_SHIFT)
-        if _MAX_NUMERATOR * err >= 1 << _RECIP_SHIFT:
-            raise AssertionError(f"reciprocal for bw code {code} is not exact")
-        table.append(m)
-    return table
-
-
-_RECIPROCALS = _build_reciprocals()
-
-
-def service_time_ns(bw_code: int, pkt_len: int, use_reciprocal: bool = False) -> int:
+def service_time_ns(bw_code: int, pkt_len: int) -> int:
     """Nanoseconds a pkt_len-byte packet occupies a bw_code reservation.
 
-    Both paths compute ceil(pkt_len * 8e9 / bw_bits) exactly; the
-    reciprocal path does it without a division.
+    Computes ceil(pkt_len * 8e9 / bw_bits) exactly.
     """
     bits = decode_bw(bw_code)
     if bits == 0:
         raise PolicingError("bw code 0 carries no bandwidth")
-    n = pkt_len * 8 * NS_PER_S + bits - 1
-    if use_reciprocal:
-        return (n * _RECIPROCALS[bw_code]) >> _RECIP_SHIFT
-    return n // bits
+    return (pkt_len * 8 * NS_PER_S + bits - 1) // bits
 
 
 class TokenBucketArray:
@@ -89,45 +59,25 @@ class TokenBucketArray:
         return ENTRY_BYTES * len(self.ts)
 
 
-def monitor(
-    state: TokenBucketArray,
-    res_id: int,
-    bw: int,
-    pkt_len: int,
-    now: int,
-) -> bool:
-    """Charge one packet against a reservation; True means priority.
-
-    bw is in bytes per second, pkt_len in bytes, now in ns.
-    """
-    if bw <= 0:
-        raise PolicingError(f"bandwidth must be positive: {bw}")
-    service = -(-pkt_len * NS_PER_S // bw)
-    return _apply(state, res_id, service, now)
-
-
 def monitor_code(
     state: TokenBucketArray,
     res_id: int,
     bw_code: int,
     pkt_len: int,
     now: int,
-    use_reciprocal: bool = False,
 ) -> bool:
-    """monitor() for the router, taking the packet's 10-bit BW code."""
+    """Charge one packet against a reservation; True means priority.
+
+    bw_code is the packet's 10-bit BW code, pkt_len in bytes, now in ns.
+    """
     try:
-        service = service_time_ns(bw_code, pkt_len, use_reciprocal)
+        service_ns = service_time_ns(bw_code, pkt_len)
     except WireError as exc:
         raise PolicingError(str(exc)) from exc
-    return _apply(state, res_id, service, now)
-
-
-def _apply(state: TokenBucketArray, res_id: int, service_ns: int, now: int) -> bool:
     if not 0 <= res_id < len(state.ts):
         # Unreachable behind MAC verification, but a router must not
         # crash on a junk index: demote and count it.
         state.out_of_range += 1
-        log.warning("res_id %d outside policer array of %d entries", res_id, len(state.ts))
         return False
     candidate = max(state.ts[res_id], now) + service_ns
     if candidate <= now + state.burst_time_ns:

@@ -1,18 +1,21 @@
 """Border router forwarding pipeline.
 
-Packet handling is a fixed sequence:
+Every hop runs the same fixed steps over the hop fields this AS owns:
+one, or two when the packet crosses into the next segment here.
 
-    flyover branch   recompute the per-packet tag from header fields
-                     alone, fold it out of the aggregate MAC, and gate
-                     priority on freshness and reservation activity
-    standard branch  plain SCION hop verification: expiry, hop MAC,
-                     SegID update, pointer advance
-    monitoring       charge the policer only for packets that passed
-                     everything else
+    flyover     on the first owned hop field: recompute the per-packet
+                tag from header fields alone, fold it out of the
+                aggregate MAC, and gate priority on freshness and
+                reservation activity
+    verify      each owned hop field against its own segment's info
+                field: expiry, hop MAC, SegID update
+    advance     move CurrHF/CurrINF past the owned hop fields
+    monitoring  charge the policer only for packets that passed
+                everything else
 
 The aggregate MAC trick does double duty: xoring the recomputed
 FlyoverMAC into the header both reveals the hop field MAC candidate
-for the standard branch and leaves the header holding a plain hop MAC
+for verification and leaves the header holding a plain hop MAC
 afterwards, which is what path reversal needs.  A forged or mismatched
 tag therefore surfaces as an ordinary hop MAC failure and drops.
 
@@ -29,7 +32,7 @@ from typing import Callable
 from . import crypto
 from .policing import TokenBucketArray, monitor_code
 from .wire import (
-    FlyoverHopField,
+    HummingbirdPath,
     Packet,
     PktLenOverflow,
     WireError,
@@ -82,230 +85,108 @@ class RouterConfig:
     delta_ns: int = DEFAULT_DELTA_NS
     big_delta_ns: int = DEFAULT_BIG_DELTA_NS
     tag_len: int = crypto.TAG_LEN
-    use_reciprocal: bool = False
-    # Observation hook for duplicate suppression experiments: called
-    # with (base_timestamp, millis, counter) for every packet that
-    # reaches monitoring.  Suppression itself is not implemented.
-    dup_hook: Callable[[tuple[int, int, int]], None] | None = None
-
-
-class _Fly(Enum):
-    DROP = 0
-    BEST = 1
-    FLY = 2
-
-
-@dataclass
-class _FlyoverResult:
-    status: _Fly
-    reason: Reason
-    packet: Packet
-    res_id: int = 0
-    bw_code: int = 0
-    pkt_len: int = 0
-
-
-def _with_hop(packet: Packet, index: int, hop) -> Packet:
-    hops = packet.path.hops[:index] + (hop,) + packet.path.hops[index + 1 :]
-    return replace(packet, path=replace(packet.path, hops=hops))
-
-
-def _with_info(packet: Packet, index: int, info) -> Packet:
-    infos = packet.path.infos[:index] + (info,) + packet.path.infos[index + 1 :]
-    return replace(packet, path=replace(packet.path, infos=infos))
-
-
-def _advanced(packet: Packet, *hops) -> Packet:
-    """Move curr_hf past the given hops and re-derive curr_inf."""
-    meta = packet.path.meta
-    curr_hf = meta.curr_hf + sum(h.words for h in hops)
-    if curr_hf > 0xFF:
-        raise WireError(f"curr_hf overflow: {curr_hf}")
-    path = packet.path
-    if curr_hf == meta.total_hop_words:
-        curr_inf = meta.num_inf - 1
-    else:
-        curr_inf = path.segment_of_word(curr_hf)
-    meta = replace(meta, curr_hf=curr_hf, curr_inf=curr_inf)
-    return replace(packet, path=replace(path, meta=meta))
-
-
-def flyover_processing(cfg: RouterConfig, packet: Packet, now: int) -> _FlyoverResult:
-    """Recompute the tag, unmask the hop MAC, and gate priority eligibility.
-
-    The candidate hop field MAC is written into the header before the
-    freshness and activity checks, so a stale but authentic packet
-    still verifies (and travels) as a plain hop.
-    """
-    hop_index = packet.path.current_hop_index()
-    hop = packet.path.hops[hop_index]
-    meta = packet.path.meta
-    res_start = (meta.base_timestamp - hop.res_start_offset) % (1 << 32)
-    res = crypto.ReservationInfo(
-        ingress=hop.cons_ingress,
-        egress=hop.cons_egress,
-        res_id=hop.res_id,
-        bw_code=hop.bw,
-        res_start=res_start,
-        duration=hop.res_duration,
-    )
-    a_key = crypto.derive_key(cfg.sv, res)
-    try:
-        pkt_len = packet.pkt_len_for_mac()
-    except PktLenOverflow:
-        return _FlyoverResult(_Fly.DROP, Reason.PKT_LEN_OVERFLOW, packet)
-    tag = crypto.flyover_mac(
-        a_key,
-        packet.dst_isd,
-        packet.dst_as,
-        pkt_len,
-        hop.res_start_offset,
-        meta.millis_timestamp,
-        meta.counter,
-        cfg.tag_len,
-    )
-    candidate = crypto.aggregate_mac(hop.mac, tag)
-    packet = _with_hop(packet, hop_index, replace(hop, mac=candidate))
-
-    abs_ts_ns = (meta.base_timestamp * 1000 + meta.millis_timestamp) * NS_PER_MS
-    age = now - abs_ts_ns
-    if age < -cfg.delta_ns:
-        return _FlyoverResult(_Fly.BEST, Reason.FUTURE_TIMESTAMP, packet)
-    if age > cfg.big_delta_ns + cfg.delta_ns:
-        return _FlyoverResult(_Fly.BEST, Reason.STALE_TIMESTAMP, packet)
-    res_exp = res_start + hop.res_duration
-    if not res_start * NS_PER_S <= now <= res_exp * NS_PER_S:
-        return _FlyoverResult(_Fly.BEST, Reason.RESERVATION_INACTIVE, packet)
-    return _FlyoverResult(
-        _Fly.FLY, Reason.PRIORITY, packet, hop.res_id, hop.bw, pkt_len
-    )
-
-
-def hop_expired(info, hop, now: int) -> bool:
-    expiry_ns = info.timestamp * NS_PER_S + (hop.exp_time + 1) * EXP_TIME_UNIT_NS
-    return now > expiry_ns
-
-
-def standard_hf_processing(
-    cfg: RouterConfig, packet: Packet, now: int
-) -> tuple[Reason | None, Packet]:
-    """Plain hop verification; returns (failure reason or None, packet).
-
-    On success the segment's SegID is stepped and the path pointers
-    advance past the hop.
-    """
-    hop_index = packet.path.current_hop_index()
-    hop = packet.path.hops[hop_index]
-    info_index = packet.path.meta.curr_inf
-    info = packet.path.infos[info_index]
-    if hop_expired(info, hop, now):
-        return Reason.HOP_EXPIRED, packet
-    expected = crypto.hop_field_mac(cfg.forwarding_key, info, hop)
-    if expected != hop.mac:
-        return Reason.MAC_MISMATCH, packet
-    packet = _with_info(
-        packet, info_index, replace(info, seg_id=crypto.update_seg_id(info.seg_id, expected))
-    )
-    return None, _advanced(packet, hop)
 
 
 def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, Packet]:
-    """Full per-hop pipeline; returns the decision and the updated packet."""
+    """Full per-hop pipeline; returns the decision and the updated packet.
+
+    A dropped packet comes back unchanged.
+    """
     now = cfg.clock()
     path = packet.path
+    meta = path.meta
     try:
         hop_index = path.current_hop_index()
     except WireError:
         return ForwardDecision(Verdict.DROP, Reason.PARSE_ERROR), packet
-    if path.meta.curr_hf == path.meta.total_hop_words or path.meta.num_inf == 0:
+    if meta.curr_hf == meta.total_hop_words or meta.num_inf == 0:
         return ForwardDecision(Verdict.DROP, Reason.NO_HOP), packet
 
-    seg_index = path.meta.curr_inf
-    seg_end_word = sum(path.meta.seg_len[: seg_index + 1])
-    last_of_segment = path.hop_boundaries()[hop_index + 1] == seg_end_word
-    if last_of_segment and seg_index + 1 < path.meta.num_inf:
-        return segment_boundary_processing(cfg, packet, now)
+    # The hop fields this AS owns.  A segment-crossing AS owns the hop
+    # field closing the current segment and the one opening the next;
+    # its flyover, if any, sits on the first, so one on the second is
+    # malformed.
+    seg_index = meta.curr_inf
+    owned = [hop_index]
+    seg_end_word = sum(meta.seg_len[: seg_index + 1])
+    if path.hop_boundaries()[hop_index + 1] == seg_end_word and seg_index + 1 < meta.num_inf:
+        if hop_index + 1 >= len(path.hops):
+            return ForwardDecision(Verdict.DROP, Reason.PARSE_ERROR), packet
+        if path.hops[hop_index + 1].flyover:
+            return ForwardDecision(Verdict.DROP, Reason.MISPLACED_FLYOVER), packet
+        owned.append(hop_index + 1)
 
-    hop = path.hops[hop_index]
-    if hop.flyover:
-        fly = flyover_processing(cfg, packet, now)
-        if fly.status is _Fly.DROP:
-            return ForwardDecision(Verdict.DROP, fly.reason), fly.packet
+    hops = list(path.hops)
+    infos = list(path.infos)
+    first = hops[hop_index]
+    reason = Reason.PLAIN_HOP
+    if first.flyover:
+        res_start = (meta.base_timestamp - first.res_start_offset) % (1 << 32)
+        res = crypto.ReservationInfo(
+            ingress=first.cons_ingress,
+            egress=first.cons_egress,
+            res_id=first.res_id,
+            bw_code=first.bw,
+            res_start=res_start,
+            duration=first.res_duration,
+        )
+        a_key = crypto.derive_key(cfg.sv, res)
+        try:
+            pkt_len = packet.pkt_len_for_mac()
+        except PktLenOverflow:
+            return ForwardDecision(Verdict.DROP, Reason.PKT_LEN_OVERFLOW), packet
+        tag = crypto.flyover_mac(
+            a_key,
+            packet.dst_isd,
+            packet.dst_as,
+            pkt_len,
+            first.res_start_offset,
+            meta.millis_timestamp,
+            meta.counter,
+            cfg.tag_len,
+        )
+        # The candidate hop MAC goes into the header before the gates, so
+        # a stale but authentic packet still verifies (and travels) as a
+        # plain hop.
+        hops[hop_index] = replace(first, mac=crypto.aggregate_mac(first.mac, tag))
+        age = now - (meta.base_timestamp * 1000 + meta.millis_timestamp) * NS_PER_MS
+        if age < -cfg.delta_ns:
+            reason = Reason.FUTURE_TIMESTAMP
+        elif age > cfg.big_delta_ns + cfg.delta_ns:
+            reason = Reason.STALE_TIMESTAMP
+        elif not res_start * NS_PER_S <= now <= (res_start + first.res_duration) * NS_PER_S:
+            reason = Reason.RESERVATION_INACTIVE
+        else:
+            reason = Reason.PRIORITY
+
+    # Each owned hop field verifies against its own segment's info field.
+    curr_hf = meta.curr_hf
+    for info_index, index in enumerate(owned, seg_index):
+        hop, info = hops[index], infos[info_index]
+        if now > info.timestamp * NS_PER_S + (hop.exp_time + 1) * EXP_TIME_UNIT_NS:
+            return ForwardDecision(Verdict.DROP, Reason.HOP_EXPIRED), packet
+        expected = crypto.hop_field_mac(cfg.forwarding_key, info, hop)
+        if expected != hop.mac:
+            return ForwardDecision(Verdict.DROP, Reason.MAC_MISMATCH), packet
+        infos[info_index] = replace(info, seg_id=crypto.update_seg_id(info.seg_id, expected))
+        curr_hf += hop.words
+
+    if curr_hf == meta.total_hop_words:
+        curr_inf = meta.num_inf - 1
     else:
-        fly = _FlyoverResult(_Fly.BEST, Reason.PLAIN_HOP, packet)
-
-    failure, packet = standard_hf_processing(cfg, fly.packet, now)
-    if failure is not None:
-        return ForwardDecision(Verdict.DROP, failure), packet
-    return _monitor_stage(cfg, packet, fly, now)
-
-
-def segment_boundary_processing(
-    cfg: RouterConfig, packet: Packet, now: int
-) -> tuple[ForwardDecision, Packet]:
-    """Both hop fields a segment-crossing AS owns, handled as one unit.
-
-    The AS's flyover, if it has one, sits on its first hop field (the
-    one closing the earlier segment); a flyover on the later segment's
-    opening hop field is malformed.  Both hop fields must verify.
-    """
-    hop_index = packet.path.current_hop_index()
-    if hop_index + 1 >= len(packet.path.hops):
-        return ForwardDecision(Verdict.DROP, Reason.PARSE_ERROR), packet
-    if packet.path.hops[hop_index + 1].flyover:
-        return ForwardDecision(Verdict.DROP, Reason.MISPLACED_FLYOVER), packet
-
-    if packet.path.hops[hop_index].flyover:
-        fly = flyover_processing(cfg, packet, now)
-        if fly.status is _Fly.DROP:
-            return ForwardDecision(Verdict.DROP, fly.reason), fly.packet
-    else:
-        fly = _FlyoverResult(_Fly.BEST, Reason.PLAIN_HOP, packet)
-    packet = fly.packet
-
-    # First hop field, against the segment it closes.
-    failure, packet = _verify_without_advance(cfg, packet, hop_index, now)
-    if failure is not None:
-        return ForwardDecision(Verdict.DROP, failure), packet
-    # Second hop field, against the segment it opens.
-    meta = packet.path.meta
-    packet = replace(packet, path=replace(packet.path, meta=replace(meta, curr_inf=meta.curr_inf + 1)))
-    failure, packet = _verify_without_advance(cfg, packet, hop_index + 1, now)
-    if failure is not None:
-        return ForwardDecision(Verdict.DROP, failure), packet
-    packet = _advanced(packet, packet.path.hops[hop_index], packet.path.hops[hop_index + 1])
-    return _monitor_stage(cfg, packet, fly, now)
-
-
-def _verify_without_advance(
-    cfg: RouterConfig, packet: Packet, hop_index: int, now: int
-) -> tuple[Reason | None, Packet]:
-    hop = packet.path.hops[hop_index]
-    info_index = packet.path.meta.curr_inf
-    info = packet.path.infos[info_index]
-    if hop_expired(info, hop, now):
-        return Reason.HOP_EXPIRED, packet
-    expected = crypto.hop_field_mac(cfg.forwarding_key, info, hop)
-    if expected != hop.mac:
-        return Reason.MAC_MISMATCH, packet
-    packet = _with_info(
-        packet, info_index, replace(info, seg_id=crypto.update_seg_id(info.seg_id, expected))
+        curr_inf = path.segment_of_word(curr_hf)
+    packet = replace(
+        packet,
+        path=HummingbirdPath(
+            meta=replace(meta, curr_hf=curr_hf, curr_inf=curr_inf),
+            infos=tuple(infos),
+            hops=tuple(hops),
+        ),
     )
-    return None, packet
 
-
-def _monitor_stage(
-    cfg: RouterConfig, packet: Packet, fly: _FlyoverResult, now: int
-) -> tuple[ForwardDecision, Packet]:
-    if fly.status is not _Fly.FLY:
-        return ForwardDecision(Verdict.BEST_EFFORT, fly.reason), packet
-    meta = packet.path.meta
-    if cfg.dup_hook is not None:
-        cfg.dup_hook((meta.base_timestamp, meta.millis_timestamp, meta.counter))
-    accepted = monitor_code(
-        cfg.policer, fly.res_id, fly.bw_code, fly.pkt_len, now, cfg.use_reciprocal
-    )
-    if accepted:
+    if reason is not Reason.PRIORITY:
+        return ForwardDecision(Verdict.BEST_EFFORT, reason), packet
+    if monitor_code(cfg.policer, first.res_id, first.bw, pkt_len, now):
         return ForwardDecision(Verdict.PRIORITY, Reason.PRIORITY), packet
     return ForwardDecision(Verdict.BEST_EFFORT, Reason.OVER_BUDGET), packet
 

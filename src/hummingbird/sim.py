@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import deque
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -138,8 +139,8 @@ class Link:
         self.delay_ns = delay_ns
         self.be_buffer_bytes = be_buffer_bytes
         self.stats = LinkStats()
-        self._priority: list[_Transit] = []
-        self._best_effort: list[_Transit] = []
+        self._priority: deque[_Transit] = deque()
+        self._best_effort: deque[_Transit] = deque()
         self._be_bytes = 0
         self._busy = False
 
@@ -160,10 +161,10 @@ class Link:
 
     def _serve(self) -> None:
         if self._priority:
-            transit = self._priority.pop(0)
+            transit = self._priority.popleft()
             self.stats.priority_bytes += transit.wire_bytes
         elif self._best_effort:
-            transit = self._best_effort.pop(0)
+            transit = self._best_effort.popleft()
             self._be_bytes -= transit.wire_bytes
             self.stats.best_effort_bytes += transit.wire_bytes
         else:

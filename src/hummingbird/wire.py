@@ -475,22 +475,6 @@ def hop_field_offset(meta: PathMetaHdr) -> int:
     return META_LEN + INFO_LEN * meta.num_inf + _WORD * meta.curr_hf
 
 
-def advance_curr_hf(meta: PathMetaHdr, flyover: bool) -> PathMetaHdr:
-    """Step curr_hf past one hop field.  Callers fix curr_inf on segment change."""
-    step = FLYOVER_HOP_LEN // _WORD if flyover else HOP_LEN // _WORD
-    new = meta.curr_hf + step
-    if new > 0xFF:
-        raise WireError(f"curr_hf overflow: {meta.curr_hf} + {step}")
-    return PathMetaHdr(
-        curr_inf=meta.curr_inf,
-        curr_hf=new,
-        seg_len=meta.seg_len,
-        base_timestamp=meta.base_timestamp,
-        millis_timestamp=meta.millis_timestamp,
-        counter=meta.counter,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bandwidth encoding
 
@@ -602,15 +586,6 @@ def mac_input_block(
     )
 
 
-def parse_mac_input_block(raw: bytes) -> tuple[int, int, int, int, int, int]:
-    if len(raw) != 16:
-        raise WireError(f"MAC input block needs 16 bytes, got {len(raw)}")
-    dst_isd = int.from_bytes(raw[0:2], "big")
-    dst_as = int.from_bytes(raw[2:8], "big")
-    pkt_len, offset, ts = struct.unpack("!HHI", raw[8:16])
-    return dst_isd, dst_as, pkt_len, offset, ts >> 22, ts & 0x3FFFFF
-
-
 # ---------------------------------------------------------------------------
 # Packet: pseudo common/address prefix + path header
 
@@ -650,16 +625,21 @@ class Packet:
         return total
 
     def validate(self) -> None:
+        self._validate_prefix()
+        self.path.validate()
+
+    def _validate_prefix(self) -> None:
         _check(self.dst_isd, 16, "dst_isd")
         _check(self.dst_as, 48, "dst_as")
         _check(self.payload_len, 16, "payload_len")
         if self.hdr_len > 0xFF:
             raise WireError(f"hdr_len {self.hdr_len} does not fit 8 bits")
-        self.path.validate()
 
 
+# encode_packet and decode_packet check the prefix themselves and leave
+# the path to encode_path and decode_path, so each check runs once.
 def encode_packet(packet: Packet) -> bytes:
-    packet.validate()
+    packet._validate_prefix()
     prefix = (
         packet.dst_isd.to_bytes(2, "big")
         + packet.dst_as.to_bytes(6, "big")
@@ -684,5 +664,5 @@ def decode_packet(raw: bytes) -> Packet:
         payload_len=payload_len,
         path=decode_path(raw[PACKET_PREFIX_LEN:]),
     )
-    packet.validate()
+    packet._validate_prefix()
     return packet

@@ -1,13 +1,11 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from hummingbird import policing
-from hummingbird.policing import TokenBucketArray, monitor, monitor_code, service_time_ns
+from hummingbird.policing import TokenBucketArray, monitor_code, service_time_ns
 from hummingbird.wire import decode_bw, quantize_bw
 
-MS = 1_000_000
 S = 1_000_000_000
 
 
@@ -24,98 +22,82 @@ class TestServiceTime:
         code = quantize_bw(3)  # 3 bit/s, pathological but encodable
         assert service_time_ns(code, 1) == -(-8 * S // 3)
 
-    def test_reciprocal_agrees_on_all_codes(self):
-        lens = [0, 1, 7, 100, 1250, 1500, 9000, 65535]
-        rng = random.Random(11)
-        lens += [rng.randrange(1 << 16) for _ in range(8)]
-        for code in range(1, 1024):
-            for pkt_len in lens:
-                assert service_time_ns(code, pkt_len, use_reciprocal=True) == (
-                    service_time_ns(code, pkt_len, use_reciprocal=False)
-                )
-
     def test_zero_bandwidth_code(self):
         with pytest.raises(policing.PolicingError):
             service_time_ns(0, 100)
 
 
-def drive(bw_bytes: int, pkt_len: int, gap_ns: int, count: int, burst=policing.DEFAULT_BURST_NS):
+# 2**20 bit/s, exactly encodable: a 1250-byte packet occupies 9.54 ms.
+CODE = quantize_bw(1 << 20)
+PKT = 1250
+SERVICE = service_time_ns(CODE, PKT)
+
+
+def drive(gap_ns: int, count: int, burst=policing.DEFAULT_BURST_NS):
     state = TokenBucketArray(8, burst_time_ns=burst)
     verdicts = []
     for k in range(count):
-        verdicts.append(monitor(state, 0, bw_bytes, pkt_len, k * gap_ns))
+        verdicts.append(monitor_code(state, 0, CODE, PKT, k * gap_ns))
     return verdicts
 
 
 class TestMonitor:
     def test_exact_rate_never_demoted(self):
         # Packets spaced exactly one service time apart all go priority.
-        verdicts = drive(bw_bytes=125_000, pkt_len=1250, gap_ns=10 * MS, count=10_000)
+        verdicts = drive(gap_ns=SERVICE, count=10_000)
         assert all(verdicts)
 
     def test_double_rate_pattern(self):
-        # Frozen from a step-by-step trace of the bucket update with
-        # exact rational arithmetic: 9 straight accepts, then the
-        # burst allowance is exhausted and every other packet demotes.
-        verdicts = drive(bw_bytes=125_000, pkt_len=1250, gap_ns=5 * MS, count=24)
+        # At twice the rate, packet k arrives at k*g and would use the
+        # budget up to 2(k+1)*g; with burst B it passes while (k+2)*g <= B.
+        # B/g = 10.49 here: 9 straight accepts, then the burst allowance
+        # is exhausted and every other packet demotes.
+        assert SERVICE % 2 == 0
+        verdicts = drive(gap_ns=SERVICE // 2, count=24)
         assert "".join("P" if v else "b" for v in verdicts) == "PPPPPPPPPbPbPbPbPbPbPbPb"
 
     @pytest.mark.parametrize("factor", [2, 4, 10])
     def test_overuse_converges_to_one_over_k(self, factor):
         count = 10_000
-        verdicts = drive(
-            bw_bytes=125_000, pkt_len=1250, gap_ns=10 * MS // factor, count=count
-        )
+        verdicts = drive(gap_ns=SERVICE // factor, count=count)
         share = sum(verdicts) / count
         assert abs(share - 1 / factor) < 0.02
 
     def test_flood_priority_bytes_bounded(self):
         # However hard a reservation floods, accepted service time can
         # never exceed the window plus one burst allowance.
-        bw, pkt = 125_000, 1250
         state = TokenBucketArray(4)
         window = 2 * S
         accepted = 0
-        gap = 10 * MS // 10
+        gap = SERVICE // 10
         t = 0
         while t <= window:
-            if monitor(state, 2, bw, pkt, t):
-                accepted += pkt
+            if monitor_code(state, 2, CODE, PKT, t):
+                accepted += PKT
             t += gap
-        assert Fraction(accepted, bw) <= Fraction(window + policing.DEFAULT_BURST_NS, S)
+        bytes_per_s = Fraction(decode_bw(CODE), 8)
+        assert accepted / bytes_per_s <= Fraction(window + policing.DEFAULT_BURST_NS, S)
 
     def test_reject_leaves_state_unchanged(self):
         state = TokenBucketArray(4)
-        assert monitor(state, 1, 125_000, 1250, 0)
+        assert monitor_code(state, 1, CODE, PKT, 0)
         snapshot = bytes(state.ts.tobytes())
-        # Far over budget: service time exceeds burst.
-        assert not monitor(state, 1, 1, 1250, 1)
+        # Far over budget: at 8 bit/s the service time exceeds burst.
+        assert not monitor_code(state, 1, quantize_bw(8), PKT, 1)
         assert state.ts.tobytes() == snapshot
 
     def test_out_of_range_res_id(self):
         state = TokenBucketArray(4)
         snapshot = bytes(state.ts.tobytes())
-        assert not monitor(state, 4, 125_000, 1250, 0)
+        assert not monitor_code(state, 4, CODE, PKT, 0)
         assert state.out_of_range == 1
         assert state.ts.tobytes() == snapshot
 
     def test_bad_bandwidth(self):
         state = TokenBucketArray(4)
-        with pytest.raises(policing.PolicingError):
-            monitor(state, 0, 0, 1250, 0)
-
-    def test_monitor_code_matches_bytes_variant(self):
-        # For codes divisible by 8 the two entry points see the same rate.
-        code = quantize_bw(1 << 20)
-        a = TokenBucketArray(4)
-        b = TokenBucketArray(4)
-        rng = random.Random(12)
-        t = 0
-        for _ in range(2000):
-            t += rng.randrange(1, 20) * MS
-            pkt = rng.randrange(1, 1501)
-            assert monitor_code(a, 0, code, pkt, t) == monitor(b, 0, 1 << 17, pkt, t)
-        assert a.ts.tobytes() == b.ts.tobytes()
+        for code in (0, -1, 1024):
+            with pytest.raises(policing.PolicingError):
+                monitor_code(state, 0, code, PKT, 0)
 
 
 class TestSizing:

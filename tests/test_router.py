@@ -1,4 +1,5 @@
 import random
+import struct
 from dataclasses import replace
 
 import pytest
@@ -8,8 +9,10 @@ from hummingbird.policing import TokenBucketArray
 from hummingbird.router import Reason, RouterConfig, Verdict, process_packet
 from hummingbird.wire import (
     HopField,
+    HummingbirdPath,
     InfoField,
     ReservationInfo,
+    decode_packet,
     encode_packet,
     quantize_bw,
 )
@@ -142,17 +145,22 @@ class TestHappyPath:
         packet = build(plan)
         _, out = process_packet(make_cfg(), packet)
         info = InfoField(peering=False, cons_dir=True, seg_id=0x1111, timestamp=BASE_S - 100)
-        expected = crypto.hop_field_mac(FK, info, out.path.hops[0])
-        assert out.path.hops[0].mac == expected
-        # The rewritten header verifies as a plain SCION hop.
-        assert out.path.hops[0].flyover
-        reset = advance_to(out, 0)
-        reset = replace(
-            reset,
-            path=replace(reset.path, infos=(info,)),
+        fly = out.path.hops[0]
+        assert fly.flyover
+        assert fly.mac == crypto.hop_field_mac(FK, info, fly)
+        # The rewritten MAC verifies as a plain SCION hop in the same slot.
+        plain = HopField(
+            ingress_alert=fly.ingress_alert,
+            egress_alert=fly.egress_alert,
+            exp_time=fly.exp_time,
+            cons_ingress=fly.cons_ingress,
+            cons_egress=fly.cons_egress,
+            mac=fly.mac,
         )
-        failure, _ = router.standard_hf_processing(make_cfg(), reset, BASE_NS)
-        assert failure is None
+        meta = replace(out.path.meta, curr_hf=0, curr_inf=0, seg_len=(plain.words, 0, 0))
+        reset = replace(out, path=HummingbirdPath(meta=meta, infos=(info,), hops=(plain,)))
+        decision, _ = process_packet(make_cfg(), reset)
+        assert decision == router.ForwardDecision(Verdict.BEST_EFFORT, Reason.PLAIN_HOP)
 
     def test_plain_hop_goes_best_effort(self):
         packet = build(make_plan(reservation=None))
@@ -327,68 +335,146 @@ class TestMonitoring:
         process_packet(cfg, packet)
         assert cfg.policer.ts.tobytes() == bytes(8 * 64)
 
-    def test_dup_hook_sees_timestamp_triple(self):
-        seen = []
-        cfg = make_cfg(dup_hook=seen.append)
-        packet = build(make_plan())
-        process_packet(cfg, packet)
-        meta = packet.path.meta
-        assert seen == [(meta.base_timestamp, meta.millis_timestamp, meta.counter)]
+
+SEG0, SEG1 = 0x2222, 0x3333
+
+
+def boundary_plan(
+    flyover_on_first: bool,
+    misplaced: bool = False,
+    res: ReservationInfo | None = None,
+    info_ts: tuple[int, int] = (BASE_S - 100, BASE_S - 100),
+    exp_time: tuple[int, int] = (255, 255),
+):
+    """A path whose first AS crosses from segment 0 into segment 1."""
+    res = res if res is not None else make_reservation()
+    a_key = crypto.derive_key(SV, res)
+    seg0_hops = [
+        source.HopPlan(res.ingress, res.egress, bytes(6), exp_time[0],
+                       reservation=(res, a_key) if flyover_on_first else None)
+    ]
+    seg1_hops = [
+        source.HopPlan(1, 2, bytes(6), exp_time[1],
+                       reservation=(res, a_key) if misplaced else None),
+        source.HopPlan(30, 31, bytes(6), 255),
+    ]
+    seg0 = chain_hops(seg0_hops, SEG0, info_ts[0])
+    seg1 = chain_hops(seg1_hops, SEG1, info_ts[1])
+    return source.PathPlan(
+        dst_isd=0x1234,
+        dst_as=0xABCDEF,
+        segments=(
+            source.SegmentPlan(seg_id=SEG0, timestamp=info_ts[0], hops=seg0),
+            source.SegmentPlan(seg_id=SEG1, timestamp=info_ts[1], hops=seg1),
+        ),
+    )
 
 
 class TestSegmentBoundary:
-    def boundary_plan(self, flyover_on_first: bool, misplaced: bool = False):
-        res = make_reservation()
-        a_key = crypto.derive_key(SV, res)
-        seg0_hops = [
-            source.HopPlan(res.ingress, res.egress, bytes(6), 255,
-                           reservation=(res, a_key) if flyover_on_first else None)
-        ]
-        seg1_hops = [
-            source.HopPlan(1, 2, bytes(6), 255,
-                           reservation=(res, a_key) if misplaced else None),
-            source.HopPlan(30, 31, bytes(6), 255),
-        ]
-        seg0 = chain_hops(seg0_hops, 0x2222, BASE_S - 100)
-        seg1 = chain_hops(seg1_hops, 0x3333, BASE_S - 100)
-        return source.PathPlan(
-            dst_isd=0x1234,
-            dst_as=0xABCDEF,
-            segments=(
-                source.SegmentPlan(seg_id=0x2222, timestamp=BASE_S - 100, hops=seg0),
-                source.SegmentPlan(seg_id=0x3333, timestamp=BASE_S - 100, hops=seg1),
-            ),
-        )
+    def with_mac(self, packet, index, mac):
+        hops = list(packet.path.hops)
+        hops[index] = replace(hops[index], mac=mac)
+        return replace(packet, path=replace(packet.path, hops=tuple(hops)))
+
+    def assert_crossed(self, packet, out):
+        """Both SegIDs stepped and the pointers past both hop fields."""
+        for i, info in enumerate(packet.path.infos):
+            mac = crypto.hop_field_mac(FK, info, out.path.hops[i])
+            assert out.path.hops[i].mac == mac
+            assert out.path.infos[i].seg_id == crypto.update_seg_id(info.seg_id, mac)
+        assert out.path.meta.curr_hf == packet.path.hops[0].words + 3
+        assert out.path.meta.curr_inf == 1
 
     def test_boundary_with_flyover_on_first_segment(self):
-        packet = build(self.boundary_plan(flyover_on_first=True))
+        packet = build(boundary_plan(flyover_on_first=True))
         decision, out = process_packet(make_cfg(), packet)
         assert decision.verdict is Verdict.PRIORITY
         # Both boundary hop fields consumed, pointer now in segment 1.
         assert out.path.meta.curr_hf == 5 + 3
         assert out.path.meta.curr_inf == 1
+        self.assert_crossed(packet, out)
         decision, out = process_packet(make_cfg(), out)
         assert decision.verdict is Verdict.BEST_EFFORT
         assert out.path.meta.curr_hf == out.path.meta.total_hop_words
 
     def test_boundary_plain(self):
-        packet = build(self.boundary_plan(flyover_on_first=False))
+        packet = build(boundary_plan(flyover_on_first=False))
         decision, out = process_packet(make_cfg(), packet)
         assert decision == router.ForwardDecision(Verdict.BEST_EFFORT, Reason.PLAIN_HOP)
-        assert out.path.meta.curr_inf == 1
+        self.assert_crossed(packet, out)
 
     def test_misplaced_flyover_drops(self):
-        packet = build(self.boundary_plan(flyover_on_first=False, misplaced=True))
+        packet = build(boundary_plan(flyover_on_first=False, misplaced=True))
         decision, _ = process_packet(make_cfg(), packet)
         assert decision == router.ForwardDecision(Verdict.DROP, Reason.MISPLACED_FLYOVER)
 
     def test_second_hop_mac_failure_drops(self):
-        packet = build(self.boundary_plan(flyover_on_first=True))
-        hops = list(packet.path.hops)
-        hops[1] = replace(hops[1], mac=bytes(6))
-        bad = replace(packet, path=replace(packet.path, hops=tuple(hops)))
+        packet = build(boundary_plan(flyover_on_first=True))
+        bad = self.with_mac(packet, 1, bytes(6))
         decision, _ = process_packet(make_cfg(), bad)
         assert decision == router.ForwardDecision(Verdict.DROP, Reason.MAC_MISMATCH)
+
+    @pytest.mark.parametrize("flyover", [True, False])
+    def test_first_hop_mac_failure_drops(self, flyover):
+        packet = build(boundary_plan(flyover_on_first=flyover))
+        bad = self.with_mac(packet, 0, bytes(6))
+        cfg = make_cfg()
+        decision, _ = process_packet(cfg, bad)
+        assert decision == router.ForwardDecision(Verdict.DROP, Reason.MAC_MISMATCH)
+        assert cfg.policer.ts.tobytes() == bytes(8 * 64)
+
+    @pytest.mark.parametrize("expired", [0, 1])
+    def test_expired_hop_field_drops(self, expired):
+        info_ts = [BASE_S - 100, BASE_S - 100]
+        exp_time = [255, 255]
+        info_ts[expired], exp_time[expired] = BASE_S - 100_000, 0
+        plan = boundary_plan(
+            flyover_on_first=True, info_ts=tuple(info_ts), exp_time=tuple(exp_time)
+        )
+        decision, _ = process_packet(make_cfg(), build(plan))
+        assert decision == router.ForwardDecision(Verdict.DROP, Reason.HOP_EXPIRED)
+
+    @pytest.mark.parametrize(
+        "now, reason",
+        [
+            (BASE_NS + 10 * S, Reason.STALE_TIMESTAMP),
+            (BASE_NS - router.DEFAULT_DELTA_NS - 1, Reason.FUTURE_TIMESTAMP),
+        ],
+    )
+    def test_unfresh_flyover_crosses_best_effort(self, now, reason):
+        packet = build(boundary_plan(flyover_on_first=True))
+        cfg = make_cfg(now=now)
+        decision, out = process_packet(cfg, packet)
+        assert decision == router.ForwardDecision(Verdict.BEST_EFFORT, reason)
+        self.assert_crossed(packet, out)
+        assert cfg.policer.ts.tobytes() == bytes(8 * 64)
+
+    def test_inactive_flyover_crosses_best_effort(self):
+        res = make_reservation(res_start=BASE_S - 100, duration=50)
+        plan = boundary_plan(flyover_on_first=True, res=res)
+        packet = build(plan, allow_inactive=True)
+        cfg = make_cfg()
+        decision, out = process_packet(cfg, packet)
+        assert decision == router.ForwardDecision(
+            Verdict.BEST_EFFORT, Reason.RESERVATION_INACTIVE
+        )
+        self.assert_crossed(packet, out)
+        assert cfg.policer.ts.tobytes() == bytes(8 * 64)
+
+    def test_boundary_flyover_over_budget(self):
+        plan = boundary_plan(
+            flyover_on_first=True, res=make_reservation(bw_code=BW_SLOW)
+        )
+        clock = FakeClock(BASE_NS)
+        counter_state = source.CounterState()
+        cfg = make_cfg()
+        first = source.build_packet(plan, 100, clock, counter_state)
+        second = source.build_packet(plan, 100, clock, counter_state)
+        d1, _ = process_packet(cfg, first)
+        d2, out = process_packet(cfg, second)
+        assert d1.verdict is Verdict.PRIORITY
+        assert d2 == router.ForwardDecision(Verdict.BEST_EFFORT, Reason.OVER_BUDGET)
+        self.assert_crossed(second, out)
 
 
 class TestBytesInterface:
@@ -413,3 +499,66 @@ class TestBytesInterface:
                 corrupted[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
             decision, _ = router.process_packet_bytes(cfg, bytes(corrupted))
             assert decision.verdict in (Verdict.DROP, Verdict.BEST_EFFORT, Verdict.PRIORITY)
+
+        # Authentic packets with up to three header fields changed, seen
+        # at fresh, stale and future router clocks, reach past the parser
+        # and the MAC check.
+        bases = [
+            advance_to(build(make_plan(pre=pre, post=post), payload_len=rng.randrange(2000)), pre)
+            for pre in range(3)
+            for post in range(2)
+        ]
+        bases.append(build(boundary_plan(flyover_on_first=True), payload_len=700))
+        seen = set()
+        for _ in range(2000):
+            base = rng.choice(bases)
+            buf = bytearray(encode_packet(base))
+            hop_at = 24 + 8 * base.path.meta.num_inf + 4 * base.path.meta.curr_hf
+            for _ in range(rng.randrange(4)):
+                rng.choice(MUTATIONS)(rng, buf, hop_at)
+            cfg.clock.now = BASE_NS + rng.choice((0, 0, 0, 10 * S, -S))
+            decision, out = router.process_packet_bytes(cfg, bytes(buf))
+            seen.add(decision.reason)
+            if decision.verdict is Verdict.DROP:
+                assert out is None
+            else:
+                decode_packet(out)
+        assert {
+            Reason.PRIORITY,
+            Reason.OVER_BUDGET,
+            Reason.PARSE_ERROR,
+            Reason.MAC_MISMATCH,
+            Reason.STALE_TIMESTAMP,
+            Reason.FUTURE_TIMESTAMP,
+            Reason.PLAIN_HOP,
+            Reason.NO_HOP,
+        } <= seen, seen
+
+
+def _set_bits(buf, offset, shift, width, rng):
+    """Replace a width-bit field of the 32-bit word at offset."""
+    (word,) = struct.unpack_from("!I", buf, offset)
+    old = word >> shift & ((1 << width) - 1)
+    new = rng.randrange(1 << width) if rng.random() < 0.5 else old + rng.choice((-2, -1, 1, 2))
+    mask = ((1 << width) - 1) << shift
+    struct.pack_into("!I", buf, offset, word & ~mask | (new << shift & mask))
+
+
+def _flip_mac(rng, buf, hop_at):
+    buf[hop_at + 6 + rng.randrange(6)] ^= 1 << rng.randrange(8)
+
+
+# Packet prefix at 0, meta header at 12, hop field at hop_at.
+MUTATIONS = (
+    lambda rng, buf, hop_at: _set_bits(buf, 8, 16, 16, rng),  # PayloadLen
+    lambda rng, buf, hop_at: _set_bits(buf, 8, 8, 8, rng),  # HdrLen
+    lambda rng, buf, hop_at: _set_bits(buf, 12, 30, 2, rng),  # CurrINF
+    lambda rng, buf, hop_at: _set_bits(buf, 12, 22, 8, rng),  # CurrHF
+    lambda rng, buf, hop_at: _set_bits(buf, 12, 7 * rng.randrange(3), 7, rng),  # SegLen
+    lambda rng, buf, hop_at: _set_bits(buf, 16, 0, 32, rng),  # BaseTimestamp
+    lambda rng, buf, hop_at: _set_bits(buf, 20, 22, 10, rng),  # MillisTimestamp
+    lambda rng, buf, hop_at: _set_bits(buf, 20, 0, 22, rng),  # Counter
+    lambda rng, buf, hop_at: _set_bits(buf, hop_at + 12, 10, 22, rng),  # ResID
+    lambda rng, buf, hop_at: _set_bits(buf, hop_at + 12, 0, 10, rng),  # BW
+    _flip_mac,
+)

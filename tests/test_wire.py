@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -158,18 +159,6 @@ class TestOffsets:
                 walked += 4 * hop.words
 
 
-class TestAdvance:
-    def test_steps(self):
-        meta = simple_meta(seg_len=(8, 0, 0))
-        assert wire.advance_curr_hf(meta, flyover=False).curr_hf == 3
-        assert wire.advance_curr_hf(meta, flyover=True).curr_hf == 5
-
-    def test_overflow(self):
-        meta = simple_meta(seg_len=(0x7F, 0x7F, 0), curr_hf=254, curr_inf=1)
-        with pytest.raises(WireError, match="overflow"):
-            wire.advance_curr_hf(meta, flyover=True)
-
-
 class TestHopTiling:
     def test_hop_overruns_segment(self):
         # Segment declares 4 words: a plain hop leaves 1 word, nothing fits.
@@ -264,10 +253,6 @@ class TestPrfBlocks:
         block = wire.mac_input_block(0x1234, 0xABCDEF012345, 0x0506, 0x0708, 999, 0x12345)
         assert block.hex() == "1234abcdef01234505060708f9c12345"
 
-    def test_mac_input_block_parse(self):
-        fields = (0x1234, 0xABCDEF012345, 0x0506, 0x0708, 999, 0x12345)
-        assert wire.parse_mac_input_block(wire.mac_input_block(*fields)) == fields
-
     def test_resinfo_block_layout(self):
         res = ReservationInfo(
             ingress=2, egress=3, res_id=0x155, bw_code=0x2AA,
@@ -336,3 +321,37 @@ class TestPacket:
         # header: 12 prefix + 12 meta + 8 info + 12 + 20 = 64 bytes
         assert packet.hdr_len == 16
         assert packet.pkt_len_for_mac() == 100 + 64
+
+
+class TestValidateOnce:
+    def test_each_check_runs_once_per_call(self, monkeypatch):
+        counts = {}
+        for cls in (HummingbirdPath, PathMetaHdr):
+            def counted(self, _original=cls.validate, _name=cls.__name__):
+                counts[_name] = counts.get(_name, 0) + 1
+                _original(self)
+            monkeypatch.setattr(cls, "validate", counted)
+        rng = random.Random(10)
+        for _ in range(100):
+            packet = random_packet(rng)
+            counts.clear()
+            raw = wire.encode_packet(packet)
+            assert counts["HummingbirdPath"] == 1
+            assert counts["PathMetaHdr"] <= 2
+            counts.clear()
+            assert wire.decode_packet(raw) == packet
+            assert counts["HummingbirdPath"] == 1
+            assert counts["PathMetaHdr"] <= 2
+
+    def test_encode_still_rejects_bad_prefix_and_path(self):
+        packet = random_packet(random.Random(11))
+        extra_info = InfoField(peering=False, cons_dir=True, seg_id=0, timestamp=0)
+        for bad in (
+            replace(packet, dst_isd=1 << 16),
+            replace(packet, dst_as=-1),
+            replace(packet, payload_len=1 << 16),
+            replace(packet, path=replace(packet.path, infos=packet.path.infos + (extra_info,))),
+            replace(packet, path=replace(packet.path, meta=replace(packet.path.meta, counter=1 << 22))),
+        ):
+            with pytest.raises(WireError):
+                wire.encode_packet(bad)
