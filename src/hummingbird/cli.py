@@ -22,7 +22,7 @@ import time
 from random import Random
 
 from . import vectors as vectors_mod
-from .crypto import TAG_LEN, derive_key
+from .crypto import TAG_LEN, CryptoError, derive_key
 from .ledger import (
     AsIdentity,
     ASControlService,
@@ -35,7 +35,7 @@ from .ledger import (
     sealing_keypair,
     unseal_credentials,
 )
-from .policing import TokenBucketArray, monitor_code
+from .policing import PolicingError, TokenBucketArray, monitor_code
 from .router import RouterConfig, process_packet, process_packet_bytes
 from .sim import (
     ScenarioError,
@@ -66,11 +66,14 @@ def _seed_from(args) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}")
 
 
 def _table(rows: list[list[str]]) -> str:
@@ -166,7 +169,7 @@ def cmd_ledger_demo(args) -> int:
     say = print if args.format == "table" else (lambda *_: None)
 
     root = PkiRoot(rng)
-    ledger = Ledger(root.public_key, {"asops": 10**9, "alice": 10**9}, fee=0)
+    ledger = Ledger(root.public_key, {"asops": 10**9, "alice": 10**9})
     say("genesis: accounts asops and alice, one billion each")
 
     ident = AsIdentity(7, rng)
@@ -226,11 +229,19 @@ def cmd_ledger_demo(args) -> int:
 # packet
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
+
+
 def _read_packet_hex(value: str) -> bytes:
     if value == "-":
         value = sys.stdin.read()
     elif value.startswith("@"):
-        value = open(value[1:]).read()
+        value = _read_text(value[1:])
     try:
         return bytes.fromhex("".join(value.split()))
     except ValueError:
@@ -248,7 +259,7 @@ def _read_key(value: str, name: str) -> bytes:
 
 
 def cmd_packet_encode(args) -> int:
-    text = sys.stdin.read() if args.spec == "-" else open(args.spec).read()
+    text = sys.stdin.read() if args.spec == "-" else _read_text(args.spec)
     try:
         packet = vectors_mod.packet_from_obj(json.loads(text))
     except (json.JSONDecodeError, WireError) as exc:
@@ -502,7 +513,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ScenarioError, LedgerError, WireError) as exc:
+    except (UsageError, ScenarioError, LedgerError, WireError, CryptoError, PolicingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

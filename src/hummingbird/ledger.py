@@ -14,14 +14,17 @@ success.  Credential delivery is deliberately not available inside
 atomic blocks: it has side effects outside the ledger (the AS's ResID
 allocator) that cannot be rolled back.
 
-Currency is an abstract integer.  An optional flat per-call fee moves
-tokens to a treasury account, so the total supply is conserved either
-way.
+The staged copy copies the state's containers, not their values.  That
+is enough because every stored value is a frozen dataclass, an enum,
+an int, a str or bytes, and every operation replaces dict entries
+instead of changing a stored value, so the committed state never sees
+a staged change.
+
+Currency is an abstract integer.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -44,7 +47,6 @@ from .residalloc import ResIdAllocator
 from .wire import MAX_BW_VALUE, ReservationInfo, parse_resinfo_block, quantize_bw, resinfo_block
 
 MARKET_ACCOUNT = "__market__"
-TREASURY_ACCOUNT = "__treasury__"
 _REG_CONTEXT = b"hummingbird-as-registration:"
 _CERT_CONTEXT = b"hummingbird-as-cert:"
 _SEAL_CONTEXT = b"hummingbird-credential-seal"
@@ -288,6 +290,11 @@ class _State:
     sellers: set[str] = field(default_factory=set)
     next_id: int = 1
 
+    def copy(self) -> _State:
+        """New containers holding the same (immutable) values."""
+        return _State(dict(self.balances), dict(self.assets), dict(self.listings),
+                      dict(self.requests), dict(self.tokens), set(self.sellers), self.next_id)
+
 
 class Ledger:
     """Serial, deterministic, replayable control-plane state machine."""
@@ -306,16 +313,8 @@ class Ledger:
         "redeem",
     )
 
-    def __init__(
-        self,
-        root_public_key: bytes,
-        genesis: dict[str, int] | None = None,
-        fee: int = 0,
-    ):
-        if fee < 0:
-            raise LedgerError("fee must be non-negative")
+    def __init__(self, root_public_key: bytes, genesis: dict[str, int] | None = None):
         self._root = Ed25519PublicKey.from_public_bytes(root_public_key)
-        self._fee = fee
         self._state = _State()
         self._log: list[dict] = []
         self._in_block = False
@@ -386,10 +385,8 @@ class Ledger:
             )
         except InvalidSignature:
             raise LedgerError(f"proof of key for AS {cert.as_id} does not verify") from None
-        self._fee_precheck(account)
         token = AuthToken(token_id=self._fresh_id(), as_id=cert.as_id, account=account)
         self._state.tokens[token.token_id] = token
-        self._settle_fee(account)
         self._record("register_as", (account, cert.as_id), f"token:{token.token_id}")
         return token
 
@@ -425,10 +422,8 @@ class Ledger:
             owner=account,
         )
         asset.validate()
-        self._fee_precheck(account)
         asset = replace(asset, asset_id=self._fresh_id())
         self._state.assets[asset.asset_id] = asset
-        self._settle_fee(account)
         self._record("issue", (account, token.as_id, bandwidth), f"asset:{asset.asset_id}")
         return asset
 
@@ -436,9 +431,7 @@ class Ledger:
 
     def split_time(self, account: str, asset, cut: int) -> tuple[BandwidthAsset, BandwidthAsset]:
         asset = self._owned_asset(account, asset)
-        self._fee_precheck(account)
         pair = self._split_time(asset, cut)
-        self._settle_fee(account)
         self._record("split_time", (account, asset.asset_id, cut),
                      f"assets:{pair[0].asset_id},{pair[1].asset_id}")
         return pair
@@ -447,17 +440,13 @@ class Ledger:
         self, account: str, asset, part: int
     ) -> tuple[BandwidthAsset, BandwidthAsset]:
         asset = self._owned_asset(account, asset)
-        self._fee_precheck(account)
         pair = self._split_bandwidth(asset, part)
-        self._settle_fee(account)
         self._record("split_bandwidth", (account, asset.asset_id, part),
                      f"assets:{pair[0].asset_id},{pair[1].asset_id}")
         return pair
 
     def fuse_time(self, account: str, a, b) -> BandwidthAsset:
-        a = self._owned_asset(account, a)
-        b = self._owned_asset(account, b)
-        self._fuse_compatible(a, b)
+        a, b = self._fuse_pair(account, a, b)
         if a.bandwidth != b.bandwidth:
             raise LedgerError(
                 f"bandwidth differs: {a.bandwidth} vs {b.bandwidth}"
@@ -466,34 +455,32 @@ class Ledger:
             raise LedgerError(
                 f"assets not adjacent in time: {a.expiration_time} vs {b.start_time}"
             )
-        self._fee_precheck(account)
-        fused = replace(a, asset_id=self._fresh_id(), expiration_time=b.expiration_time)
-        fused.validate()
-        del self._state.assets[a.asset_id]
-        del self._state.assets[b.asset_id]
-        self._state.assets[fused.asset_id] = fused
-        self._settle_fee(account)
-        self._record("fuse_time", (account, a.asset_id, b.asset_id), f"asset:{fused.asset_id}")
-        return fused
+        return self._fuse("fuse_time", account, a, b, expiration_time=b.expiration_time)
 
     def fuse_bandwidth(self, account: str, a, b) -> BandwidthAsset:
-        a = self._owned_asset(account, a)
-        b = self._owned_asset(account, b)
-        self._fuse_compatible(a, b)
+        a, b = self._fuse_pair(account, a, b)
         if (a.start_time, a.expiration_time) != (b.start_time, b.expiration_time):
             raise LedgerError(
                 f"time spans differ: [{a.start_time}, {a.expiration_time}) vs "
                 f"[{b.start_time}, {b.expiration_time})"
             )
-        self._fee_precheck(account)
-        fused = replace(a, asset_id=self._fresh_id(), bandwidth=a.bandwidth + b.bandwidth)
-        fused.validate()
-        del self._state.assets[a.asset_id]
-        del self._state.assets[b.asset_id]
-        self._state.assets[fused.asset_id] = fused
-        self._settle_fee(account)
-        self._record("fuse_bandwidth", (account, a.asset_id, b.asset_id),
-                     f"asset:{fused.asset_id}")
+        return self._fuse("fuse_bandwidth", account, a, b, bandwidth=a.bandwidth + b.bandwidth)
+
+    def _fuse_pair(self, account: str, a, b) -> tuple[BandwidthAsset, BandwidthAsset]:
+        """Both assets, owned by account and alike in all but time and bandwidth."""
+        a = self._owned_asset(account, a)
+        b = self._owned_asset(account, b)
+        for name in ("as_id", "interface", "direction", "time_granularity", "min_bandwidth"):
+            if getattr(a, name) != getattr(b, name):
+                raise LedgerError(
+                    f"{name} differs: {getattr(a, name)} vs {getattr(b, name)}"
+                )
+        return a, b
+
+    def _fuse(self, op: str, account: str, a, b, **change) -> BandwidthAsset:
+        fused = replace(a, asset_id=self._fresh_id(), **change)
+        self._replace_assets((a, b), (fused,))
+        self._record(op, (account, a.asset_id, b.asset_id), f"asset:{fused.asset_id}")
         return fused
 
     # -- marketplace ----------------------------------------------------------
@@ -502,9 +489,7 @@ class Ledger:
         self._require_account(account)
         if account in self._state.sellers:
             raise LedgerError(f"{account!r} is already a registered seller")
-        self._fee_precheck(account)
         self._state.sellers.add(account)
-        self._settle_fee(account)
         self._record("register_seller", (account,), "ok")
 
     def create_listing(self, account: str, asset, unit_price: int) -> Listing:
@@ -513,7 +498,6 @@ class Ledger:
         if unit_price < 0:
             raise LedgerError("unit price must be non-negative")
         asset = self._owned_asset(account, asset)
-        self._fee_precheck(account)
         # Escrow: the market holds the asset while it is listed.
         self._state.assets[asset.asset_id] = replace(asset, owner=MARKET_ACCOUNT)
         listing = Listing(
@@ -523,7 +507,6 @@ class Ledger:
             seller=account,
         )
         self._state.listings[listing.listing_id] = listing
-        self._settle_fee(account)
         self._record("create_listing", (account, asset.asset_id, unit_price),
                      f"listing:{listing.listing_id}")
         return listing
@@ -573,10 +556,8 @@ class Ledger:
                 f"{asset.min_bandwidth}"
             )
         price = listing.unit_price * bandwidth * (expiration_time - start_time)
-        if self.balance(account) < price + self._fee:
-            raise LedgerError(
-                f"{account!r} has {self.balance(account)}, needs {price + self._fee}"
-            )
+        if self.balance(account) < price:
+            raise LedgerError(f"{account!r} has {self.balance(account)}, needs {price}")
 
         del self._state.listings[listing.listing_id]
         remainders = []
@@ -607,7 +588,6 @@ class Ledger:
             )
             self._state.listings[new.listing_id] = new
             relisted.append(new.listing_id)
-        self._settle_fee(account)
         self._record(
             "buy",
             (account, listing.listing_id, start_time, expiration_time, bandwidth),
@@ -651,7 +631,13 @@ class Ledger:
             raise LedgerError(f"bandwidth {ingress.bandwidth} not encodable")
         if len(ephemeral_pubkey) != 32:
             raise LedgerError("ephemeral public key must be 32 bytes")
-        self._fee_precheck(account)
+        try:
+            # Any fixed private key will do: an exchange fails exactly on
+            # the low-order points, which no credentials can be sealed to.
+            probe = X25519PrivateKey.from_private_bytes(bytes(32))
+            probe.exchange(X25519PublicKey.from_public_bytes(ephemeral_pubkey))
+        except ValueError:
+            raise LedgerError("ephemeral public key is a low-order point") from None
         request = RedeemRequest(
             request_id=self._fresh_id(),
             as_id=ingress.as_id,
@@ -664,10 +650,8 @@ class Ledger:
             ephemeral_pubkey=ephemeral_pubkey,
         )
         # Redemption destroys the assets; the ids are never reused.
-        del self._state.assets[ingress.asset_id]
-        del self._state.assets[egress.asset_id]
+        self._replace_assets((ingress, egress), ())
         self._state.requests[request.request_id] = request
-        self._settle_fee(account)
         self._record(
             "redeem",
             (account, ingress.asset_id, egress.asset_id),
@@ -707,7 +691,7 @@ class Ledger:
             if call.op not in self.ATOMIC_OPS:
                 raise LedgerError(f"operation not allowed in atomic block: {call.op!r}")
         saved = self._state
-        self._state = copy.deepcopy(saved)
+        self._state = saved.copy()
         self._in_block = True
         results: list = []
         try:
@@ -831,24 +815,6 @@ class Ledger:
         if account not in self._state.balances:
             raise LedgerError(f"unknown account: {account!r}")
 
-    def _fee_precheck(self, account: str) -> None:
-        """Affordability check, run before any mutation."""
-        if self._fee == 0:
-            return
-        self._require_account(account)
-        if self._state.balances[account] < self._fee:
-            raise LedgerError(f"{account!r} cannot cover the {self._fee} token fee")
-
-    def _settle_fee(self, account: str) -> None:
-        """Fee transfer, run last; the precheck guarantees it cannot fail."""
-        if self._fee == 0:
-            return
-        assert self._state.balances[account] >= self._fee
-        self._state.balances[account] -= self._fee
-        self._state.balances[TREASURY_ACCOUNT] = (
-            self._state.balances.get(TREASURY_ACCOUNT, 0) + self._fee
-        )
-
     def _owned_asset(self, account: str, asset) -> BandwidthAsset:
         asset = self.asset(asset.asset_id if isinstance(asset, BandwidthAsset) else asset)
         if asset.owner != account:
@@ -893,11 +859,7 @@ class Ledger:
             )
         first = replace(asset, asset_id=self._fresh_id(), expiration_time=cut)
         second = replace(asset, asset_id=self._fresh_id(), start_time=cut)
-        first.validate()
-        second.validate()
-        del self._state.assets[asset.asset_id]
-        self._state.assets[first.asset_id] = first
-        self._state.assets[second.asset_id] = second
+        self._replace_assets((asset,), (first, second))
         return first, second
 
     def _split_bandwidth(
@@ -915,17 +877,14 @@ class Ledger:
             )
         first = replace(asset, asset_id=self._fresh_id(), bandwidth=rest)
         second = replace(asset, asset_id=self._fresh_id(), bandwidth=part)
-        first.validate()
-        second.validate()
-        del self._state.assets[asset.asset_id]
-        self._state.assets[first.asset_id] = first
-        self._state.assets[second.asset_id] = second
+        self._replace_assets((asset,), (first, second))
         return first, second
 
-    @staticmethod
-    def _fuse_compatible(a: BandwidthAsset, b: BandwidthAsset) -> None:
-        for name in ("as_id", "interface", "direction", "time_granularity", "min_bandwidth"):
-            if getattr(a, name) != getattr(b, name):
-                raise LedgerError(
-                    f"{name} differs: {getattr(a, name)} vs {getattr(b, name)}"
-                )
+    def _replace_assets(self, old: tuple, new: tuple) -> None:
+        """Validate the new assets, then swap them in for the old ones."""
+        for asset in new:
+            asset.validate()
+        for asset in old:
+            del self._state.assets[asset.asset_id]
+        for asset in new:
+            self._state.assets[asset.asset_id] = asset

@@ -26,10 +26,6 @@ FLYOVER_HOP_LEN = 20
 PACKET_PREFIX_LEN = 12
 
 MAC_LEN = 6
-MAX_SEG_LEN = 0x7F
-MAX_RES_ID = (1 << 22) - 1
-MAX_COUNTER = (1 << 22) - 1
-MAX_BW_CODE = (1 << 10) - 1
 
 _WORD = 4  # hop field lengths are multiples of this
 
@@ -395,18 +391,22 @@ class HummingbirdPath:
 
     def validate(self) -> None:
         self.meta.validate()
+        for info in self.infos:
+            info.validate()
+        self._validate_layout()
+
+    def _validate_layout(self) -> None:
+        """The checks across fields; assumes each field is valid on its own."""
         if len(self.infos) != self.meta.num_inf:
             raise WireError(
                 f"{len(self.infos)} info fields but seg_len declares {self.meta.num_inf}"
             )
-        for info in self.infos:
-            info.validate()
         self.hops_by_segment()
         total = self.meta.total_hop_words
         if self.meta.curr_hf > total:
             raise WireError(f"curr_hf {self.meta.curr_hf} beyond {total} hop words")
         if self.meta.num_inf > 0:
-            idx = self.current_hop_index()  # must land on a hop boundary
+            self.current_hop_index()  # must land on a hop boundary
             if self.meta.curr_hf == total:
                 expect_inf = self.meta.num_inf - 1
             else:
@@ -416,13 +416,14 @@ class HummingbirdPath:
                     f"curr_inf {self.meta.curr_inf} does not match hop position"
                     f" (expected {expect_inf})"
                 )
-            del idx
 
 
+# encode_path and decode_path check each field once, in pack or unpack,
+# and then the layout across fields.
 def encode_path(path: HummingbirdPath) -> bytes:
-    path.validate()
     parts = [path.meta.pack()]
     parts.extend(info.pack() for info in path.infos)
+    path._validate_layout()
     parts.extend(hop.pack() for hop in path.hops)
     return b"".join(parts)
 
@@ -457,7 +458,7 @@ def decode_path(raw: bytes) -> HummingbirdPath:
     if pos != len(raw):
         raise WireError(f"{len(raw) - pos} trailing bytes after path")
     path = HummingbirdPath(meta=meta, infos=tuple(infos), hops=tuple(hops))
-    path.validate()
+    path._validate_layout()
     return path
 
 

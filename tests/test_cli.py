@@ -193,6 +193,47 @@ class TestPacket:
         )
         assert code == 2 and "16 bytes" in stderr
 
+    def test_encode_missing_spec_file(self, capsys, tmp_path):
+        code, _, stderr = run_cli(
+            capsys, "packet", "encode", "--spec", str(tmp_path / "missing.json")
+        )
+        assert code == 2 and stderr.startswith("error: ")
+
+    def test_decode_missing_hex_file(self, capsys, tmp_path):
+        code, _, stderr = run_cli(capsys, "packet", "decode", f"@{tmp_path / 'missing'}")
+        assert code == 2 and stderr.startswith("error: ")
+
+    def test_decode_unwritable_out(self, capsys, tmp_path):
+        case = json.loads(vectors.generate()["packets.json"])["cases"][0]
+        code, _, stderr = run_cli(
+            capsys, "packet", "decode", case["hex"], "--out", str(tmp_path / "no" / "out")
+        )
+        assert code == 2 and stderr.startswith("error: ")
+
+    def test_verify_rejects_empty_policer(self, capsys, decision_case):
+        code, _, stderr = run_cli(
+            capsys,
+            "packet", "verify", decision_case["packets"][0],
+            "--sv", decision_case["sv"],
+            "--forwarding-key", decision_case["forwarding_key"],
+            "--now-ns", str(decision_case["now_ns"]),
+            "--policer-entries", "0",
+        )
+        assert code == 2 and stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("tag_len", ["0", "7", "17"])
+    def test_verify_rejects_unusable_tag_len(self, capsys, decision_case, tag_len):
+        # The golden packet carries a flyover hop, so the tag is computed.
+        code, _, stderr = run_cli(
+            capsys,
+            "packet", "verify", decision_case["packets"][0],
+            "--sv", decision_case["sv"],
+            "--forwarding-key", decision_case["forwarding_key"],
+            "--now-ns", str(decision_case["now_ns"]),
+            "--tag-len", tag_len,
+        )
+        assert code == 2 and stderr.startswith("error: ")
+
 
 class TestBench:
     def test_reports_stages_and_context(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from random import Random
 
 import pytest
@@ -7,12 +8,16 @@ from hummingbird import crypto
 from hummingbird.ledger import (
     ASControlService,
     AsIdentity,
+    AuthToken,
+    BandwidthAsset,
     Call,
     Direction,
     Ledger,
     LedgerError,
+    Listing,
     MARKET_ACCOUNT,
     PkiRoot,
+    RedeemRequest,
     Result,
     sealing_keypair,
     unseal_credentials,
@@ -21,6 +26,8 @@ from hummingbird.wire import quantize_bw
 
 AS_ID = 7
 SV = bytes(range(16))
+# Low-order X25519 points: no credentials can be sealed to them.
+LOW_ORDER_KEYS = (bytes(32), b"\x01" + bytes(31))
 
 # Marketplace example window: one hour at 10-minute granularity.
 H9 = 9 * 3600
@@ -29,13 +36,12 @@ MIN10 = 600
 MBPS = 1_000_000
 
 
-def fresh_ledger(fee: int = 0):
+def fresh_ledger():
     rng = Random(2024)
     root = PkiRoot(rng)
     led = Ledger(
         root.public_key,
         genesis={"asops": 10**15, "alice": 10**15, "bob": 10**15},
-        fee=fee,
     )
     ident = AsIdentity(AS_ID, rng)
     cert = root.issue_cert(AS_ID, ident.public_key)
@@ -577,6 +583,44 @@ class TestRedeem:
         with pytest.raises(LedgerError, match="32 bytes"):
             led.redeem("asops", ingress, egress, b"short")
 
+    @pytest.mark.parametrize("key", LOW_ORDER_KEYS, ids=("zero", "one"))
+    def test_low_order_key_rejected(self, key):
+        led, token, _, rng = fresh_ledger()
+        ingress, egress = redeemable_pair(led, token)
+        service = ASControlService(AS_ID, SV, rng)
+        before = led.state_hash()
+        balances = {a: led.balance(a) for a in ("asops", "alice", "bob")}
+        with pytest.raises(LedgerError, match="low-order"):
+            request = led.redeem("asops", ingress, egress, key)
+            led.deliver_reservation(service, request)
+        assert led.state_hash() == before
+        assert {a: led.balance(a) for a in balances} == balances
+        assert service.allocator.active_intervals(ingress.interface) == []
+
+    @pytest.mark.parametrize("key", LOW_ORDER_KEYS, ids=("zero", "one"))
+    def test_low_order_key_fails_whole_block(self, key):
+        led, token, _, rng = fresh_ledger()
+        led.register_seller("asops")
+        ing, eg = redeemable_pair(led, token)
+        l_in = led.create_listing("asops", ing, 2)
+        l_eg = led.create_listing("asops", eg, 2)
+        service = ASControlService(AS_ID, SV, rng)
+        want = dict(start_time=H9, expiration_time=H10, bandwidth=50 * MBPS)
+        before = led.state_hash()
+        balances = {a: led.balance(a) for a in ("asops", "alice", "bob")}
+        with pytest.raises(LedgerError, match="low-order"):
+            _, _, request = led.execute_atomic(
+                [
+                    Call("buy", ("alice", l_in), dict(want)),
+                    Call("buy", ("alice", l_eg), dict(want)),
+                    Call("redeem", ("alice", Result(0), Result(1), key)),
+                ]
+            )
+            led.deliver_reservation(service, request)
+        assert led.state_hash() == before
+        assert {a: led.balance(a) for a in balances} == balances
+        assert service.allocator.active_intervals(ing.interface) == []
+
 
 class TestDelivery:
     def test_credentials_match_redeemed_assets(self):
@@ -740,6 +784,56 @@ class TestAtomic:
         assert led.state_hash() == before
         assert led.asset(eg.asset_id).owner == "bob"  # bob's purchase intact
 
+    def test_failed_block_touching_every_container_changes_nothing(self):
+        led, token, root, rng = fresh_ledger()
+        led.register_seller("asops")
+        held_asset = hour_asset(led, token, interface=3)
+        ing, eg = redeemable_pair(led, token)
+        held_listings = (led.create_listing("asops", ing, 2), led.create_listing("asops", eg, 2))
+        held_request = led.redeem("asops", *redeemable_pair(led, token), sealing_keypair(rng)[1])
+        ident = AsIdentity(AS_ID + 1, rng)
+        cert = root.issue_cert(AS_ID + 1, ident.public_key)
+        _, pub = sealing_keypair(rng)
+        want = dict(start_time=H9, expiration_time=H10, bandwidth=50 * MBPS)
+        accounts = ("asops", "alice", "bob", MARKET_ACCOUNT)
+        before = led.state_hash()
+        balances = {a: led.balance(a) for a in accounts}
+        owned = {a: led.assets_owned_by(a) for a in accounts}
+        listings = led.open_listings()
+        with pytest.raises(LedgerError, match="no such asset"):
+            led.execute_atomic(
+                [
+                    Call("register_as", ("bob", cert, ident.proof_of_key("bob"))),
+                    Call("register_seller", ("bob",)),
+                    Call("issue", ("bob", Result(0)), dict(
+                        bandwidth=100 * MBPS, start_time=H9, expiration_time=H10,
+                        interface=1, direction=Direction.INGRESS,
+                        time_granularity=MIN10, min_bandwidth=5 * MBPS,
+                    )),
+                    Call("create_listing", ("bob", Result(2), 1)),
+                    Call("split_time", ("asops", held_asset, H9 + MIN10)),
+                    Call("buy", ("alice", held_listings[0]), dict(want)),
+                    Call("buy", ("alice", held_listings[1]), dict(want)),
+                    Call("redeem", ("alice", Result(5), Result(6), pub)),
+                    # The redeem above destroyed both assets.
+                    Call("redeem", ("alice", Result(5), Result(6), pub)),
+                ]
+            )
+        assert led.state_hash() == before
+        assert {a: led.balance(a) for a in accounts} == balances
+        assert {a: led.assets_owned_by(a) for a in accounts} == owned
+        assert led.open_listings() == listings
+        assert led.asset(held_asset.asset_id) == held_asset
+        assert tuple(led.listing(x.listing_id) for x in held_listings) == held_listings
+        assert led.request(held_request.request_id) == held_request
+        led.register_seller("bob")  # the seller registration was rolled back
+
+    def test_stored_values_are_frozen(self):
+        # Blocks stage on copies of the containers only, which is exact
+        # only while no stored value can change in place.
+        for cls in (BandwidthAsset, Listing, RedeemRequest, AuthToken):
+            assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+
     def test_delivery_not_allowed_in_block(self):
         led, token, _, rng = fresh_ledger()
         ingress, egress = redeemable_pair(led, token)
@@ -783,28 +877,3 @@ class TestIntegrity:
         )
         assert log[-1]["state"] == led.state_hash()
         assert len(led.format_log().splitlines()) == len(log)
-
-    def test_currency_conserved_with_fees(self):
-        led, token, _, _ = fresh_ledger(fee=5)
-        supply = led.total_supply()
-        asset = hour_asset(led, token)
-        led.register_seller("asops")
-        listing = led.create_listing("asops", asset, 1)
-        led.buy(
-            "alice",
-            listing,
-            start_time=H9,
-            expiration_time=H9 + 2 * MIN10,
-            bandwidth=30 * MBPS,
-        )
-        assert led.total_supply() == supply
-        # register_as, issue, register_seller, create_listing, buy
-        assert led.balance("__treasury__") == 5 * 5
-
-    def test_fee_not_charged_on_failure(self):
-        led, token, _, _ = fresh_ledger(fee=5)
-        asset = hour_asset(led, token)
-        treasury = led.balance("__treasury__")
-        with pytest.raises(LedgerError):
-            led.split_time("asops", asset, H9 + 1)
-        assert led.balance("__treasury__") == treasury

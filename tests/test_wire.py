@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -325,32 +326,39 @@ class TestPacket:
 
 class TestValidateOnce:
     def test_each_check_runs_once_per_call(self, monkeypatch):
-        counts = {}
-        for cls in (HummingbirdPath, PathMetaHdr):
-            def counted(self, _original=cls.validate, _name=cls.__name__):
-                counts[_name] = counts.get(_name, 0) + 1
+        counts = Counter()
+        for cls in (HummingbirdPath, PathMetaHdr, InfoField):
+            def counted(self, _original=cls.validate):
+                counts[type(self).__name__, id(self)] += 1
                 _original(self)
             monkeypatch.setattr(cls, "validate", counted)
+
+        def checks(cls_name):
+            return sum(n for (name, _), n in counts.items() if name == cls_name)
+
         rng = random.Random(10)
         for _ in range(100):
             packet = random_packet(rng)
             counts.clear()
             raw = wire.encode_packet(packet)
-            assert counts["HummingbirdPath"] == 1
-            assert counts["PathMetaHdr"] <= 2
+            assert max(counts.values()) == 1  # no object is checked twice
+            assert checks("PathMetaHdr") == 1
+            assert checks("InfoField") == len(packet.path.infos)
             counts.clear()
             assert wire.decode_packet(raw) == packet
-            assert counts["HummingbirdPath"] == 1
-            assert counts["PathMetaHdr"] <= 2
+            assert max(counts.values()) == 1
+            assert checks("PathMetaHdr") == 1
 
     def test_encode_still_rejects_bad_prefix_and_path(self):
         packet = random_packet(random.Random(11))
         extra_info = InfoField(peering=False, cons_dir=True, seg_id=0, timestamp=0)
+        bad_info = replace(packet.path.infos[0], seg_id=1 << 16)
         for bad in (
             replace(packet, dst_isd=1 << 16),
             replace(packet, dst_as=-1),
             replace(packet, payload_len=1 << 16),
             replace(packet, path=replace(packet.path, infos=packet.path.infos + (extra_info,))),
+            replace(packet, path=replace(packet.path, infos=(bad_info,) + packet.path.infos[1:])),
             replace(packet, path=replace(packet.path, meta=replace(packet.path.meta, counter=1 << 22))),
         ):
             with pytest.raises(WireError):
