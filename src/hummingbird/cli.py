@@ -166,7 +166,8 @@ def cmd_run(args) -> int:
 def cmd_ledger_demo(args) -> int:
     seed = _seed_from(args)
     rng = Random(f"{seed}:ledger-demo")
-    say = print if args.format == "table" else (lambda *_: None)
+    lines = []
+    say = lines.append if args.format == "table" else (lambda _: None)
 
     root = PkiRoot(rng)
     ledger = Ledger(root.public_key, {"asops": 10**9, "alice": 10**9})
@@ -216,12 +217,12 @@ def cmd_ledger_demo(args) -> int:
     assert key == derive_key(service.sv, res)
 
     if args.format == "records":
-        for entry in ledger.export_log():
-            print(json.dumps(entry, sort_keys=True))
+        lines.extend(json.dumps(entry, sort_keys=True) for entry in ledger.export_log())
     else:
         say("")
         say(ledger.format_log())
-    print(f"state hash: {ledger.state_hash()}")
+    lines.append(f"state hash: {ledger.state_hash()}")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -325,12 +326,12 @@ def cmd_packet_verify(args) -> int:
         "advanced": advanced.hex() if advanced is not None else None,
     }
     if args.format == "records":
-        print(json.dumps(record, sort_keys=True))
+        lines = [json.dumps(record, sort_keys=True)]
     else:
-        print(f"verdict: {record['verdict']}")
-        print(f"reason:  {record['reason']}")
+        lines = [f"verdict: {record['verdict']}", f"reason:  {record['reason']}"]
         if record["advanced"]:
-            print(f"advanced: {record['advanced']}")
+            lines.append(f"advanced: {record['advanced']}")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .wire import (
-    AnyHopField,
+    HopField,
     InfoField,
     ReservationInfo,
     mac_input_block,
@@ -82,7 +82,7 @@ def aggregate_mac(hop_mac: bytes, fly_tag: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(hop_mac, padded))
 
 
-def hop_field_mac(forwarding_key: bytes, info: InfoField, hop: AnyHopField) -> bytes:
+def hop_field_mac(forwarding_key: bytes, info: InfoField, hop: HopField) -> bytes:
     """Stand-in for the SCION hop field MAC.
 
     Covers the current SegID and the static hop fields in a fixed

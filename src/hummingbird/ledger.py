@@ -258,22 +258,28 @@ class ASControlService:
                 f"request {request.request_id} addressed to AS {request.as_id}, "
                 f"not {self.as_id}"
             )
+        handle = f"req-{request.request_id}"
         res_id = self.allocator.assign(
             request.ingress_interface,
             request.start_time,
             request.expiration_time,
-            handle=f"req-{request.request_id}",
+            handle=handle,
         )
-        res = ReservationInfo(
-            ingress=request.ingress_interface,
-            egress=request.egress_interface,
-            res_id=res_id,
-            bw_code=quantize_bw(request.bandwidth),
-            res_start=request.start_time,
-            duration=request.expiration_time - request.start_time,
-        )
-        a_key = crypto.derive_key(self.sv, res)
-        return seal_credentials(self._rng, request.ephemeral_pubkey, res, a_key)
+        try:
+            res = ReservationInfo(
+                ingress=request.ingress_interface,
+                egress=request.egress_interface,
+                res_id=res_id,
+                bw_code=quantize_bw(request.bandwidth),
+                res_start=request.start_time,
+                duration=request.expiration_time - request.start_time,
+            )
+            a_key = crypto.derive_key(self.sv, res)
+            return seal_credentials(self._rng, request.ephemeral_pubkey, res, a_key)
+        except BaseException:
+            # Nothing was delivered, so a retry must find the ResID free.
+            self.allocator.release(handle)
+            raise
 
 
 # ---------------------------------------------------------------------------

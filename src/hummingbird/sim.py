@@ -48,7 +48,14 @@ from .ledger import (
 )
 from .policing import DEFAULT_BURST_NS, TokenBucketArray, size_array
 from .router import ForwardDecision, Reason, RouterConfig, Verdict, process_packet
-from .source import CounterState, HopPlan, PathPlan, SegmentPlan, build_packet
+from .source import (
+    CounterState,
+    HopPlan,
+    PathPlan,
+    SegmentPlan,
+    build_packet,
+    header_bytes,
+)
 from .wire import HopField, InfoField, Packet, ReservationInfo, quantize_bw
 
 NS_PER_S = 1_000_000_000
@@ -290,6 +297,19 @@ class Flow:
 
 _FLOW_CLASSES = ("reserved", "best_effort", "adversary")
 
+_MARKET_DEFAULTS = {
+    "granularity_s": 60,
+    "window_s": 600,
+    "lead_s": 0,  # issue this far before time zero
+    "min_bandwidth": 1_000_000,
+    "unit_price": 1,
+}
+
+
+def _reserves(spec: dict) -> bool:
+    """Whether a flow buys its reservations through the market."""
+    return spec["class"] == "reserved" or spec.get("kind") == "overuse"
+
 
 def validate_scenario(scenario: dict) -> None:
     """Schema and topology checks; everything fails before the sim starts."""
@@ -354,8 +374,7 @@ def validate_scenario(scenario: dict) -> None:
         else:
             need(spec, "rate_mbps", f"flow {name}")
             need(spec, "packet_bytes", f"flow {name}")
-        reserves = cls == "reserved" or kind in ("overuse",)
-        if reserves and "reserve_mbps" not in spec:
+        if _reserves(spec) and "reserve_mbps" not in spec:
             raise ScenarioError(f"flow {name}: reserve_mbps required")
         for shared_as in spec.get("share", {}):
             if int(shared_as) not in path:
@@ -365,17 +384,14 @@ def validate_scenario(scenario: dict) -> None:
                     f"flow {name}: share source {spec['share'][shared_as]!r} "
                     f"must be an earlier flow"
                 )
-    needs_market = any(
-        s["class"] == "reserved" or s.get("kind") == "overuse"
-        for s in scenario.get("flows", ())
-    ) or scenario.get("buyouts")
+    needs_market = any(map(_reserves, scenario.get("flows", ()))) or scenario.get("buyouts")
     if needs_market and "market" not in scenario:
         raise ScenarioError("scenario needs a market block for reservations")
-    market = scenario.get("market", {})
-    if market:
-        window = market.get("window_s", 600)
-        gran = market.get("granularity_s", 60)
-        lead = market.get("lead_s", 0)
+    if scenario.get("market"):
+        market = {**_MARKET_DEFAULTS, **scenario["market"]}
+        window = market["window_s"]
+        gran = market["granularity_s"]
+        lead = market["lead_s"]
         if window % gran:
             raise ScenarioError(f"market window {window}s not a multiple of {gran}s")
         if lead % gran or lead < 0:
@@ -399,12 +415,7 @@ class Network:
         self.scenario = scenario
         self.seed = seed
         self.sim = Simulator()
-        self.market = dict(scenario.get("market", {}))
-        self.market.setdefault("granularity_s", 60)
-        self.market.setdefault("window_s", 600)
-        self.market.setdefault("lead_s", 0)  # issue this far before time zero
-        self.market.setdefault("min_bandwidth", 1_000_000)
-        self.market.setdefault("unit_price", 1)
+        self.market = {**_MARKET_DEFAULTS, **scenario.get("market", {})}
         self.host_capacity_bps = round(
             scenario.get("host_capacity_mbps", 10_000) * 1_000_000
         )
@@ -525,11 +536,8 @@ class Network:
             self._buy_out_as(entry["account"], entry["as"])
 
         for flow in self.flows.values():
-            if self._flow_reserves(flow):
+            if _reserves(flow.spec):
                 self._reserve_for_flow(flow)
-
-    def _flow_reserves(self, flow: Flow) -> bool:
-        return flow.spec["class"] == "reserved" or flow.kind == "overuse"
 
     def _find_listing(self, as_id: int, iface: int, direction: Direction,
                       bandwidth: int):
@@ -623,10 +631,7 @@ class Network:
             if not flow.sends:
                 continue
             flow.plan = self._build_plan(flow)
-            words = sum(
-                5 if hp.reservation else 3 for hp in flow.plan.segments[0].hops
-            )
-            overhead = 12 + 12 + 8 + 4 * words  # prefix, meta, info, hops
+            overhead = header_bytes(flow.plan)
             flow.payload_len = flow.spec["packet_bytes"] - overhead
             if flow.payload_len < 0:
                 raise ScenarioError(

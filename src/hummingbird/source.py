@@ -18,6 +18,11 @@ from typing import Callable
 
 from . import crypto
 from .wire import (
+    FLYOVER_HOP_LEN,
+    HOP_LEN,
+    INFO_LEN,
+    META_LEN,
+    PACKET_PREFIX_LEN,
     FlyoverHopField,
     HopField,
     HummingbirdPath,
@@ -25,6 +30,7 @@ from .wire import (
     Packet,
     PathMetaHdr,
     ReservationInfo,
+    pkt_len_for_mac,
 )
 
 NS_PER_S = 1_000_000_000
@@ -89,6 +95,16 @@ class CounterState:
         return counter
 
 
+def header_bytes(plan: PathPlan) -> int:
+    """Header size, prefix and path, of every packet built from plan."""
+    hop_bytes = sum(
+        FLYOVER_HOP_LEN if hop_plan.reservation else HOP_LEN
+        for segment in plan.segments
+        for hop_plan in segment.hops
+    )
+    return PACKET_PREFIX_LEN + META_LEN + INFO_LEN * len(plan.segments) + hop_bytes
+
+
 def build_packet(
     plan: PathPlan,
     payload_len: int,
@@ -111,13 +127,25 @@ def build_packet(
     millis = now % NS_PER_S // NS_PER_MS
     counter = counter_state.next(base, millis)
 
+    if not all(segment.hops for segment in plan.segments):
+        raise SourceError("segment without hop fields")
+    if len(plan.segments) > 3:
+        raise SourceError(f"at most three segments, got {len(plan.segments)}")
+    # Sizes follow from the plan alone, so each hop is built with its final MAC.
+    hdr_len = header_bytes(plan) // 4
+    if hdr_len > 0xFF:
+        raise SourceError(f"path too long: hdr_len {hdr_len}")
+    pkt_len = pkt_len_for_mac(payload_len, hdr_len)
+
+    def tag(a_key: bytes, offset: int) -> bytes:
+        return crypto.flyover_mac(
+            a_key, plan.dst_isd, plan.dst_as, pkt_len, offset, millis, counter, tag_len
+        )
+
     infos = []
-    hops: list[HopField | FlyoverHopField] = []
-    seg_words = []
-    offsets: dict[int, int] = {}  # hop index -> res_start_offset
-    for segment in plan.segments:
-        if not segment.hops:
-            raise SourceError("segment without hop fields")
+    hops: list[HopField] = []
+    seg_len = [0, 0, 0]
+    for index, segment in enumerate(plan.segments):
         infos.append(
             InfoField(
                 peering=segment.peering,
@@ -126,21 +154,15 @@ def build_packet(
                 timestamp=segment.timestamp,
             )
         )
-        words = 0
         for hop_plan in segment.hops:
-            hop = _assemble_hop(hop_plan, now, base, allow_inactive, offsets, len(hops))
+            hop = _assemble_hop(hop_plan, now, base, allow_inactive, tag)
             hops.append(hop)
-            words += hop.words
-        seg_words.append(words)
-    if len(seg_words) > 3:
-        raise SourceError(f"at most three segments, got {len(seg_words)}")
-    while len(seg_words) < 3:
-        seg_words.append(0)
+            seg_len[index] += hop.words
 
     meta = PathMetaHdr(
         curr_inf=0,
         curr_hf=0,
-        seg_len=tuple(seg_words),
+        seg_len=tuple(seg_len),
         base_timestamp=base,
         millis_timestamp=millis,
         counter=counter,
@@ -151,29 +173,6 @@ def build_packet(
         payload_len=payload_len,
         path=HummingbirdPath(meta=meta, infos=tuple(infos), hops=tuple(hops)),
     )
-    if packet.hdr_len > 0xFF:
-        raise SourceError(f"path too long: hdr_len {packet.hdr_len}")
-    pkt_len = packet.pkt_len_for_mac()  # raises on 16-bit overflow
-
-    # Sizes are fixed now; fill in the per-packet tags.
-    final_hops = list(packet.path.hops)
-    plan_hops = [hp for segment in plan.segments for hp in segment.hops]
-    for index, hop in enumerate(final_hops):
-        if not hop.flyover:
-            continue
-        res, a_key = plan_hops[index].reservation
-        tag = crypto.flyover_mac(
-            a_key,
-            plan.dst_isd,
-            plan.dst_as,
-            pkt_len,
-            offsets[index],
-            millis,
-            counter,
-            tag_len,
-        )
-        final_hops[index] = replace(hop, mac=crypto.aggregate_mac(hop.mac, tag))
-    packet = replace(packet, path=replace(packet.path, hops=tuple(final_hops)))
     packet.validate()
     return packet
 
@@ -183,9 +182,8 @@ def _assemble_hop(
     now: int,
     base: int,
     allow_inactive: bool,
-    offsets: dict[int, int],
-    index: int,
-) -> HopField | FlyoverHopField:
+    tag: Callable[[bytes, int], bytes],
+) -> HopField:
     if hop_plan.reservation is None:
         return HopField(
             ingress_alert=False,
@@ -195,7 +193,7 @@ def _assemble_hop(
             cons_egress=hop_plan.cons_egress,
             mac=hop_plan.hop_mac,
         )
-    res, _ = hop_plan.reservation
+    res, a_key = hop_plan.reservation
     if (res.ingress, res.egress) != (hop_plan.cons_ingress, hop_plan.cons_egress):
         raise SourceError(
             f"reservation interfaces ({res.ingress}, {res.egress}) do not match "
@@ -208,14 +206,13 @@ def _assemble_hop(
             f"not active at build time"
         )
     offset = min(max(base - res.res_start, 0), 0xFFFF)
-    offsets[index] = offset
     return FlyoverHopField(
         ingress_alert=False,
         egress_alert=False,
         exp_time=hop_plan.exp_time,
         cons_ingress=hop_plan.cons_ingress,
         cons_egress=hop_plan.cons_egress,
-        mac=hop_plan.hop_mac,  # aggregate written once pkt_len is known
+        mac=crypto.aggregate_mac(hop_plan.hop_mac, tag(a_key, offset)),
         res_id=res.res_id,
         bw=res.bw_code,
         res_start_offset=offset,
@@ -244,18 +241,8 @@ def reverse_path(packet: Packet) -> Packet:
     rev_words = []
     for info, seg_hops in zip(reversed(path.infos), reversed(segments)):
         rev_infos.append(replace(info, cons_dir=not info.cons_dir))
-        for hop in reversed(seg_hops):
-            rev_hops.append(
-                HopField(
-                    ingress_alert=hop.ingress_alert,
-                    egress_alert=hop.egress_alert,
-                    exp_time=hop.exp_time,
-                    cons_ingress=hop.cons_ingress,
-                    cons_egress=hop.cons_egress,
-                    mac=hop.mac,
-                )
-            )
-        rev_words.append(3 * len(seg_hops))
+        rev_hops.extend(hop.plain() for hop in reversed(seg_hops))
+        rev_words.append(HopField.words * len(seg_hops))
     while len(rev_words) < 3:
         rev_words.append(0)
 

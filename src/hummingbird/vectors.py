@@ -8,7 +8,7 @@ fixture files can be checked against a fresh regeneration bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 from random import Random
 
@@ -41,101 +41,52 @@ FIXTURE_FILES = ("bw_codes.json", "flyover_macs.json", "packets.json", "decision
 # Packet <-> plain-JSON object, used by the fixtures and the CLI.
 
 
+# Each record's JSON object holds its dataclass fields by name; a MAC is
+# written as hex and seg_len as a list.
+def _fields_to_obj(record) -> dict:
+    obj = {f.name: getattr(record, f.name) for f in fields(record)}
+    if "mac" in obj:
+        obj["mac"] = obj["mac"].hex()
+    if "seg_len" in obj:
+        obj["seg_len"] = list(obj["seg_len"])
+    return obj
+
+
+def _fields_from_obj(cls, obj: dict):
+    values = {f.name: obj[f.name] for f in fields(cls)}
+    if "mac" in values:
+        values["mac"] = bytes.fromhex(values["mac"])
+    if "seg_len" in values:
+        values["seg_len"] = tuple(values["seg_len"])
+    return cls(**values)
+
+
 def packet_to_obj(packet: Packet) -> dict:
-    meta = packet.path.meta
-    hops = []
-    for hop in packet.path.hops:
-        obj = {
-            "type": "flyover" if hop.flyover else "plain",
-            "ingress_alert": hop.ingress_alert,
-            "egress_alert": hop.egress_alert,
-            "exp_time": hop.exp_time,
-            "cons_ingress": hop.cons_ingress,
-            "cons_egress": hop.cons_egress,
-            "mac": hop.mac.hex(),
-        }
-        if hop.flyover:
-            obj.update(
-                res_id=hop.res_id,
-                bw=hop.bw,
-                res_start_offset=hop.res_start_offset,
-                res_duration=hop.res_duration,
-            )
-        hops.append(obj)
-    return {
-        "dst_isd": packet.dst_isd,
-        "dst_as": packet.dst_as,
-        "payload_len": packet.payload_len,
-        "meta": {
-            "curr_inf": meta.curr_inf,
-            "curr_hf": meta.curr_hf,
-            "seg_len": list(meta.seg_len),
-            "base_timestamp": meta.base_timestamp,
-            "millis_timestamp": meta.millis_timestamp,
-            "counter": meta.counter,
-        },
-        "infos": [
-            {
-                "peering": info.peering,
-                "cons_dir": info.cons_dir,
-                "seg_id": info.seg_id,
-                "timestamp": info.timestamp,
-            }
-            for info in packet.path.infos
-        ],
-        "hops": hops,
-    }
+    """The packet's fields by name, with the path's parts at the top level."""
+    path = packet.path
+    obj = _fields_to_obj(packet)
+    del obj["path"]
+    obj["meta"] = _fields_to_obj(path.meta)
+    obj["infos"] = [_fields_to_obj(info) for info in path.infos]
+    obj["hops"] = [
+        {"type": "flyover" if hop.flyover else "plain", **_fields_to_obj(hop)}
+        for hop in path.hops
+    ]
+    return obj
 
 
 def packet_from_obj(obj: dict) -> Packet:
     try:
-        meta = PathMetaHdr(
-            curr_inf=obj["meta"]["curr_inf"],
-            curr_hf=obj["meta"]["curr_hf"],
-            seg_len=tuple(obj["meta"]["seg_len"]),
-            base_timestamp=obj["meta"]["base_timestamp"],
-            millis_timestamp=obj["meta"]["millis_timestamp"],
-            counter=obj["meta"]["counter"],
-        )
-        infos = tuple(
-            InfoField(
-                peering=i["peering"],
-                cons_dir=i["cons_dir"],
-                seg_id=i["seg_id"],
-                timestamp=i["timestamp"],
-            )
-            for i in obj["infos"]
-        )
+        meta = _fields_from_obj(PathMetaHdr, obj["meta"])
+        infos = tuple(_fields_from_obj(InfoField, i) for i in obj["infos"])
         hops = []
         for h in obj["hops"]:
-            common = dict(
-                ingress_alert=h["ingress_alert"],
-                egress_alert=h["egress_alert"],
-                exp_time=h["exp_time"],
-                cons_ingress=h["cons_ingress"],
-                cons_egress=h["cons_egress"],
-                mac=bytes.fromhex(h["mac"]),
-            )
-            if h["type"] == "flyover":
-                hops.append(
-                    FlyoverHopField(
-                        **common,
-                        res_id=h["res_id"],
-                        bw=h["bw"],
-                        res_start_offset=h["res_start_offset"],
-                        res_duration=h["res_duration"],
-                    )
-                )
-            elif h["type"] == "plain":
-                hops.append(HopField(**common))
-            else:
+            if h["type"] not in ("plain", "flyover"):
                 raise WireError(f"unknown hop type {h['type']!r}")
-        packet = Packet(
-            dst_isd=obj["dst_isd"],
-            dst_as=obj["dst_as"],
-            payload_len=obj["payload_len"],
-            path=HummingbirdPath(meta=meta, infos=infos, hops=tuple(hops)),
-        )
+            cls = FlyoverHopField if h["type"] == "flyover" else HopField
+            hops.append(_fields_from_obj(cls, h))
+        path = HummingbirdPath(meta=meta, infos=infos, hops=tuple(hops))
+        packet = _fields_from_obj(Packet, {**obj, "path": path})
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, WireError):
             raise

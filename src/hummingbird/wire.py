@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 META_LEN = 12
 INFO_LEN = 8
@@ -221,19 +221,11 @@ class HopField:
         if len(self.mac) != MAC_LEN:
             raise WireError(f"hop MAC must be {MAC_LEN} bytes, got {len(self.mac)}")
 
-    def _flags(self, flyover: bool) -> int:
-        return flyover << 7 | self.ingress_alert << 1 | self.egress_alert
-
     def pack(self) -> bytes:
         self.validate()
+        flags = self.flyover << 7 | self.ingress_alert << 1 | self.egress_alert
         return (
-            struct.pack(
-                "!BBHH",
-                self._flags(False),
-                self.exp_time,
-                self.cons_ingress,
-                self.cons_egress,
-            )
+            struct.pack("!BBHH", flags, self.exp_time, self.cons_ingress, self.cons_egress)
             + self.mac
         )
 
@@ -241,20 +233,23 @@ class HopField:
     def unpack(cls, raw: bytes) -> "HopField":
         if len(raw) != HOP_LEN:
             raise WireError(f"hop field needs {HOP_LEN} bytes, got {len(raw)}")
-        flags, exp_time, ingress, egress = struct.unpack("!BBHH", raw[:6])
-        _check_hop_flags(flags)
-        return cls(
-            ingress_alert=bool(flags & 0x02),
-            egress_alert=bool(flags & 0x01),
-            exp_time=exp_time,
-            cons_ingress=ingress,
-            cons_egress=egress,
-            mac=raw[6:12],
-        )
+        return cls(*_unpack_hop_prefix(raw))
+
+    def plain(self) -> HopField:
+        """The plain hop field holding this one's first six fields."""
+        return HopField(*(getattr(self, f.name) for f in fields(HopField)))
+
+
+def _unpack_hop_prefix(raw: bytes) -> tuple:
+    """The six HopField values of the 12 bytes every hop field starts with."""
+    flags, exp_time, ingress, egress = struct.unpack("!BBHH", raw[:6])
+    if flags & 0x7C:
+        raise WireError("reserved bits set in hop field flags")
+    return bool(flags & 0x02), bool(flags & 0x01), exp_time, ingress, egress, raw[6:12]
 
 
 @dataclass(frozen=True)
-class FlyoverHopField:
+class FlyoverHopField(HopField):
     """Hop field extended with an attached reservation.
 
     Shares the plain hop field layout for its first 12 bytes, with F=1
@@ -269,15 +264,10 @@ class FlyoverHopField:
 
     ResStartOffset is BaseTimestamp minus the reservation start, in
     seconds, so a packet can only reference reservations that already
-    started.  BW is the encoded bandwidth code.
+    started.  BW is the encoded bandwidth code.  A flyover hop field
+    never equals a plain one, whatever their shared fields hold.
     """
 
-    ingress_alert: bool
-    egress_alert: bool
-    exp_time: int
-    cons_ingress: int
-    cons_egress: int
-    mac: bytes
     res_id: int
     bw: int
     res_start_offset: int
@@ -287,52 +277,25 @@ class FlyoverHopField:
     words = FLYOVER_HOP_LEN // _WORD
 
     def validate(self) -> None:
-        _check(self.exp_time, 8, "exp_time")
-        _check(self.cons_ingress, 16, "cons_ingress")
-        _check(self.cons_egress, 16, "cons_egress")
-        if len(self.mac) != MAC_LEN:
-            raise WireError(f"hop MAC must be {MAC_LEN} bytes, got {len(self.mac)}")
+        super().validate()
         _check(self.res_id, 22, "res_id")
         _check(self.bw, 10, "bw")
         _check(self.res_start_offset, 16, "res_start_offset")
         _check(self.res_duration, 16, "res_duration")
 
     def pack(self) -> bytes:
-        self.validate()
-        flags = 0x80 | self.ingress_alert << 1 | self.egress_alert
-        return (
-            struct.pack("!BBHH", flags, self.exp_time, self.cons_ingress, self.cons_egress)
-            + self.mac
-            + struct.pack("!IHH", self.res_id << 10 | self.bw, self.res_start_offset, self.res_duration)
+        return super().pack() + struct.pack(
+            "!IHH", self.res_id << 10 | self.bw, self.res_start_offset, self.res_duration
         )
 
     @classmethod
     def unpack(cls, raw: bytes) -> "FlyoverHopField":
         if len(raw) != FLYOVER_HOP_LEN:
             raise WireError(f"flyover hop field needs {FLYOVER_HOP_LEN} bytes, got {len(raw)}")
-        flags, exp_time, ingress, egress = struct.unpack("!BBHH", raw[:6])
-        _check_hop_flags(flags)
         res_word, start_offset, duration = struct.unpack("!IHH", raw[12:20])
         return cls(
-            ingress_alert=bool(flags & 0x02),
-            egress_alert=bool(flags & 0x01),
-            exp_time=exp_time,
-            cons_ingress=ingress,
-            cons_egress=egress,
-            mac=raw[6:12],
-            res_id=res_word >> 10,
-            bw=res_word & 0x3FF,
-            res_start_offset=start_offset,
-            res_duration=duration,
+            *_unpack_hop_prefix(raw), res_word >> 10, res_word & 0x3FF, start_offset, duration
         )
-
-
-AnyHopField = HopField | FlyoverHopField
-
-
-def _check_hop_flags(flags: int) -> None:
-    if flags & 0x7C:
-        raise WireError("reserved bits set in hop field flags")
 
 
 @dataclass(frozen=True)
@@ -345,18 +308,18 @@ class HummingbirdPath:
 
     meta: PathMetaHdr
     infos: tuple[InfoField, ...]
-    hops: tuple[AnyHopField, ...]
+    hops: tuple[HopField, ...]
 
     def byte_length(self) -> int:
         return META_LEN + INFO_LEN * len(self.infos) + _WORD * sum(h.words for h in self.hops)
 
-    def hops_by_segment(self) -> list[list[AnyHopField]]:
+    def hops_by_segment(self) -> list[list[HopField]]:
         """Partition hops per segment, validating the tiling."""
-        segments: list[list[AnyHopField]] = []
+        segments: list[list[HopField]] = []
         it = iter(self.hops)
         for i in range(self.meta.num_inf):
             words = self.meta.seg_len[i]
-            seg: list[AnyHopField] = []
+            seg: list[HopField] = []
             while words > 0:
                 hop = next(it, None)
                 if hop is None or hop.words > words:
@@ -439,22 +402,21 @@ def decode_path(raw: bytes) -> HummingbirdPath:
             raise WireError("truncated path: info field cut short")
         infos.append(InfoField.unpack(raw[pos : pos + INFO_LEN]))
         pos += INFO_LEN
-    hops: list[AnyHopField] = []
+    hops: list[HopField] = []
     for i in range(meta.num_inf):
         words = meta.seg_len[i]
         while words > 0:
             if pos + 1 > len(raw):
                 raise WireError("truncated path: hop field cut short")
-            flyover = bool(raw[pos] & 0x80)
-            size = FLYOVER_HOP_LEN if flyover else HOP_LEN
-            if size // _WORD > words:
+            cls = FlyoverHopField if raw[pos] & 0x80 else HopField
+            if cls.words > words:
                 raise WireError(f"hop field overruns segment {i}")
+            size = _WORD * cls.words
             if pos + size > len(raw):
                 raise WireError("truncated path: hop field cut short")
-            cls = FlyoverHopField if flyover else HopField
             hops.append(cls.unpack(raw[pos : pos + size]))
             pos += size
-            words -= size // _WORD
+            words -= cls.words
     if pos != len(raw):
         raise WireError(f"{len(raw) - pos} trailing bytes after path")
     path = HummingbirdPath(meta=meta, infos=tuple(infos), hops=tuple(hops))
@@ -619,11 +581,7 @@ class Packet:
         return self.hdr_len * _WORD + self.payload_len
 
     def pkt_len_for_mac(self) -> int:
-        """PktLen as covered by the flyover MAC; raises on 16-bit overflow."""
-        total = self.payload_len + _WORD * self.hdr_len
-        if total >= 1 << 16:
-            raise PktLenOverflow(f"pkt_len {total} does not fit 16 bits")
-        return total
+        return pkt_len_for_mac(self.payload_len, self.hdr_len)
 
     def validate(self) -> None:
         self._validate_prefix()
@@ -635,6 +593,14 @@ class Packet:
         _check(self.payload_len, 16, "payload_len")
         if self.hdr_len > 0xFF:
             raise WireError(f"hdr_len {self.hdr_len} does not fit 8 bits")
+
+
+def pkt_len_for_mac(payload_len: int, hdr_len: int) -> int:
+    """PktLen as covered by the flyover MAC; raises on 16-bit overflow."""
+    total = payload_len + _WORD * hdr_len
+    if total >= 1 << 16:
+        raise PktLenOverflow(f"pkt_len {total} does not fit 16 bits")
+    return total
 
 
 # encode_packet and decode_packet check the prefix themselves and leave

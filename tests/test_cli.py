@@ -120,6 +120,16 @@ class TestLedgerDemo:
         assert "deliver_reservation" in ops
 
 
+    @pytest.mark.parametrize("fmt", ["table", "records"])
+    def test_out_writes_what_stdout_shows(self, capsys, tmp_path, fmt):
+        out = tmp_path / "demo.txt"
+        _, shown, _ = run_cli(capsys, "ledger-demo", "--format", fmt)
+        code, stdout, _ = run_cli(capsys, "ledger-demo", "--format", fmt, "--out", str(out))
+        assert code == 0
+        assert stdout == ""
+        assert out.read_text() == shown
+
+
 class TestPacket:
     def test_encode_decode_round_trip(self, capsys, tmp_path):
         case = json.loads(vectors.generate()["packets.json"])["cases"][0]
@@ -170,6 +180,23 @@ class TestPacket:
         assert record["verdict"] == expected_verdict
         assert record["reason"] == expected_reason
         assert record["advanced"]
+
+    @pytest.mark.parametrize("fmt", ["table", "records"])
+    def test_verify_out_writes_what_stdout_shows(self, capsys, tmp_path, decision_case, fmt):
+        out = tmp_path / "verdict.txt"
+        argv = [
+            "packet", "verify", decision_case["packets"][0],
+            "--sv", decision_case["sv"],
+            "--forwarding-key", decision_case["forwarding_key"],
+            "--now-ns", str(decision_case["now_ns"]),
+            "--format", fmt,
+        ]
+        _, shown, _ = run_cli(capsys, *argv)
+        code, stdout, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert stdout == ""
+        assert out.read_text() == shown
+        assert "priority" in shown
 
     def test_verify_with_wrong_sv_drops(self, capsys, decision_case):
         code, stdout, _ = run_cli(

@@ -5,6 +5,7 @@ import pytest
 from cryptography.exceptions import InvalidTag
 
 from hummingbird import crypto
+from hummingbird import ledger as ledger_mod
 from hummingbird.ledger import (
     ASControlService,
     AsIdentity,
@@ -637,6 +638,33 @@ class TestDelivery:
         assert res.res_start == H9
         assert res.duration == 3600
         assert key == crypto.derive_key(SV, res)
+        assert led.request(request.request_id).delivered
+
+    def test_failed_sealing_releases_the_res_id(self, monkeypatch):
+        led, token, _, rng = fresh_ledger()
+        ingress, egress = redeemable_pair(led, token)
+        priv, pub = sealing_keypair(rng)
+        request = led.redeem("asops", ingress, egress, pub)
+        service = ASControlService(AS_ID, SV, rng)
+        real_seal = ledger_mod.seal_credentials
+        calls = []
+
+        def seal_failing_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ValueError("sealing failed")
+            return real_seal(*args)
+
+        monkeypatch.setattr(ledger_mod, "seal_credentials", seal_failing_once)
+        before = led.state_hash()
+        with pytest.raises(ValueError, match="sealing failed"):
+            led.deliver_reservation(service, request)
+        assert led.state_hash() == before
+        assert service.allocator.active_intervals(ingress.interface) == []
+        res, _ = unseal_credentials(priv, led.deliver_reservation(service, request))
+        assert service.allocator.active_intervals(ingress.interface) == [
+            (res.res_id, H9, H10)
+        ]
         assert led.request(request.request_id).delivered
 
     def test_double_delivery_rejected(self):

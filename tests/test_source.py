@@ -91,7 +91,7 @@ class TestBuild:
             build(bad)
 
     def test_payload_overflow_rejected(self):
-        with pytest.raises(PktLenOverflow):
+        with pytest.raises(PktLenOverflow, match="^pkt_len 65587 does not fit 16 bits$"):
             build(make_plan(), payload_len=0xFFFF)
 
     def test_oversized_path_rejected(self):
@@ -100,8 +100,17 @@ class TestBuild:
         )
         seg = source.SegmentPlan(seg_id=1, timestamp=BASE_S - 10, hops=hops)
         plan = source.PathPlan(dst_isd=1, dst_as=2, segments=(seg, seg, seg))
-        with pytest.raises(source.SourceError, match="too long"):
+        with pytest.raises(source.SourceError, match="^path too long: hdr_len 372$"):
             build(plan)
+
+    def test_header_bytes_match_built_packets(self):
+        seg = make_plan(pre=2, post=1).segments[0]
+        for plan in (
+            make_plan(),
+            make_plan(reservation=None, pre=1),
+            replace(make_plan(), segments=(seg, seg, seg)),
+        ):
+            assert source.header_bytes(plan) == len(encode_packet(build(plan)))
 
     def test_clock_beyond_32_bits_rejected(self):
         with pytest.raises(source.SourceError, match="32-bit"):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from hummingbird import wire
+from hummingbird import vectors, wire
 from hummingbird.wire import (
     FlyoverHopField,
     HopField,
@@ -95,6 +95,37 @@ class TestFixedSizes:
         raw = wire.encode_path(path)
         assert len(raw) == 12
         assert wire.decode_path(raw) == path
+
+
+class TestHopFields:
+    def test_flyover_extends_plain(self):
+        plain, fly = plain_hop(), fly_hop()
+        assert fly != plain and plain != fly
+        assert fly.pack()[0] == 0x80 | plain.pack()[0]
+        assert fly.pack()[1:12] == plain.pack()[1:12]
+        assert repr(fly) == (
+            "FlyoverHopField(ingress_alert=False, egress_alert=False, exp_time=63, "
+            "cons_ingress=1, cons_egress=2, mac=b'\\xaa\\xbb\\xcc\\xdd\\xee\\xff', "
+            "res_id=5, bw=130, res_start_offset=10, res_duration=300)"
+        )
+
+    @pytest.mark.parametrize("bit", [0x04, 0x08, 0x10, 0x20, 0x40])
+    def test_reserved_flag_bits_rejected(self, bit):
+        for hop in (plain_hop(), fly_hop()):
+            raw = bytearray(hop.pack())
+            raw[0] |= bit
+            with pytest.raises(WireError, match="reserved bits set in hop field flags"):
+                type(hop).unpack(bytes(raw))
+
+    def test_flyover_checks_shared_fields_first(self):
+        for bad, message in (
+            (fly_hop(exp_time=256, res_id=1 << 22), "exp_time"),
+            (fly_hop(mac=bytes(5), bw=1 << 10), "hop MAC"),
+            (fly_hop(res_id=1 << 22), "res_id"),
+            (fly_hop(res_duration=1 << 16), "res_duration"),
+        ):
+            with pytest.raises(WireError, match=message):
+                bad.pack()
 
 
 class TestMetaHdr:
@@ -322,6 +353,28 @@ class TestPacket:
         # header: 12 prefix + 12 meta + 8 info + 12 + 20 = 64 bytes
         assert packet.hdr_len == 16
         assert packet.pkt_len_for_mac() == 100 + 64
+
+
+class TestPacketObj:
+    def test_round_trip(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            packet = random_packet(rng)
+            assert vectors.packet_from_obj(vectors.packet_to_obj(packet)) == packet
+
+    def test_malformed_objects_rejected(self):
+        packet = Packet(1, 2, 100, one_segment_path([fly_hop(), plain_hop()]))
+        obj = vectors.packet_to_obj(packet)
+        missing = {**obj, "meta": {k: v for k, v in obj["meta"].items() if k != "counter"}}
+        hop = obj["hops"][0]
+        for bad_hop, message in (
+            ({**hop, "type": "bogus"}, "unknown hop type 'bogus'"),
+            ({**hop, "mac": "zz" * 6}, "malformed packet object: non-hexadecimal"),
+        ):
+            with pytest.raises(WireError, match=message):
+                vectors.packet_from_obj({**obj, "hops": [bad_hop] + obj["hops"][1:]})
+        with pytest.raises(WireError, match="malformed packet object: 'counter'"):
+            vectors.packet_from_obj(missing)
 
 
 class TestValidateOnce:
