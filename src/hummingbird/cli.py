@@ -4,7 +4,6 @@ Subcommands:
     run          execute a scenario and judge its embedded assertions
     ledger-demo  scripted walk through the bandwidth marketplace
     packet       encode / decode / verify single packets
-    bench        per-stage timing of the forwarding pipeline
     vectors      regenerate (or check) the golden fixture files
 
 Exit codes: 0 success, 1 failed assertions or mismatched fixtures,
@@ -18,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from random import Random
 
 from . import vectors as vectors_mod
@@ -35,8 +33,8 @@ from .ledger import (
     sealing_keypair,
     unseal_credentials,
 )
-from .policing import PolicingError, TokenBucketArray, monitor_code
-from .router import RouterConfig, process_packet, process_packet_bytes
+from .policing import PolicingError, TokenBucketArray
+from .router import RouterConfig, process_packet_bytes
 from .sim import (
     ScenarioError,
     bundled_scenarios,
@@ -45,7 +43,6 @@ from .sim import (
     report_json,
     run_scenario,
 )
-from .source import CounterState
 from .wire import WireError, decode_packet, encode_packet
 
 DEFAULT_SEED = 1729
@@ -214,7 +211,7 @@ def cmd_ledger_demo(args) -> int:
         f"AS 7 delivered sealed credentials: ResID {res.res_id}, "
         f"bw code {res.bw_code}, key {key.hex()}"
     )
-    assert key == derive_key(service.sv, res)
+    assert key == derive_key(service.sv_prf, res)
 
     if args.format == "records":
         lines.extend(json.dumps(entry, sort_keys=True) for entry in ledger.export_log())
@@ -336,92 +333,6 @@ def cmd_packet_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args) -> int:
-    if args.packets <= 0:
-        print("--packets must be positive", file=sys.stderr)
-        return 2
-    seed = _seed_from(args)
-    rng = Random(f"{seed}:bench")
-    sv, fk = rng.randbytes(16), rng.randbytes(16)
-    import hummingbird.crypto as crypto
-    from .source import HopPlan, PathPlan, SegmentPlan, build_packet
-    from .wire import MAX_BW_VALUE, HopField, InfoField, ReservationInfo, quantize_bw
-
-    now = 1_700_000_000_000_000_000
-    base_s = now // 1_000_000_000
-    # widest encodable reservation so repeated verification stays in budget
-    res = ReservationInfo(
-        ingress=1, egress=2, res_id=5, bw_code=quantize_bw(MAX_BW_VALUE),
-        res_start=base_s - 10, duration=600,
-    )
-    info = InfoField(peering=False, cons_dir=True, seg_id=0x1111, timestamp=base_s - 100)
-    probe = HopField(
-        ingress_alert=False, egress_alert=False, exp_time=255,
-        cons_ingress=1, cons_egress=2, mac=bytes(6),
-    )
-    plan = PathPlan(
-        dst_isd=1,
-        dst_as=2,
-        segments=(
-            SegmentPlan(
-                seg_id=0x1111,
-                timestamp=base_s - 100,
-                hops=(
-                    HopPlan(
-                        cons_ingress=1, cons_egress=2,
-                        hop_mac=crypto.hop_field_mac(fk, info, probe),
-                        exp_time=255,
-                        reservation=(res, derive_key(sv, res)),
-                    ),
-                ),
-            ),
-        ),
-    )
-    counter = CounterState()
-    n = args.packets
-
-    def timed(fn, reps):
-        t0 = time.perf_counter_ns()
-        for _ in range(reps):
-            fn()
-        return (time.perf_counter_ns() - t0) / reps
-
-    packet = build_packet(plan, args.payload, lambda: now, counter)
-    raw = encode_packet(packet)
-    cfg = RouterConfig(
-        sv=sv, forwarding_key=fk, policer=TokenBucketArray(64), clock=lambda: now
-    )
-    build_ns = timed(lambda: build_packet(plan, args.payload, lambda: now, counter), n)
-    encode_ns = timed(lambda: encode_packet(packet), n)
-    decode_ns = timed(lambda: decode_packet(raw), n)
-    process_ns = timed(lambda: process_packet(cfg, packet), n)
-    police_ns = timed(
-        lambda: monitor_code(cfg.policer, 5, res.bw_code, 1250, now), n
-    )
-    pipeline_ns = decode_ns + process_ns + encode_ns
-    rows = [
-        ["stage", "ns/op"],
-        ["build_packet", f"{build_ns:.0f}"],
-        ["encode", f"{encode_ns:.0f}"],
-        ["decode", f"{decode_ns:.0f}"],
-        ["process (flyover verify)", f"{process_ns:.0f}"],
-        ["policer update", f"{police_ns:.0f}"],
-        ["decode+process+encode", f"{pipeline_ns:.0f}"],
-    ]
-    print(_table(rows))
-    print(f"\n{1e9 / pipeline_ns:,.0f} packets/second/core over {n} packets")
-    print(
-        "context: a native router on server hardware reports roughly "
-        "123 ns per packet for flyover validation and 308 ns with "
-        "forwarding included; figures shown for scale, not asserted."
-    )
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # vectors
 
 
@@ -491,12 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--policer-entries", type=int, default=64)
     common(p_ver)
     p_ver.set_defaults(fn=cmd_packet_verify)
-
-    p_bench = sub.add_parser("bench", help="per-stage pipeline timings")
-    p_bench.add_argument("--packets", type=int, default=20_000)
-    p_bench.add_argument("--payload", type=int, default=1158)
-    common(p_bench)
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_vec = sub.add_parser("vectors", help="regenerate or check golden fixtures")
     p_vec.add_argument("--out", default="tests/vectors",

@@ -12,8 +12,11 @@ padding is involved.  The hop field MAC itself stands in for the SCION
 beaconing MAC: same width, same verification flow, but computed over a
 fixed local packing, so it is not interoperable with real SCION ASes.
 
-Everything here is a pure function of its arguments; no state is kept
-between calls.
+A key holder keeps a `Prf`: one AES-128 key with its ECB encryptor,
+built once.  ECB chains nothing and pads nothing, so each 16-byte
+block is encrypted on its own; reusing the encryptor, in any order and
+after any other block, cannot change an output.  So every function
+here is still a pure function of its keys and inputs.
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ from .wire import (
 KEY_LEN = 16
 TAG_LEN = 6  # default flyover tag width; test profiles may shrink it
 
-# Aliases for readability: a border router's secret value and the
-# reservation key derived from it are both raw AES-128 keys.
-SecretValue = bytes
+# Alias for readability: the reservation key is a raw AES-128 key.
 ReservationKey = bytes
 
 
@@ -41,22 +42,31 @@ class CryptoError(ValueError):
     pass
 
 
-def prf_block(key: bytes, block: bytes) -> bytes:
+class Prf:
+    """AES-128 under one fixed key, its cipher built once for every block."""
+
+    __slots__ = ("_update",)
+
+    def __init__(self, key: bytes):
+        if len(key) != KEY_LEN:
+            raise CryptoError(f"PRF key must be {KEY_LEN} bytes, got {len(key)}")
+        self._update = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update
+
+
+def prf_block(prf: Prf, block: bytes) -> bytes:
     """One AES-128 block encryption; the only primitive used here."""
-    if len(key) != KEY_LEN:
-        raise CryptoError(f"PRF key must be {KEY_LEN} bytes, got {len(key)}")
     if len(block) != 16:
         raise CryptoError(f"PRF input must be one 16-byte block, got {len(block)}")
-    return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
+    return prf._update(block)
 
 
-def derive_key(sv: SecretValue, res: ReservationInfo) -> ReservationKey:
+def derive_key(sv: Prf, res: ReservationInfo) -> ReservationKey:
     """Per-reservation key, recomputable by the AS from packet fields alone."""
     return prf_block(sv, resinfo_block(res))
 
 
 def flyover_mac(
-    a_key: ReservationKey,
+    a_key: Prf,
     dst_isd: int,
     dst_as: int,
     pkt_len: int,
@@ -82,7 +92,7 @@ def aggregate_mac(hop_mac: bytes, fly_tag: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(hop_mac, padded))
 
 
-def hop_field_mac(forwarding_key: bytes, info: InfoField, hop: HopField) -> bytes:
+def hop_field_mac(forwarding_key: Prf, info: InfoField, hop: HopField) -> bytes:
     """Stand-in for the SCION hop field MAC.
 
     Covers the current SegID and the static hop fields in a fixed

@@ -249,6 +249,7 @@ class ASControlService:
     def __init__(self, as_id: int, sv: bytes, rng: Random):
         self.as_id = as_id
         self.sv = sv
+        self.sv_prf = crypto.Prf(sv)
         self._rng = rng
         self.allocator = ResIdAllocator()
 
@@ -274,7 +275,7 @@ class ASControlService:
                 res_start=request.start_time,
                 duration=request.expiration_time - request.start_time,
             )
-            a_key = crypto.derive_key(self.sv, res)
+            a_key = crypto.derive_key(self.sv_prf, res)
             return seal_credentials(self._rng, request.ephemeral_pubkey, res, a_key)
         except BaseException:
             # Nothing was delivered, so a retry must find the ResID free.

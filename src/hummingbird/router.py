@@ -25,7 +25,7 @@ best effort and never touch policer state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
@@ -76,7 +76,10 @@ class ForwardDecision:
 
 @dataclass
 class RouterConfig:
-    """Everything one border router needs; the clock is injected."""
+    """Everything one border router needs; the clock is injected.
+
+    The two keys never change, so their ciphers are built once here.
+    """
 
     sv: bytes
     forwarding_key: bytes
@@ -85,6 +88,12 @@ class RouterConfig:
     delta_ns: int = DEFAULT_DELTA_NS
     big_delta_ns: int = DEFAULT_BIG_DELTA_NS
     tag_len: int = crypto.TAG_LEN
+    sv_prf: crypto.Prf = field(init=False, repr=False, compare=False)
+    forwarding_prf: crypto.Prf = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.sv_prf = crypto.Prf(self.sv)
+        self.forwarding_prf = crypto.Prf(self.forwarding_key)
 
 
 def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, Packet]:
@@ -130,7 +139,8 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
             res_start=res_start,
             duration=first.res_duration,
         )
-        a_key = crypto.derive_key(cfg.sv, res)
+        # The packet's own A_K: the one cipher a hop builds.
+        a_key = crypto.Prf(crypto.derive_key(cfg.sv_prf, res))
         try:
             pkt_len = packet.pkt_len_for_mac()
         except PktLenOverflow:
@@ -165,7 +175,7 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
         hop, info = hops[index], infos[info_index]
         if now > info.timestamp * NS_PER_S + (hop.exp_time + 1) * EXP_TIME_UNIT_NS:
             return ForwardDecision(Verdict.DROP, Reason.HOP_EXPIRED), packet
-        expected = crypto.hop_field_mac(cfg.forwarding_key, info, hop)
+        expected = crypto.hop_field_mac(cfg.forwarding_prf, info, hop)
         if expected != hop.mac:
             return ForwardDecision(Verdict.DROP, Reason.MAC_MISMATCH), packet
         infos[info_index] = replace(info, seg_id=crypto.update_seg_id(info.seg_id, expected))

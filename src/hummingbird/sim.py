@@ -200,6 +200,7 @@ class BorderAS:
         self.burst_ns = burst_ns
         self.sv = rng.randbytes(16)
         self.forwarding_key = rng.randbytes(16)
+        self.forwarding_prf = crypto.Prf(self.forwarding_key)
         self.control = ASControlService(as_id, self.sv, rng)
         self.routers: dict[int, RouterConfig] = {}
         self.links: dict[int, Link] = {}  # next-hop AS id -> link
@@ -657,7 +658,7 @@ class Network:
                 mac=bytes(6),
             )
             mac = crypto.hop_field_mac(
-                self.ases[as_id].forwarding_key, current, probe
+                self.ases[as_id].forwarding_prf, current, probe
             )
             current = replace(
                 current, seg_id=crypto.update_seg_id(current.seg_id, mac)

@@ -13,7 +13,7 @@ triple is MAC input, so two distinct packets never share a tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import crypto
@@ -58,6 +58,12 @@ class HopPlan:
     exp_time: int = 255
     # (attributes, delivered key) for a purchased reservation
     reservation: tuple[ReservationInfo, bytes] | None = None
+    # The delivered key's cipher, built once for every packet on this hop.
+    a_key_prf: crypto.Prf | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.reservation is not None:
+            object.__setattr__(self, "a_key_prf", crypto.Prf(self.reservation[1]))
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ def build_packet(
         raise SourceError(f"path too long: hdr_len {hdr_len}")
     pkt_len = pkt_len_for_mac(payload_len, hdr_len)
 
-    def tag(a_key: bytes, offset: int) -> bytes:
+    def tag(a_key: crypto.Prf, offset: int) -> bytes:
         return crypto.flyover_mac(
             a_key, plan.dst_isd, plan.dst_as, pkt_len, offset, millis, counter, tag_len
         )
@@ -182,7 +188,7 @@ def _assemble_hop(
     now: int,
     base: int,
     allow_inactive: bool,
-    tag: Callable[[bytes, int], bytes],
+    tag: Callable[[crypto.Prf, int], bytes],
 ) -> HopField:
     if hop_plan.reservation is None:
         return HopField(
@@ -193,7 +199,7 @@ def _assemble_hop(
             cons_egress=hop_plan.cons_egress,
             mac=hop_plan.hop_mac,
         )
-    res, a_key = hop_plan.reservation
+    res = hop_plan.reservation[0]
     if (res.ingress, res.egress) != (hop_plan.cons_ingress, hop_plan.cons_egress):
         raise SourceError(
             f"reservation interfaces ({res.ingress}, {res.egress}) do not match "
@@ -212,7 +218,7 @@ def _assemble_hop(
         exp_time=hop_plan.exp_time,
         cons_ingress=hop_plan.cons_ingress,
         cons_egress=hop_plan.cons_egress,
-        mac=crypto.aggregate_mac(hop_plan.hop_mac, tag(a_key, offset)),
+        mac=crypto.aggregate_mac(hop_plan.hop_mac, tag(hop_plan.a_key_prf, offset)),
         res_id=res.res_id,
         bw=res.bw_code,
         res_start_offset=offset,

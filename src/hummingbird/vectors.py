@@ -42,7 +42,8 @@ FIXTURE_FILES = ("bw_codes.json", "flyover_macs.json", "packets.json", "decision
 
 
 # Each record's JSON object holds its dataclass fields by name; a MAC is
-# written as hex and seg_len as a list.
+# written as hex and seg_len as a list.  Reading checks each value's JSON
+# type, so a wrong one is a WireError rather than a failure deep inside.
 def _fields_to_obj(record) -> dict:
     obj = {f.name: getattr(record, f.name) for f in fields(record)}
     if "mac" in obj:
@@ -52,13 +53,28 @@ def _fields_to_obj(record) -> dict:
     return obj
 
 
+_SCALAR_TYPES = {"int": int, "bool": bool}
+
+
 def _fields_from_obj(cls, obj: dict):
-    values = {f.name: obj[f.name] for f in fields(cls)}
-    if "mac" in values:
-        values["mac"] = bytes.fromhex(values["mac"])
-    if "seg_len" in values:
-        values["seg_len"] = tuple(values["seg_len"])
+    values = {}
+    for f in fields(cls):
+        value = obj[f.name]
+        if f.name == "mac":
+            value = bytes.fromhex(_typed(cls, f.name, value, str))
+        elif f.name == "seg_len":
+            value = tuple(_typed(cls, f.name, v, int) for v in _typed(cls, f.name, value, list))
+        elif f.type in _SCALAR_TYPES:
+            _typed(cls, f.name, value, _SCALAR_TYPES[f.type])
+        values[f.name] = value
     return cls(**values)
+
+
+def _typed(cls, name: str, value, kind: type):
+    """value, if JSON gave it the field's type; a bool is not an int here."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise WireError(f"{cls.__name__}.{name} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def packet_to_obj(packet: Packet) -> dict:
@@ -87,11 +103,11 @@ def packet_from_obj(obj: dict) -> Packet:
             hops.append(_fields_from_obj(cls, h))
         path = HummingbirdPath(meta=meta, infos=infos, hops=tuple(hops))
         packet = _fields_from_obj(Packet, {**obj, "path": path})
+        packet.validate()
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, WireError):
             raise
         raise WireError(f"malformed packet object: {exc}") from exc
-    packet.validate()
     return packet
 
 
@@ -123,7 +139,7 @@ def _flyover_macs() -> dict:
             res_start=rng.randrange(1 << 32),
             duration=rng.randrange(1, 1 << 16),
         )
-        a_key = crypto.derive_key(sv, res)
+        a_key = crypto.derive_key(crypto.Prf(sv), res)
         inputs = {
             "dst_isd": rng.randrange(1 << 16),
             "dst_as": rng.randrange(1 << 48),
@@ -132,7 +148,7 @@ def _flyover_macs() -> dict:
             "millis": rng.randrange(1000),
             "counter": rng.randrange(1 << 22),
         }
-        tag = crypto.flyover_mac(a_key, **inputs)
+        tag = crypto.flyover_mac(crypto.Prf(a_key), **inputs)
         hop_mac = rng.randbytes(6)
         cases.append(
             {
@@ -233,7 +249,7 @@ def _decisions() -> dict:
         res_start=base_s - 10,
         duration=300,
     )
-    key = crypto.derive_key(sv, res)
+    key = crypto.derive_key(crypto.Prf(sv), res)
     info = InfoField(peering=False, cons_dir=True, seg_id=0x2222, timestamp=base_s - 100)
     probe = HopField(
         ingress_alert=False,
@@ -243,7 +259,7 @@ def _decisions() -> dict:
         cons_egress=7,
         mac=bytes(6),
     )
-    hop_mac = crypto.hop_field_mac(fk, info, probe)
+    hop_mac = crypto.hop_field_mac(crypto.Prf(fk), info, probe)
 
     def plan(reservation):
         return PathPlan(
@@ -323,8 +339,8 @@ def _decisions() -> dict:
             "name": "over_budget",
             "now_ns": _BASE_NS + ms,
             "packets": [
-                built((slow, crypto.derive_key(sv, slow)), payload=100),
-                built((slow, crypto.derive_key(sv, slow)), payload=100),
+                built((slow, crypto.derive_key(crypto.Prf(sv), slow)), payload=100),
+                built((slow, crypto.derive_key(crypto.Prf(sv), slow)), payload=100),
             ],
             "expected": ["priority:priority", "best_effort:over_budget"],
         },

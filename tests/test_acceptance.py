@@ -170,7 +170,7 @@ def _chained_plan(ases, anchor_s, credentials=None):
             mac=bytes(6),
         )
         info = InfoField(peering=False, cons_dir=True, seg_id=seg_id, timestamp=info_ts)
-        mac = crypto.hop_field_mac(fk, info, probe)
+        mac = crypto.hop_field_mac(crypto.Prf(fk), info, probe)
         seg_id = crypto.update_seg_id(seg_id, mac)
         hop_plans.append(
             source.HopPlan(
@@ -306,10 +306,10 @@ def _decision_case(flyover, tag_valid, fresh, active, hf_valid, budget):
             cons_ingress=3, cons_egress=7, mac=bytes(6),
             res_id=5, bw=bw_code, res_start_offset=offset, res_duration=duration,
         )
-        hop_mac = crypto.hop_field_mac(fk, info, probe)
+        hop_mac = crypto.hop_field_mac(crypto.Prf(fk), info, probe)
         pkt_len = 100 + 12 + META_LEN + INFO_LEN + FLYOVER_HOP_LEN
         tag = crypto.flyover_mac(
-            crypto.derive_key(sv, res), 1, 0xFF00000222, pkt_len, offset, 0, 0
+            crypto.Prf(crypto.derive_key(crypto.Prf(sv), res)), 1, 0xFF00000222, pkt_len, offset, 0, 0
         )
         if not hf_valid:
             hop_mac = bytes([hop_mac[0] ^ 0x01]) + hop_mac[1:]
@@ -322,7 +322,7 @@ def _decision_case(flyover, tag_valid, fresh, active, hf_valid, budget):
             ingress_alert=False, egress_alert=False, exp_time=255,
             cons_ingress=3, cons_egress=7, mac=bytes(6),
         )
-        hop_mac = crypto.hop_field_mac(fk, info, probe)
+        hop_mac = crypto.hop_field_mac(crypto.Prf(fk), info, probe)
         if not hf_valid:
             hop_mac = bytes([hop_mac[0] ^ 0x01]) + hop_mac[1:]
         hop = replace(probe, mac=hop_mac)
@@ -695,7 +695,7 @@ def _forgery_setup(tag_len: int):
         ingress=3, egress=7, res_id=5, bw_code=quantize_bw(1 << 23),
         res_start=BASE_S - 10, duration=600,
     )
-    a_key = crypto.derive_key(sv, res)
+    a_key = crypto.derive_key(crypto.Prf(sv), res)
     now_ns = BASE_S * NS_PER_S + 123_456_789
     plan = _chained_plan([(fk, 3, 7)], BASE_S, [(res, a_key)])
     packet = source.build_packet(
@@ -703,7 +703,7 @@ def _forgery_setup(tag_len: int):
     )
     hop = packet.path.hops[0]
     true_tag = crypto.flyover_mac(
-        a_key, plan.dst_isd, plan.dst_as, packet.pkt_len_for_mac(),
+        crypto.Prf(a_key), plan.dst_isd, plan.dst_as, packet.pkt_len_for_mac(),
         hop.res_start_offset, packet.path.meta.millis_timestamp,
         packet.path.meta.counter, tag_len,
     )
@@ -825,7 +825,7 @@ def test_12_per_stage_throughput_reported():
         ingress=3, egress=7, res_id=5, bw_code=quantize_bw(wire.MAX_BW_VALUE),
         res_start=BASE_S - 10, duration=600,
     )
-    a_key = crypto.derive_key(sv, res)
+    a_key = crypto.derive_key(crypto.Prf(sv), res)
     now_ns = BASE_S * NS_PER_S + 123_456_789
     plan = _chained_plan([(fk, 3, 7)], BASE_S, [(res, a_key)])
     payload = 1500 - (12 + META_LEN + INFO_LEN + FLYOVER_HOP_LEN)

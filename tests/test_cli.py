@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, determinism, formats."""
 
+import copy
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from hummingbird import cli, vectors
+from hummingbird.wire import FlyoverHopField, InfoField, Packet, PathMetaHdr
 
 
 def run_cli(capsys, *argv):
@@ -16,6 +20,31 @@ def run_cli(capsys, *argv):
 @pytest.fixture()
 def decision_case():
     return json.loads(vectors.generate()["decisions.json"])["cases"][0]
+
+
+# Where each record sits in a packet object, and every field it holds.
+# Each field gets a str, a float and None; an int field also gets a
+# bool, a flag an int, and a MAC or seg_len a list holding a None.
+WRONG_TYPED = [
+    pytest.param(where, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+    for where, cls in (
+        ((), Packet),
+        (("meta",), PathMetaHdr),
+        (("infos", 0), InfoField),
+        (("hops", 0), FlyoverHopField),
+    )
+    for f in fields(cls)
+    if f.name != "path"
+    for value in ("0", 0.5, None, {"bool": 1, "int": True}.get(f.type, [None, 0, 0]))
+]
+
+
+@pytest.fixture(scope="module")
+def flyover_packet_obj():
+    cases = json.loads((Path(__file__).parent / "vectors" / "packets.json").read_text())
+    packet = cases["cases"][0]["packet"]
+    assert packet["hops"][0]["type"] == "flyover"
+    return packet
 
 
 class TestRun:
@@ -165,6 +194,21 @@ class TestPacket:
         code, _, stderr = run_cli(capsys, "packet", "encode", "--spec", str(spec))
         assert code == 2 and "bad packet spec" in stderr
 
+    @pytest.mark.parametrize("where, name, value", WRONG_TYPED)
+    def test_encode_rejects_wrong_typed_value(
+        self, capsys, tmp_path, flyover_packet_obj, where, name, value
+    ):
+        obj = copy.deepcopy(flyover_packet_obj)
+        record = obj
+        for key in where:
+            record = record[key]
+        record[name] = value
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(obj))
+        code, stdout, stderr = run_cli(capsys, "packet", "encode", "--spec", str(spec))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("bad packet spec: ")
+
     def test_verify_golden_vector(self, capsys, decision_case):
         code, stdout, _ = run_cli(
             capsys,
@@ -260,20 +304,6 @@ class TestPacket:
             "--tag-len", tag_len,
         )
         assert code == 2 and stderr.startswith("error: ")
-
-
-class TestBench:
-    def test_reports_stages_and_context(self, capsys):
-        code, stdout, _ = run_cli(capsys, "bench", "--packets", "50")
-        assert code == 0
-        for stage in ("decode", "encode", "policer update", "packets/second"):
-            assert stage in stdout
-        assert "123 ns" in stdout and "308 ns" in stdout
-
-    def test_zero_length_run_rejected(self, capsys):
-        code, _, stderr = run_cli(capsys, "bench", "--packets", "0")
-        assert code == 2
-        assert "positive" in stderr
 
 
 class TestVectors:

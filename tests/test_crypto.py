@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from hummingbird import crypto
 from hummingbird.wire import InfoField, ReservationInfo, mac_input_block, resinfo_block
@@ -16,28 +17,58 @@ FIPS_CT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 class TestPrf:
     def test_zero_kat(self):
         # AES-128 of the zero block under the zero key.
-        assert crypto.prf_block(bytes(16), bytes(16)).hex() == (
+        assert crypto.prf_block(crypto.Prf(bytes(16)), bytes(16)).hex() == (
             "66e94bd4ef8a2c3b884cfa59ca342b2e"
         )
 
     def test_fips_kat(self):
-        assert crypto.prf_block(FIPS_KEY, FIPS_PT) == FIPS_CT
+        assert crypto.prf_block(crypto.Prf(FIPS_KEY), FIPS_PT) == FIPS_CT
 
     def test_input_must_be_one_block(self):
         with pytest.raises(crypto.CryptoError):
-            crypto.prf_block(bytes(16), bytes(15))
+            crypto.prf_block(crypto.Prf(bytes(16)), bytes(15))
         with pytest.raises(crypto.CryptoError):
-            crypto.prf_block(bytes(15), bytes(16))
+            crypto.prf_block(crypto.Prf(bytes(15)), bytes(16))
+
+
+def fresh_cipher_block(key: bytes, block: bytes) -> bytes:
+    """Reference: a new AES-ECB cipher for the one block."""
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
+
+
+class TestPrfReuse:
+    def test_matches_a_fresh_cipher_per_block(self):
+        rng = random.Random(3)
+        for _ in range(1000):
+            key, block = rng.randbytes(16), rng.randbytes(16)
+            assert crypto.prf_block(crypto.Prf(key), block) == fresh_cipher_block(key, block)
+
+    def test_reuse_in_any_order_gives_the_same_outputs(self):
+        rng = random.Random(4)
+        key = rng.randbytes(16)
+        blocks = [rng.randbytes(16) for _ in range(200)]
+        expected = {block: fresh_cipher_block(key, block) for block in blocks}
+        prf = crypto.Prf(key)
+        order = blocks * 3
+        rng.shuffle(order)
+        assert [crypto.prf_block(prf, block) for block in order] == [
+            expected[block] for block in order
+        ]
+
+    @pytest.mark.parametrize("length", [0, 15, 17, 32])
+    def test_key_must_be_16_bytes(self, length):
+        with pytest.raises(crypto.CryptoError, match=f"PRF key must be 16 bytes, got {length}"):
+            crypto.Prf(bytes(length))
 
 
 class TestDeriveKey:
     def test_is_prf_of_reservation_block(self):
-        sv = bytes(range(16))
+        sv = crypto.Prf(bytes(range(16)))
         res = ReservationInfo(1, 2, 3, 4, 1_700_000_000, 600)
         assert crypto.derive_key(sv, res) == crypto.prf_block(sv, resinfo_block(res))
 
     def test_distinct_reservations_distinct_keys(self):
-        sv = bytes(range(16))
+        sv = crypto.Prf(bytes(range(16)))
         base = dict(ingress=1, egress=2, res_id=3, bw_code=4, res_start=5, duration=6)
         keys = {crypto.derive_key(sv, ReservationInfo(**base))}
         for field, value in [
@@ -50,14 +81,14 @@ class TestDeriveKey:
 
 class TestFlyoverMac:
     def test_matches_prf_composition(self):
-        key = bytes(range(16))
+        key = crypto.Prf(bytes(range(16)))
         tag = crypto.flyover_mac(key, 10, 20, 30, 40, 50, 60)
         block = mac_input_block(10, 20, 30, 40, 50, 60)
         assert tag == crypto.prf_block(key, block)[:6]
         assert len(tag) == 6
 
     def test_tag_len_profiles(self):
-        key = bytes(range(16))
+        key = crypto.Prf(bytes(range(16)))
         full = crypto.flyover_mac(key, 1, 2, 3, 4, 5, 6, tag_len=16)
         for tag_len in (1, 2, 6, 16):
             assert crypto.flyover_mac(key, 1, 2, 3, 4, 5, 6, tag_len=tag_len) == full[:tag_len]
@@ -65,7 +96,7 @@ class TestFlyoverMac:
             crypto.flyover_mac(key, 1, 2, 3, 4, 5, 6, tag_len=0)
 
     def test_sensitive_to_every_field(self):
-        key = bytes(range(16))
+        key = crypto.Prf(bytes(range(16)))
         base = (0x1234, 0x5678, 400, 30, 17, 99)
         tags = {crypto.flyover_mac(key, *base)}
         for i in range(6):
@@ -98,13 +129,13 @@ class TestHopFieldMac:
         return InfoField(**fields)
 
     def test_width_and_determinism(self):
-        key = bytes(16)
+        key = crypto.Prf(bytes(16))
         mac = crypto.hop_field_mac(key, self.info(), plain_hop())
         assert len(mac) == 6
         assert mac == crypto.hop_field_mac(key, self.info(), plain_hop())
 
     def test_covers_seg_id_and_static_fields(self):
-        key = bytes(16)
+        key = crypto.Prf(bytes(16))
         base = crypto.hop_field_mac(key, self.info(), plain_hop())
         assert crypto.hop_field_mac(key, self.info(seg_id=8), plain_hop()) != base
         assert crypto.hop_field_mac(key, self.info(timestamp=1), plain_hop()) != base
@@ -115,7 +146,7 @@ class TestHopFieldMac:
     def test_flyover_and_plain_hop_share_mac(self):
         # The MAC covers only the plain hop fields, so a flyover hop
         # with the same statics has the same hop MAC.
-        key = bytes(16)
+        key = crypto.Prf(bytes(16))
         assert crypto.hop_field_mac(key, self.info(), plain_hop()) == crypto.hop_field_mac(
             key, self.info(), fly_hop()
         )

@@ -637,7 +637,7 @@ class TestDelivery:
         assert res.bw_code == quantize_bw(50 * MBPS)
         assert res.res_start == H9
         assert res.duration == 3600
-        assert key == crypto.derive_key(SV, res)
+        assert key == crypto.derive_key(crypto.Prf(SV), res)
         assert led.request(request.request_id).delivered
 
     def test_failed_sealing_releases_the_res_id(self, monkeypatch):

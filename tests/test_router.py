@@ -1,5 +1,6 @@
 import random
 import struct
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -63,7 +64,7 @@ def chain_hops(hop_plans, seg_id, info_ts, fk=FK):
             cons_egress=plan.cons_egress,
             mac=bytes(6),
         )
-        mac = crypto.hop_field_mac(fk, info, probe)
+        mac = crypto.hop_field_mac(crypto.Prf(fk), info, probe)
         filled.append(replace(plan, hop_mac=mac))
         seg = crypto.update_seg_id(seg, mac)
     return tuple(filled)
@@ -83,7 +84,7 @@ def make_plan(
     if reservation is None:
         hops.append(source.HopPlan(1, 2, bytes(6), exp_time))
     else:
-        a_key = crypto.derive_key(SV, reservation)
+        a_key = crypto.derive_key(crypto.Prf(SV), reservation)
         hops.append(
             source.HopPlan(
                 reservation.ingress,
@@ -147,7 +148,7 @@ class TestHappyPath:
         info = InfoField(peering=False, cons_dir=True, seg_id=0x1111, timestamp=BASE_S - 100)
         fly = out.path.hops[0]
         assert fly.flyover
-        assert fly.mac == crypto.hop_field_mac(FK, info, fly)
+        assert fly.mac == crypto.hop_field_mac(crypto.Prf(FK), info, fly)
         # The rewritten MAC verifies as a plain SCION hop in the same slot.
         plain = HopField(
             ingress_alert=fly.ingress_alert,
@@ -348,7 +349,7 @@ def boundary_plan(
 ):
     """A path whose first AS crosses from segment 0 into segment 1."""
     res = res if res is not None else make_reservation()
-    a_key = crypto.derive_key(SV, res)
+    a_key = crypto.derive_key(crypto.Prf(SV), res)
     seg0_hops = [
         source.HopPlan(res.ingress, res.egress, bytes(6), exp_time[0],
                        reservation=(res, a_key) if flyover_on_first else None)
@@ -379,7 +380,7 @@ class TestSegmentBoundary:
     def assert_crossed(self, packet, out):
         """Both SegIDs stepped and the pointers past both hop fields."""
         for i, info in enumerate(packet.path.infos):
-            mac = crypto.hop_field_mac(FK, info, out.path.hops[i])
+            mac = crypto.hop_field_mac(crypto.Prf(FK), info, out.path.hops[i])
             assert out.path.hops[i].mac == mac
             assert out.path.infos[i].seg_id == crypto.update_seg_id(info.seg_id, mac)
         assert out.path.meta.curr_hf == packet.path.hops[0].words + 3
@@ -475,6 +476,62 @@ class TestSegmentBoundary:
         assert d1.verdict is Verdict.PRIORITY
         assert d2 == router.ForwardDecision(Verdict.BEST_EFFORT, Reason.OVER_BUDGET)
         self.assert_crossed(second, out)
+
+
+class TestCipherCount:
+    """Key holders build their ciphers once: a flyover hop builds only
+    the packet's own A_K, a plain hop and a built packet none.  Every
+    block still goes through `crypto.prf_block`, where the benchmark's
+    tracer counts it, and each `Prf` builds exactly one AES cipher."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = Counter()
+        prf, prf_block, cipher = crypto.Prf, crypto.prf_block, crypto.Cipher
+
+        def counted_prf(key):
+            counts["Prf"] += 1
+            return prf(key)
+
+        def counted_prf_block(key, block):
+            counts["prf_block"] += 1
+            return prf_block(key, block)
+
+        def counted_cipher(*args):
+            counts["Cipher"] += 1
+            return cipher(*args)
+
+        monkeypatch.setattr(crypto, "Prf", counted_prf)
+        monkeypatch.setattr(crypto, "prf_block", counted_prf_block)
+        monkeypatch.setattr(crypto, "Cipher", counted_cipher)
+        return counts
+
+    @pytest.mark.parametrize(
+        "plan, verdict, prfs, blocks",
+        [
+            (make_plan(), Verdict.PRIORITY, 1, 3),
+            (make_plan(reservation=None), Verdict.BEST_EFFORT, 0, 1),
+            (boundary_plan(flyover_on_first=False), Verdict.BEST_EFFORT, 0, 2),
+        ],
+        ids=["flyover", "plain", "plain_crossing"],
+    )
+    def test_router(self, counts, plan, verdict, prfs, blocks):
+        cfg = make_cfg()
+        packet = build(plan)
+        counts.clear()
+        decision, _ = process_packet(cfg, packet)
+        assert decision.verdict is verdict
+        assert (counts["Prf"], counts["Cipher"], counts["prf_block"]) == (prfs, prfs, blocks)
+
+    def test_build_packet(self, counts):
+        plan = boundary_plan(flyover_on_first=True, misplaced=True)
+        flyovers = sum(h.reservation is not None for s in plan.segments for h in s.hops)
+        assert flyovers == 2
+        counts.clear()
+        for _ in range(3):
+            build(plan)
+            assert (counts["Prf"], counts["Cipher"], counts["prf_block"]) == (0, 0, flyovers)
+            counts.clear()
 
 
 class TestBytesInterface:

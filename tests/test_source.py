@@ -69,7 +69,7 @@ class TestBuild:
         plan = make_plan()
         bad_hop = replace(
             plan.segments[0].hops[0],
-            reservation=(res, crypto.derive_key(b"\x00" * 16, res)),
+            reservation=(res, crypto.derive_key(crypto.Prf(b"\x00" * 16), res)),
         )
         bad = replace(
             plan,
@@ -171,7 +171,7 @@ class TestReversePath:
 
     def test_segments_reverse_as_units(self):
         res = make_reservation()
-        a_key = crypto.derive_key(bytes(range(16)), res)
+        a_key = crypto.derive_key(crypto.Prf(bytes(range(16))), res)
         seg0 = chain_hops(
             [source.HopPlan(res.ingress, res.egress, bytes(6), 255, reservation=(res, a_key))],
             0x2222,
