@@ -20,6 +20,15 @@ an int, a str or bytes, and every operation replaces dict entries
 instead of changing a stored value, so the committed state never sees
 a staged change.
 
+The same immutability keeps state_hash cheap.  Each asset, listing,
+redeem request and token renders its own entry of the canonical state
+JSON once, on first use, and caches it on itself (`_fragment`);
+state_hash sorts and joins those entries instead of dumping the whole
+state.  The cache is exact because a value never changes after it is
+built, and every table is keyed by its value's own id: a changed entry
+is a new object from `replace()` with a fresh fragment, and a staged
+copy or a rollback carries values that bring their own.
+
 Currency is an abstract integer.
 """
 
@@ -29,6 +38,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache, cached_property
 from random import Random
 
 from cryptography.exceptions import InvalidSignature
@@ -54,6 +64,23 @@ _SEAL_CONTEXT = b"hummingbird-credential-seal"
 
 class LedgerError(ValueError):
     pass
+
+
+@cache
+def _low_order_probe() -> X25519PrivateKey:
+    """The one key redeem exchanges with to find low-order peer keys.
+
+    The all-zero key is public by design: the shared secret is never
+    used.  It is built on first use, not at import, because creating an
+    X25519 key costs the process about 1 MB that a run which never
+    redeems would otherwise carry.
+    """
+    return X25519PrivateKey.from_private_bytes(bytes(32))
+
+
+def _dumps(value) -> str:
+    """Canonical JSON, as state_hash writes it."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 class Direction(Enum):
@@ -106,12 +133,31 @@ class BandwidthAsset:
         """Bandwidth-time product, the conserved quantity under split/fuse."""
         return self.bandwidth * self.duration
 
+    @cached_property
+    def _fragment(self) -> str:
+        """This asset's `"<id>":{...}` entry in the state_hash JSON."""
+        return f'"{self.asset_id}":' + _dumps({
+            "as_id": self.as_id,
+            "bandwidth": self.bandwidth,
+            "start_time": self.start_time,
+            "expiration_time": self.expiration_time,
+            "interface": self.interface,
+            "direction": self.direction.value,
+            "time_granularity": self.time_granularity,
+            "min_bandwidth": self.min_bandwidth,
+            "owner": self.owner,
+        })
+
 
 @dataclass(frozen=True)
 class AuthToken:
     token_id: int
     as_id: int
     account: str
+
+    @cached_property
+    def _fragment(self) -> str:
+        return f'"{self.token_id}":' + _dumps({"as_id": self.as_id, "account": self.account})
 
 
 @dataclass(frozen=True)
@@ -120,6 +166,14 @@ class Listing:
     asset_id: int
     unit_price: int  # currency per (bit/s x second)
     seller: str
+
+    @cached_property
+    def _fragment(self) -> str:
+        return f'"{self.listing_id}":' + _dumps({
+            "asset_id": self.asset_id,
+            "unit_price": self.unit_price,
+            "seller": self.seller,
+        })
 
 
 @dataclass(frozen=True)
@@ -137,6 +191,21 @@ class RedeemRequest:
     ephemeral_pubkey: bytes
     delivered: bool = False
     credentials: bytes = b""
+
+    @cached_property
+    def _fragment(self) -> str:
+        return f'"{self.request_id}":' + _dumps({
+            "as_id": self.as_id,
+            "owner": self.owner,
+            "ingress_interface": self.ingress_interface,
+            "egress_interface": self.egress_interface,
+            "bandwidth": self.bandwidth,
+            "start_time": self.start_time,
+            "expiration_time": self.expiration_time,
+            "ephemeral_pubkey": self.ephemeral_pubkey.hex(),
+            "delivered": self.delivered,
+            "credentials": self.credentials.hex(),
+        })
 
 
 @dataclass
@@ -301,6 +370,11 @@ class _State:
         """New containers holding the same (immutable) values."""
         return _State(dict(self.balances), dict(self.assets), dict(self.listings),
                       dict(self.requests), dict(self.tokens), set(self.sellers), self.next_id)
+
+
+def _joined(table: dict) -> str:
+    """A table's entries, in the order `sort_keys` gives their keys."""
+    return ",".join(sorted(value._fragment for value in table.values()))
 
 
 class Ledger:
@@ -477,6 +551,8 @@ class Ledger:
         """Both assets, owned by account and alike in all but time and bandwidth."""
         a = self._owned_asset(account, a)
         b = self._owned_asset(account, b)
+        if a.asset_id == b.asset_id:
+            raise LedgerError("fuse needs two distinct assets")
         for name in ("as_id", "interface", "direction", "time_granularity", "min_bandwidth"):
             if getattr(a, name) != getattr(b, name):
                 raise LedgerError(
@@ -641,8 +717,7 @@ class Ledger:
         try:
             # Any fixed private key will do: an exchange fails exactly on
             # the low-order points, which no credentials can be sealed to.
-            probe = X25519PrivateKey.from_private_bytes(bytes(32))
-            probe.exchange(X25519PublicKey.from_public_bytes(ephemeral_pubkey))
+            _low_order_probe().exchange(X25519PublicKey.from_public_bytes(ephemeral_pubkey))
         except ValueError:
             raise LedgerError("ephemeral public key is a low-order point") from None
         request = RedeemRequest(
@@ -731,59 +806,28 @@ class Ledger:
     # -- integrity ------------------------------------------------------------
 
     def state_hash(self) -> str:
-        """Digest of everything except the call log."""
-        state = self._state
-        canonical = {
-            "balances": dict(sorted(state.balances.items())),
-            "assets": {
-                str(k): self._asset_dict(v) for k, v in sorted(state.assets.items())
-            },
-            "listings": {
-                str(k): {
-                    "asset_id": v.asset_id,
-                    "unit_price": v.unit_price,
-                    "seller": v.seller,
-                }
-                for k, v in sorted(state.listings.items())
-            },
-            "requests": {
-                str(k): {
-                    "as_id": v.as_id,
-                    "owner": v.owner,
-                    "ingress_interface": v.ingress_interface,
-                    "egress_interface": v.egress_interface,
-                    "bandwidth": v.bandwidth,
-                    "start_time": v.start_time,
-                    "expiration_time": v.expiration_time,
-                    "ephemeral_pubkey": v.ephemeral_pubkey.hex(),
-                    "delivered": v.delivered,
-                    "credentials": v.credentials.hex(),
-                }
-                for k, v in sorted(state.requests.items())
-            },
-            "tokens": {
-                str(k): {"as_id": v.as_id, "account": v.account}
-                for k, v in sorted(state.tokens.items())
-            },
-            "sellers": sorted(state.sellers),
-            "next_id": state.next_id,
-        }
-        blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """Digest of everything except the call log.
 
-    @staticmethod
-    def _asset_dict(a: BandwidthAsset) -> dict:
-        return {
-            "as_id": a.as_id,
-            "bandwidth": a.bandwidth,
-            "start_time": a.start_time,
-            "expiration_time": a.expiration_time,
-            "interface": a.interface,
-            "direction": a.direction.value,
-            "time_granularity": a.time_granularity,
-            "min_bandwidth": a.min_bandwidth,
-            "owner": a.owner,
-        }
+        The digest covers one canonical JSON dump of the state (sorted
+        keys, no spaces), built from the per-value fragments.  Every
+        fragment starts with its key as a quoted decimal string, and
+        `"` sorts before every digit, so sorting a table's fragments
+        orders its keys as strings, exactly as `sort_keys` does
+        ("10" < "100" < "9").  The top-level keys are written in that
+        order too.
+        """
+        state = self._state
+        blob = "".join((
+            '{"assets":{', _joined(state.assets),
+            '},"balances":', _dumps(state.balances),
+            ',"listings":{', _joined(state.listings),
+            '},"next_id":', _dumps(state.next_id),
+            ',"requests":{', _joined(state.requests),
+            '},"sellers":', _dumps(sorted(state.sellers)),
+            ',"tokens":{', _joined(state.tokens),
+            '}}',
+        ))
+        return hashlib.sha256(blob.encode()).hexdigest()
 
     def export_log(self) -> tuple[dict, ...]:
         return tuple(dict(r) for r in self._log)

@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+from operator import attrgetter
 from random import Random
 
 import pytest
@@ -237,6 +240,16 @@ class TestFuse:
         fused = led.fuse_bandwidth("asops", rest, part)
         assert fused.bandwidth == asset.bandwidth
         assert (fused.start_time, fused.expiration_time) == (H9, H10)
+
+    def test_fuse_with_itself_rejected(self):
+        led, token, _, _ = fresh_ledger()
+        asset = hour_asset(led, token)
+        before = led.state_hash()
+        for fuse in (led.fuse_time, led.fuse_bandwidth):
+            with pytest.raises(LedgerError, match="two distinct assets"):
+                fuse("asops", asset, asset)
+        assert led.state_hash() == before
+        assert led.asset(asset.asset_id) == asset
 
     def test_gap_rejected(self):
         led, token, _, _ = fresh_ledger()
@@ -905,3 +918,287 @@ class TestIntegrity:
         )
         assert log[-1]["state"] == led.state_hash()
         assert len(led.format_log().splitlines()) == len(log)
+
+
+def canonical_state_hash(led) -> str:
+    """Reference: the whole state as one dict, dumped in one go."""
+    state = led._state
+    canonical = {
+        "balances": dict(sorted(state.balances.items())),
+        "assets": {
+            str(k): {
+                "as_id": v.as_id,
+                "bandwidth": v.bandwidth,
+                "start_time": v.start_time,
+                "expiration_time": v.expiration_time,
+                "interface": v.interface,
+                "direction": v.direction.value,
+                "time_granularity": v.time_granularity,
+                "min_bandwidth": v.min_bandwidth,
+                "owner": v.owner,
+            }
+            for k, v in sorted(state.assets.items())
+        },
+        "listings": {
+            str(k): {
+                "asset_id": v.asset_id,
+                "unit_price": v.unit_price,
+                "seller": v.seller,
+            }
+            for k, v in sorted(state.listings.items())
+        },
+        "requests": {
+            str(k): {
+                "as_id": v.as_id,
+                "owner": v.owner,
+                "ingress_interface": v.ingress_interface,
+                "egress_interface": v.egress_interface,
+                "bandwidth": v.bandwidth,
+                "start_time": v.start_time,
+                "expiration_time": v.expiration_time,
+                "ephemeral_pubkey": v.ephemeral_pubkey.hex(),
+                "delivered": v.delivered,
+                "credentials": v.credentials.hex(),
+            }
+            for k, v in sorted(state.requests.items())
+        },
+        "tokens": {
+            str(k): {"as_id": v.as_id, "account": v.account}
+            for k, v in sorted(state.tokens.items())
+        },
+        "sellers": sorted(state.sellers),
+        "next_id": state.next_id,
+    }
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# Operators issue; everyone trades.  JSON must escape a quote, a
+# backslash and non-ASCII characters in these names.
+OPERATORS = ("asops", 'q"uote')
+TRADERS = ("back\\slash", "ünï✓", "alice")
+KEEPER = "keeper"  # issues one asset per id length and never trades
+
+
+class MarketWalk:
+    """Seeded random ops on one ledger, refused ones included."""
+
+    def __init__(self, seed: int):
+        self.rng = rng = Random(seed)
+        root = PkiRoot(rng)
+        accounts = (*OPERATORS, *TRADERS, KEEPER)
+        self.led = Ledger(root.public_key, genesis={a: 10**15 for a in accounts})
+        self.tokens, self.services = {}, {}
+        for as_id, account in enumerate((*OPERATORS, KEEPER), start=AS_ID):
+            ident = AsIdentity(as_id, rng)
+            self.tokens[account] = self.led.register_as(
+                account, root.issue_cert(as_id, ident.public_key), ident.proof_of_key(account)
+            )
+            self.services[as_id] = ASControlService(as_id, SV, rng)
+        for account in (*OPERATORS, *TRADERS):
+            self.led.register_seller(account)
+        self.keeper_ids: list[int] = []
+        self.split = None, ()  # owner and the pair of the last split
+        self.moves = (
+            (self.issue, 3), (self.issue_batch, 20), (self.split_time, 3),
+            (self.split_bandwidth, 3), (self.fuse, 3), (self.list_asset, 3),
+            (self.buy, 4), (self.buy_and_redeem, 3), (self.failing_block, 3),
+            (self.deliver, 3), (self.refused_op, 3),
+        )
+
+    def step(self) -> None:
+        move = self.rng.choices(*zip(*self.moves))[0]
+        if not self.holders():
+            move = self.issue_batch
+        move()
+
+    def keep_id_length(self) -> None:
+        """Have the keeper hold an asset whose id has as many digits as next_id."""
+        next_id = self.led._state.next_id
+        if not self.keeper_ids or len(str(next_id)) > len(str(self.keeper_ids[-1])):
+            self.keeper_ids.append(self.led.issue(KEEPER, self.tokens[KEEPER], **self.attrs()).asset_id)
+
+    def attrs(self, **overrides) -> dict:
+        rng = self.rng
+        start = H9 + rng.randrange(12) * MIN10
+        attrs = dict(
+            bandwidth=rng.randrange(2, 41) * 5 * MBPS,
+            start_time=start,
+            expiration_time=start + rng.randrange(1, 13) * MIN10,
+            interface=rng.randrange(1, 5),
+            direction=rng.choice(list(Direction)),
+            time_granularity=MIN10,
+            min_bandwidth=5 * MBPS,
+        )
+        attrs.update(overrides)
+        return attrs
+
+    def owned(self, account: str) -> list:
+        return list(self.led.assets_owned_by(account))
+
+    def holders(self) -> list[str]:
+        owners = {a.owner for a in self.led._state.assets.values()}
+        return [a for a in (*OPERATORS, *TRADERS) if a in owners]
+
+    def pick_owned(self):
+        """An account with assets and one of its assets."""
+        account = self.rng.choice(self.holders())
+        return account, self.rng.choice(self.owned(account))
+
+    # -- moves; each is one ledger call or one block, and may be refused
+
+    def issue(self) -> None:
+        operator = self.rng.choice(OPERATORS)
+        attrs = self.attrs()
+        if self.rng.random() < 0.2:
+            attrs["expiration_time"] += 7  # off the granularity: refused
+        self.led.issue(operator, self.tokens[operator], **attrs)
+
+    def issue_batch(self) -> None:
+        operator = self.rng.choice(OPERATORS)
+        token = self.tokens[operator]
+        block = [Call("issue", (operator, token), self.attrs())
+                 for _ in range(self.rng.randrange(15, 46))]
+        if self.rng.random() < 0.2:  # fails on the last call
+            block.append(Call("issue", (operator, token), self.attrs(min_bandwidth=10**12)))
+        self.led.execute_atomic(block)
+
+    def split_time(self) -> None:
+        account, asset = self.pick_owned()
+        step = MIN10 if self.rng.random() < 0.8 else MIN10 // 2  # off-grid: refused
+        cut = asset.start_time + self.rng.randrange(0, asset.duration + 1, step)
+        self.split = account, self.led.split_time(account, asset, cut)
+
+    def split_bandwidth(self) -> None:
+        account, asset = self.pick_owned()
+        part = self.rng.randrange(0, asset.bandwidth + 1, 5 * MBPS)
+        self.split = account, self.led.split_bandwidth(account, asset, part)
+
+    def fuse(self) -> None:
+        """Fuse the last split pair back if it is still there, else any two."""
+        account, pair = self.split
+        if not pair or any(self.led._state.assets.get(a.asset_id) is not a for a in pair):
+            account, a = self.pick_owned()
+            pair = a, self.rng.choice(self.owned(account))
+        a, b = pair
+        if a.expiration_time == b.start_time:
+            self.led.fuse_time(account, a, b)
+        else:
+            self.led.fuse_bandwidth(account, a, b)
+
+    def list_asset(self) -> None:
+        account, asset = self.pick_owned()
+        self.led.create_listing(account, asset, self.rng.randrange(1, 4))
+
+    def buy(self) -> None:
+        listings = self.led.open_listings()
+        if not listings:
+            return self.list_asset()
+        listing = self.rng.choice(listings)
+        asset = self.led.asset(listing.asset_id)
+        slots = asset.duration // MIN10
+        first = self.rng.randrange(slots)
+        start = asset.start_time + first * MIN10 + self.rng.choice((0, 0, 0, 60))
+        self.led.buy(
+            self.rng.choice(TRADERS), listing,
+            start_time=start,
+            expiration_time=asset.start_time + self.rng.randrange(first + 1, slots + 1) * MIN10,
+            bandwidth=self.rng.randrange(1, asset.bandwidth // (5 * MBPS) + 1) * 5 * MBPS,
+        )
+
+    def buy_and_redeem(self) -> None:
+        """Issue, list, buy and redeem an ingress/egress pair in one block."""
+        operator, buyer = self.rng.choice(OPERATORS), self.rng.choice(TRADERS)
+        token = self.tokens[operator]
+        common = self.attrs()
+        del common["interface"], common["direction"]
+        want = dict(start_time=common["start_time"], expiration_time=common["expiration_time"],
+                    bandwidth=common["bandwidth"])
+        _, pub = sealing_keypair(self.rng)
+        if self.rng.random() < 0.2:
+            pub = self.rng.choice(LOW_ORDER_KEYS)  # the redeem fails
+        self.led.execute_atomic([
+            Call("issue", (operator, token), dict(common, interface=1, direction=Direction.INGRESS)),
+            Call("issue", (operator, token), dict(common, interface=2, direction=Direction.EGRESS)),
+            Call("create_listing", (operator, Result(0), 2)),
+            Call("create_listing", (operator, Result(1), 2)),
+            Call("buy", (buyer, Result(2)), dict(want)),
+            Call("buy", (buyer, Result(3)), dict(want)),
+            Call("redeem", (buyer, Result(4), Result(5), pub)),
+        ])
+
+    def failing_block(self) -> None:
+        """Valid calls, then one that fails part-way through the block."""
+        account, asset = self.pick_owned()
+        cut = asset.start_time + MIN10
+        self.led.execute_atomic([
+            Call("create_listing", (account, asset, 1)),
+            Call("issue", (OPERATORS[0], self.tokens[OPERATORS[0]]), self.attrs()),
+            # The escrow above makes this fail.
+            Call("split_time", (account, asset, cut)),
+        ])
+
+    def deliver(self) -> None:
+        requests = list(self.led._state.requests.values())
+        if not requests:
+            return self.buy_and_redeem()
+        waiting = [r for r in requests if not r.delivered]
+        if waiting and self.rng.random() < 0.7:
+            requests = waiting
+        request = self.rng.choice(requests)  # a delivered one is refused
+        self.led.deliver_reservation(self.services[request.as_id], request)
+
+    def refused_op(self) -> None:
+        account, asset = self.pick_owned()
+        self.rng.choice((
+            lambda: self.led.split_time(account, asset, asset.expiration_time),
+            lambda: self.led.redeem(account, asset, asset, bytes(32)),
+            lambda: self.led.create_listing(KEEPER, asset, 1),
+            lambda: self.led.register_seller(account),
+            lambda: self.led.buy(account, 10**9, start_time=H9, expiration_time=H10, bandwidth=MBPS),
+        ))()
+
+
+class TestStateHash:
+    TABLES = (("assets", "asset_id"), ("listings", "listing_id"),
+              ("requests", "request_id"), ("tokens", "token_id"))
+
+    def test_matches_full_dump_on_random_walk(self):
+        walk = MarketWalk(seed=11)
+        led = walk.led
+        refused = 0
+        while len(led._state.assets) < 2000:
+            walk.keep_id_length()
+            before = led.state_hash()
+            try:
+                walk.step()
+            except LedgerError:
+                refused += 1
+                assert led.state_hash() == before
+            assert led.state_hash() == canonical_state_hash(led)
+            for table, id_name in self.TABLES:
+                values = getattr(led._state, table)
+                assert list(map(attrgetter(id_name), values.values())) == list(values), table
+        state = led._state
+        assert refused >= 40
+        assert sum(r.delivered for r in state.requests.values()) >= 5
+        assert len(state.listings) >= 10 and len(state.tokens) == 3
+        assert {len(str(k)) for k in state.assets} == {1, 2, 3, 4}
+        assert set(walk.keeper_ids) <= set(state.assets)
+
+    def test_one_op_serialises_a_bounded_amount(self, monkeypatch):
+        led, token, _, _ = fresh_ledger()
+        for _ in range(1000):
+            hour_asset(led, token)
+        written = []
+        dumps = ledger_mod.json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            text = dumps(*args, **kwargs)
+            written.append(len(text))
+            return text
+
+        monkeypatch.setattr(ledger_mod.json, "dumps", counting_dumps)
+        hour_asset(led, token)
+        led.state_hash()
+        assert sum(written) < 1000
