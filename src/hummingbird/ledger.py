@@ -22,12 +22,14 @@ a staged change.
 
 The same immutability keeps state_hash cheap.  Each asset, listing,
 redeem request and token renders its own entry of the canonical state
-JSON once, on first use, and caches it on itself (`_fragment`);
-state_hash sorts and joins those entries instead of dumping the whole
-state.  The cache is exact because a value never changes after it is
-built, and every table is keyed by its value's own id: a changed entry
-is a new object from `replace()` with a fresh fragment, and a staged
-copy or a rollback carries values that bring their own.
+JSON once, on first use, and caches it on itself (`_fragment`).  The
+entry is rendered from the value's dataclass fields, so a field added
+to a stored class is hashed with no further code.  state_hash sorts and
+joins those entries instead of dumping the whole state.  The cache is
+exact because a value never changes after it is built, and every table
+is keyed by its value's own id: a changed entry is a new object from
+`replace()` with a fresh fragment, and a staged copy or a rollback
+carries values that bring their own.
 
 Currency is an abstract integer.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cache, cached_property
 from random import Random
@@ -78,9 +80,18 @@ def _low_order_probe() -> X25519PrivateKey:
     return X25519PrivateKey.from_private_bytes(bytes(32))
 
 
+def _json_default(value):
+    """The JSON of the two non-JSON types a stored value holds."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, bytes):
+        return value.hex()
+    raise TypeError(f"{type(value).__name__} is not part of the ledger state")
+
+
 def _dumps(value) -> str:
     """Canonical JSON, as state_hash writes it."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_json_default)
 
 
 class Direction(Enum):
@@ -92,8 +103,24 @@ class Direction(Enum):
 # Domain objects
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+class _Stored:
+    """A frozen dataclass kept in a ledger table under its first field."""
+
+    @cached_property
+    def _fragment(self) -> str:
+        """This value's `"<key>":{...}` entry in the state_hash JSON, which
+        holds every other field."""
+        key, *rest = _field_names(type(self))
+        return f'"{getattr(self, key)}":' + _dumps({name: getattr(self, name) for name in rest})
+
+
 @dataclass(frozen=True)
-class BandwidthAsset:
+class BandwidthAsset(_Stored):
     asset_id: int
     as_id: int
     bandwidth: int  # bits per second
@@ -133,51 +160,24 @@ class BandwidthAsset:
         """Bandwidth-time product, the conserved quantity under split/fuse."""
         return self.bandwidth * self.duration
 
-    @cached_property
-    def _fragment(self) -> str:
-        """This asset's `"<id>":{...}` entry in the state_hash JSON."""
-        return f'"{self.asset_id}":' + _dumps({
-            "as_id": self.as_id,
-            "bandwidth": self.bandwidth,
-            "start_time": self.start_time,
-            "expiration_time": self.expiration_time,
-            "interface": self.interface,
-            "direction": self.direction.value,
-            "time_granularity": self.time_granularity,
-            "min_bandwidth": self.min_bandwidth,
-            "owner": self.owner,
-        })
-
 
 @dataclass(frozen=True)
-class AuthToken:
+class AuthToken(_Stored):
     token_id: int
     as_id: int
     account: str
 
-    @cached_property
-    def _fragment(self) -> str:
-        return f'"{self.token_id}":' + _dumps({"as_id": self.as_id, "account": self.account})
-
 
 @dataclass(frozen=True)
-class Listing:
+class Listing(_Stored):
     listing_id: int
     asset_id: int
     unit_price: int  # currency per (bit/s x second)
     seller: str
 
-    @cached_property
-    def _fragment(self) -> str:
-        return f'"{self.listing_id}":' + _dumps({
-            "asset_id": self.asset_id,
-            "unit_price": self.unit_price,
-            "seller": self.seller,
-        })
-
 
 @dataclass(frozen=True)
-class RedeemRequest:
+class RedeemRequest(_Stored):
     """Snapshot of a destroyed asset pair, awaiting credential delivery."""
 
     request_id: int
@@ -191,21 +191,6 @@ class RedeemRequest:
     ephemeral_pubkey: bytes
     delivered: bool = False
     credentials: bytes = b""
-
-    @cached_property
-    def _fragment(self) -> str:
-        return f'"{self.request_id}":' + _dumps({
-            "as_id": self.as_id,
-            "owner": self.owner,
-            "ingress_interface": self.ingress_interface,
-            "egress_interface": self.egress_interface,
-            "bandwidth": self.bandwidth,
-            "start_time": self.start_time,
-            "expiration_time": self.expiration_time,
-            "ephemeral_pubkey": self.ephemeral_pubkey.hex(),
-            "delivered": self.delivered,
-            "credentials": self.credentials.hex(),
-        })
 
 
 @dataclass
@@ -356,6 +341,15 @@ class ASControlService:
 # The ledger
 
 
+def _get(table: dict, cls: type, ref, what: str):
+    """The stored value for an id, or for a value of exactly class cls."""
+    key = getattr(ref, _field_names(cls)[0]) if type(ref) is cls else ref
+    try:
+        return table[key]
+    except KeyError:
+        raise LedgerError(f"no such {what}: {key}") from None
+
+
 @dataclass
 class _State:
     balances: dict[str, int] = field(default_factory=dict)
@@ -415,23 +409,14 @@ class Ledger:
     def balance(self, account: str) -> int:
         return self._state.balances.get(account, 0)
 
-    def asset(self, asset_id: int) -> BandwidthAsset:
-        try:
-            return self._state.assets[asset_id]
-        except KeyError:
-            raise LedgerError(f"no such asset: {asset_id}") from None
+    def asset(self, asset) -> BandwidthAsset:
+        return _get(self._state.assets, BandwidthAsset, asset, "asset")
 
-    def listing(self, listing_id: int) -> Listing:
-        try:
-            return self._state.listings[listing_id]
-        except KeyError:
-            raise LedgerError(f"no such listing: {listing_id}") from None
+    def listing(self, listing) -> Listing:
+        return _get(self._state.listings, Listing, listing, "listing")
 
-    def request(self, request_id: int) -> RedeemRequest:
-        try:
-            return self._state.requests[request_id]
-        except KeyError:
-            raise LedgerError(f"no such redeem request: {request_id}") from None
+    def request(self, request) -> RedeemRequest:
+        return _get(self._state.requests, RedeemRequest, request, "redeem request")
 
     def assets_owned_by(self, account: str) -> tuple[BandwidthAsset, ...]:
         return tuple(
@@ -610,7 +595,7 @@ class Ledger:
         listings at the same unit price.
         """
         self._require_account(account)
-        listing = self._resolve_listing(listing)
+        listing = self.listing(listing)
         asset = self._state.assets[listing.asset_id]
 
         if not asset.start_time <= start_time < expiration_time <= asset.expiration_time:
@@ -749,7 +734,7 @@ class Ledger:
         """
         if self._in_block:
             raise LedgerError("deliver_reservation cannot run inside an atomic block")
-        request = self._resolve_request(request)
+        request = self.request(request)
         if request.delivered:
             raise LedgerError(f"request {request.request_id} already delivered")
         blob = service.build_credentials(request)
@@ -867,7 +852,7 @@ class Ledger:
             raise LedgerError(f"unknown account: {account!r}")
 
     def _owned_asset(self, account: str, asset) -> BandwidthAsset:
-        asset = self.asset(asset.asset_id if isinstance(asset, BandwidthAsset) else asset)
+        asset = self.asset(asset)
         if asset.owner != account:
             raise LedgerError(
                 f"asset {asset.asset_id} is owned by {asset.owner!r}, not {account!r}"
@@ -875,26 +860,12 @@ class Ledger:
         return asset
 
     def _resolve_token(self, account: str, token) -> AuthToken:
-        token_id = token.token_id if isinstance(token, AuthToken) else token
-        try:
-            token = self._state.tokens[token_id]
-        except KeyError:
-            raise LedgerError(f"no such token: {token_id}") from None
+        token = _get(self._state.tokens, AuthToken, token, "token")
         if token.account != account:
             raise LedgerError(
                 f"token {token.token_id} belongs to {token.account!r}, not {account!r}"
             )
         return token
-
-    def _resolve_listing(self, listing) -> Listing:
-        return self.listing(
-            listing.listing_id if isinstance(listing, Listing) else listing
-        )
-
-    def _resolve_request(self, request) -> RedeemRequest:
-        return self.request(
-            request.request_id if isinstance(request, RedeemRequest) else request
-        )
 
     def _split_time(
         self, asset: BandwidthAsset, cut: int

@@ -15,14 +15,12 @@ budget from rounding.
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
-from math import ceil
 
 from .wire import WireError, decode_bw
 
 NS_PER_S = 1_000_000_000
 DEFAULT_BURST_NS = 50_000_000  # absorbs scheduling jitter; see size notes below
-DEFAULT_OVER_ALLOCATION = 3  # ResID space head room for the online allocator
+OVER_ALLOCATION = 3  # ResID space head room for the online allocator
 ENTRY_BYTES = 8
 
 
@@ -86,13 +84,11 @@ def monitor_code(
     return False
 
 
-def size_array(total_bw: int, min_bw: int, over_allocation=DEFAULT_OVER_ALLOCATION) -> int:
+def size_array(total_bw: int, min_bw: int) -> int:
     """Entries needed so first-fit ResIDs fit: ceil(R * total / min)."""
     if total_bw <= 0 or min_bw <= 0:
         raise PolicingError("bandwidths must be positive")
-    if over_allocation < 1:
-        raise PolicingError(f"over-allocation factor must be >= 1: {over_allocation}")
-    return ceil(Fraction(over_allocation) * total_bw / min_bw)
+    return (OVER_ALLOCATION * total_bw + min_bw - 1) // min_bw
 
 
 def array_bytes(entries: int) -> int:

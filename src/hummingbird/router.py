@@ -105,22 +105,20 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
     path = packet.path
     meta = path.meta
     try:
-        hop_index = path.current_hop_index()
-    except WireError:
+        starts, segments = path.hop_table()
+        hop_index = starts.index(meta.curr_hf)
+    except (WireError, ValueError):
         return ForwardDecision(Verdict.DROP, Reason.PARSE_ERROR), packet
-    if meta.curr_hf == meta.total_hop_words or meta.num_inf == 0:
+    if hop_index == len(path.hops):
         return ForwardDecision(Verdict.DROP, Reason.NO_HOP), packet
 
     # The hop fields this AS owns.  A segment-crossing AS owns the hop
     # field closing the current segment and the one opening the next;
     # its flyover, if any, sits on the first, so one on the second is
     # malformed.
-    seg_index = meta.curr_inf
+    seg_index = segments[hop_index]
     owned = [hop_index]
-    seg_end_word = sum(meta.seg_len[: seg_index + 1])
-    if path.hop_boundaries()[hop_index + 1] == seg_end_word and seg_index + 1 < meta.num_inf:
-        if hop_index + 1 >= len(path.hops):
-            return ForwardDecision(Verdict.DROP, Reason.PARSE_ERROR), packet
+    if hop_index + 1 < len(path.hops) and segments[hop_index + 1] != seg_index:
         if path.hops[hop_index + 1].flyover:
             return ForwardDecision(Verdict.DROP, Reason.MISPLACED_FLYOVER), packet
         owned.append(hop_index + 1)
@@ -170,7 +168,6 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
             reason = Reason.PRIORITY
 
     # Each owned hop field verifies against its own segment's info field.
-    curr_hf = meta.curr_hf
     for info_index, index in enumerate(owned, seg_index):
         hop, info = hops[index], infos[info_index]
         if now > info.timestamp * NS_PER_S + (hop.exp_time + 1) * EXP_TIME_UNIT_NS:
@@ -179,16 +176,14 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
         if expected != hop.mac:
             return ForwardDecision(Verdict.DROP, Reason.MAC_MISMATCH), packet
         infos[info_index] = replace(info, seg_id=crypto.update_seg_id(info.seg_id, expected))
-        curr_hf += hop.words
 
-    if curr_hf == meta.total_hop_words:
-        curr_inf = meta.num_inf - 1
-    else:
-        curr_inf = path.segment_of_word(curr_hf)
+    # Past the last hop, CurrINF stays on the last hop's segment.
+    next_index = owned[-1] + 1
+    curr_inf = segments[min(next_index, len(segments) - 1)]
     packet = replace(
         packet,
         path=HummingbirdPath(
-            meta=replace(meta, curr_hf=curr_hf, curr_inf=curr_inf),
+            meta=replace(meta, curr_hf=starts[next_index], curr_inf=curr_inf),
             infos=tuple(infos),
             hops=tuple(hops),
         ),
@@ -196,7 +191,8 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
 
     if reason is not Reason.PRIORITY:
         return ForwardDecision(Verdict.BEST_EFFORT, reason), packet
-    if monitor_code(cfg.policer, first.res_id, first.bw, pkt_len, now):
+    # BW code 0 reserves no bandwidth, so there is no budget to charge.
+    if first.bw and monitor_code(cfg.policer, first.res_id, first.bw, pkt_len, now):
         return ForwardDecision(Verdict.PRIORITY, Reason.PRIORITY), packet
     return ForwardDecision(Verdict.BEST_EFFORT, Reason.OVER_BUDGET), packet
 

@@ -46,8 +46,8 @@ from .ledger import (
     sealing_keypair,
     unseal_credentials,
 )
-from .policing import DEFAULT_BURST_NS, TokenBucketArray, size_array
-from .router import ForwardDecision, Reason, RouterConfig, Verdict, process_packet
+from .policing import TokenBucketArray, size_array
+from .router import ForwardDecision, RouterConfig, Verdict, process_packet
 from .source import (
     CounterState,
     HopPlan,

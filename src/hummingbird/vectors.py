@@ -26,7 +26,6 @@ from .wire import (
     ReservationInfo,
     WireError,
     decode_bw,
-    decode_packet,
     encode_packet,
     quantize_bw,
 )

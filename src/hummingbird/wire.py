@@ -10,7 +10,8 @@ reads are modeled: destination ISD/AS, payload length, header length).
 
 All codec types are immutable; encode and decode validate the same
 invariants, so decode(encode(p)) == p and encode(decode(b)) == b on the
-valid domain.
+valid domain.  Which word each hop starts at and which segment it
+belongs to is derived in one place, `HummingbirdPath.hop_table`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 META_LEN = 12
 INFO_LEN = 8
@@ -304,6 +306,9 @@ class HummingbirdPath:
 
     The meta header's seg_len entries are authoritative for segment
     membership; hops must tile the declared word counts exactly.
+    `hop_table` is the one walk that derives the hop layout from them;
+    the layout check, the current hop and the router's cursor all read
+    its table.
     """
 
     meta: PathMetaHdr
@@ -313,49 +318,46 @@ class HummingbirdPath:
     def byte_length(self) -> int:
         return META_LEN + INFO_LEN * len(self.infos) + _WORD * sum(h.words for h in self.hops)
 
-    def hops_by_segment(self) -> list[list[HopField]]:
-        """Partition hops per segment, validating the tiling."""
-        segments: list[list[HopField]] = []
-        it = iter(self.hops)
-        for i in range(self.meta.num_inf):
-            words = self.meta.seg_len[i]
-            seg: list[HopField] = []
-            while words > 0:
-                hop = next(it, None)
-                if hop is None or hop.words > words:
-                    raise WireError(f"hop fields do not tile segment {i}")
-                seg.append(hop)
-                words -= hop.words
+    def hop_table(self) -> tuple[list[int], list[int]]:
+        """Each hop's start word plus the total, and each hop's segment.
+
+        Raises WireError unless the hops tile the seg_len word counts.
+        """
+        starts, segments, seg = [0], [], 0
+        seg_ends = list(accumulate(self.meta.seg_len[: self.meta.num_inf]))
+        for hop in self.hops:
+            if seg == len(seg_ends):
+                raise WireError("hop fields left over after the last segment")
+            starts.append(starts[-1] + hop.words)
             segments.append(seg)
-        if next(it, None) is not None:
-            raise WireError("hop fields left over after the last segment")
-        return segments
+            if starts[-1] > seg_ends[seg]:
+                raise WireError(f"hop fields do not tile segment {seg}")
+            if starts[-1] == seg_ends[seg]:
+                seg += 1
+        if seg != len(seg_ends):
+            raise WireError(f"hop fields do not tile segment {seg}")
+        return starts, segments
 
     def hop_boundaries(self) -> list[int]:
         """Word offsets at which each hop starts, plus the total."""
-        offsets = [0]
-        for hop in self.hops:
-            offsets.append(offsets[-1] + hop.words)
-        return offsets
+        return self.hop_table()[0]
 
-    def segment_of_word(self, word: int) -> int:
-        acc = 0
-        for i in range(self.meta.num_inf):
-            acc += self.meta.seg_len[i]
-            if word < acc:
-                return i
-        raise WireError(f"word offset {word} beyond the last segment")
+    def hops_by_segment(self) -> list[list[HopField]]:
+        """Partition hops per segment, validating the tiling."""
+        segments: list[list[HopField]] = [[] for _ in range(self.meta.num_inf)]
+        for hop, seg in zip(self.hops, self.hop_table()[1]):
+            segments[seg].append(hop)
+        return segments
 
     def current_hop_index(self) -> int:
-        try:
-            return self.hop_boundaries().index(self.meta.curr_hf)
-        except ValueError:
-            raise WireError(f"curr_hf {self.meta.curr_hf} is not on a hop boundary") from None
+        return _hop_at(self.hop_table()[0], self.meta.curr_hf)
 
     def validate(self) -> None:
         self.meta.validate()
         for info in self.infos:
             info.validate()
+        for hop in self.hops:
+            hop.validate()
         self._validate_layout()
 
     def _validate_layout(self) -> None:
@@ -364,21 +366,24 @@ class HummingbirdPath:
             raise WireError(
                 f"{len(self.infos)} info fields but seg_len declares {self.meta.num_inf}"
             )
-        self.hops_by_segment()
-        total = self.meta.total_hop_words
-        if self.meta.curr_hf > total:
-            raise WireError(f"curr_hf {self.meta.curr_hf} beyond {total} hop words")
+        starts, segments = self.hop_table()
         if self.meta.num_inf > 0:
-            self.current_hop_index()  # must land on a hop boundary
-            if self.meta.curr_hf == total:
-                expect_inf = self.meta.num_inf - 1
-            else:
-                expect_inf = self.segment_of_word(self.meta.curr_hf)
+            index = _hop_at(starts, self.meta.curr_hf)
+            # Past the last hop, CurrINF stays on the last hop's segment.
+            expect_inf = segments[min(index, len(segments) - 1)]
             if self.meta.curr_inf != expect_inf:
                 raise WireError(
                     f"curr_inf {self.meta.curr_inf} does not match hop position"
                     f" (expected {expect_inf})"
                 )
+
+
+def _hop_at(starts: list[int], curr_hf: int) -> int:
+    """Index of the hop starting at curr_hf, or the hop count at the end."""
+    try:
+        return starts.index(curr_hf)
+    except ValueError:
+        raise WireError(f"curr_hf {curr_hf} is not on a hop boundary") from None
 
 
 # encode_path and decode_path check each field once, in pack or unpack,
@@ -392,34 +397,21 @@ def encode_path(path: HummingbirdPath) -> bytes:
 
 
 def decode_path(raw: bytes) -> HummingbirdPath:
+    """Read the fields the meta header declares; the F bit sizes each hop."""
     if len(raw) < META_LEN:
         raise WireError(f"truncated path: {len(raw)} bytes")
     meta = PathMetaHdr.unpack(raw[:META_LEN])
-    pos = META_LEN
-    infos = []
-    for _ in range(meta.num_inf):
-        if pos + INFO_LEN > len(raw):
-            raise WireError("truncated path: info field cut short")
-        infos.append(InfoField.unpack(raw[pos : pos + INFO_LEN]))
-        pos += INFO_LEN
+    pos = META_LEN + INFO_LEN * meta.num_inf
+    end = pos + _WORD * meta.total_hop_words
+    if len(raw) != end:
+        raise WireError(f"meta header declares {end} path bytes, got {len(raw)}")
+    infos = tuple(InfoField.unpack(raw[i : i + INFO_LEN]) for i in range(META_LEN, pos, INFO_LEN))
     hops: list[HopField] = []
-    for i in range(meta.num_inf):
-        words = meta.seg_len[i]
-        while words > 0:
-            if pos + 1 > len(raw):
-                raise WireError("truncated path: hop field cut short")
-            cls = FlyoverHopField if raw[pos] & 0x80 else HopField
-            if cls.words > words:
-                raise WireError(f"hop field overruns segment {i}")
-            size = _WORD * cls.words
-            if pos + size > len(raw):
-                raise WireError("truncated path: hop field cut short")
-            hops.append(cls.unpack(raw[pos : pos + size]))
-            pos += size
-            words -= cls.words
-    if pos != len(raw):
-        raise WireError(f"{len(raw) - pos} trailing bytes after path")
-    path = HummingbirdPath(meta=meta, infos=tuple(infos), hops=tuple(hops))
+    while pos < end:
+        cls = FlyoverHopField if raw[pos] & 0x80 else HopField
+        hops.append(cls.unpack(raw[pos : pos + _WORD * cls.words]))
+        pos += _WORD * cls.words
+    path = HummingbirdPath(meta=meta, infos=infos, hops=tuple(hops))
     path._validate_layout()
     return path
 

@@ -194,6 +194,15 @@ class TestPacket:
         code, _, stderr = run_cli(capsys, "packet", "encode", "--spec", str(spec))
         assert code == 2 and "bad packet spec" in stderr
 
+    def test_encode_rejects_out_of_range_hop_field(self, capsys, tmp_path, flyover_packet_obj):
+        obj = copy.deepcopy(flyover_packet_obj)
+        obj["hops"][0]["exp_time"] = 300
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(obj))
+        code, stdout, stderr = run_cli(capsys, "packet", "encode", "--spec", str(spec))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("bad packet spec: ") and "exp_time" in stderr
+
     @pytest.mark.parametrize("where, name, value", WRONG_TYPED)
     def test_encode_rejects_wrong_typed_value(
         self, capsys, tmp_path, flyover_packet_obj, where, name, value
@@ -241,6 +250,22 @@ class TestPacket:
         assert stdout == ""
         assert out.read_text() == shown
         assert "priority" in shown
+
+    def test_verify_zero_bw_flyover_forwards(self, capsys):
+        # An authentic flyover whose reservation carries BW code 0.
+        code, stdout, stderr = run_cli(
+            capsys,
+            "packet", "verify",
+            "000100000000000200640d00000140006553f10000000000010000076553f09c80ff"
+            "00010002b0c2cfadb5ec00000c00000a012c",
+            "--sv", "000102030405060708090a0b0c0d0e0f",
+            "--forwarding-key", "101112131415161718191a1b1c1d1e1f",
+            "--now-ns", "1700000000001000000",
+            "--format", "records",
+        )
+        assert (code, stderr) == (0, "")
+        record = json.loads(stdout)
+        assert (record["verdict"], record["reason"]) == ("best_effort", "over_budget")
 
     def test_verify_with_wrong_sv_drops(self, capsys, decision_case):
         code, stdout, _ = run_cli(

@@ -1186,6 +1186,20 @@ class TestStateHash:
         assert {len(str(k)) for k in state.assets} == {1, 2, 3, 4}
         assert set(walk.keeper_ids) <= set(state.assets)
 
+    def test_fragment_holds_every_field(self):
+        """Entries are rendered from the dataclass fields, so a field added
+        to a stored class is hashed with no further code."""
+
+        @dataclasses.dataclass(frozen=True)
+        class Stored(ledger_mod._Stored):
+            item_id: int
+            direction: Direction
+            blob: bytes
+            added: bool
+
+        value = Stored(7, Direction.EGRESS, b"\x00\xff", True)
+        assert value._fragment == '"7":{"added":true,"blob":"00ff","direction":"egress"}'
+
     def test_one_op_serialises_a_bounded_amount(self, monkeypatch):
         led, token, _, _ = fresh_ledger()
         for _ in range(1000):

@@ -102,18 +102,20 @@ class TestMonitor:
 
 class TestSizing:
     def test_spec_examples(self):
-        entries = policing.size_array(100_000_000_000, 100_000, 3)
+        entries = policing.size_array(100_000_000_000, 100_000)
         assert entries == 3_000_000
         assert policing.array_bytes(entries) == 24_000_000
-        entries = policing.size_array(100_000_000_000, 4_000_000, 3)
+        entries = policing.size_array(100_000_000_000, 4_000_000)
         assert entries == 75_000
         assert policing.array_bytes(entries) == 600_000
 
     def test_ceiling(self):
-        assert policing.size_array(10, 3, 1) == 4
+        # 3 * 10 / 9 = 3.33 rounds up at the fixed factor.
+        assert policing.size_array(10, 9) == 4
+        assert policing.size_array(10, 10) == 3
 
     def test_validation(self):
         with pytest.raises(policing.PolicingError):
-            policing.size_array(0, 1, 3)
+            policing.size_array(0, 1)
         with pytest.raises(policing.PolicingError):
-            policing.size_array(1, 1, 0)
+            policing.size_array(1, 0)

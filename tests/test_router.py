@@ -9,14 +9,18 @@ from hummingbird import crypto, router, source
 from hummingbird.policing import TokenBucketArray
 from hummingbird.router import Reason, RouterConfig, Verdict, process_packet
 from hummingbird.wire import (
+    PACKET_PREFIX_LEN,
     HopField,
     HummingbirdPath,
     InfoField,
     ReservationInfo,
     decode_packet,
+    decode_path,
     encode_packet,
     quantize_bw,
 )
+
+import wire_oracle
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -125,11 +129,11 @@ def build(plan, now: int = BASE_NS, payload_len: int = 100, **kwargs):
 
 def advance_to(packet, hop_index):
     """Test helper: pretend earlier hops were already consumed."""
-    words = packet.path.hop_boundaries()[hop_index]
+    starts, segments = packet.path.hop_table()
     meta = replace(
         packet.path.meta,
-        curr_hf=words,
-        curr_inf=packet.path.segment_of_word(words),
+        curr_hf=starts[hop_index],
+        curr_inf=segments[hop_index],
     )
     return replace(packet, path=replace(packet.path, meta=meta))
 
@@ -546,35 +550,14 @@ class TestBytesInterface:
         assert raw3 is not None and len(raw3) == len(raw)
 
     def test_random_corruption_never_crashes(self):
-        rng = random.Random(99)
-        packet = build(make_plan())
-        raw = bytearray(encode_packet(packet))
         cfg = make_cfg()
-        for _ in range(300):
-            corrupted = bytearray(raw)
-            for _ in range(rng.randrange(1, 4)):
-                corrupted[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
-            decision, _ = router.process_packet_bytes(cfg, bytes(corrupted))
-            assert decision.verdict in (Verdict.DROP, Verdict.BEST_EFFORT, Verdict.PRIORITY)
-
-        # Authentic packets with up to three header fields changed, seen
-        # at fresh, stale and future router clocks, reach past the parser
-        # and the MAC check.
-        bases = [
-            advance_to(build(make_plan(pre=pre, post=post), payload_len=rng.randrange(2000)), pre)
-            for pre in range(3)
-            for post in range(2)
-        ]
-        bases.append(build(boundary_plan(flyover_on_first=True), payload_len=700))
         seen = set()
-        for _ in range(2000):
-            base = rng.choice(bases)
-            buf = bytearray(encode_packet(base))
-            hop_at = 24 + 8 * base.path.meta.num_inf + 4 * base.path.meta.curr_hf
-            for _ in range(rng.randrange(4)):
-                rng.choice(MUTATIONS)(rng, buf, hop_at)
-            cfg.clock.now = BASE_NS + rng.choice((0, 0, 0, 10 * S, -S))
-            decision, out = router.process_packet_bytes(cfg, bytes(buf))
+        for raw, now, authentic in corrupted_packets(random.Random(99)):
+            cfg.clock.now = now
+            decision, out = router.process_packet_bytes(cfg, raw)
+            assert decision.verdict in (Verdict.DROP, Verdict.BEST_EFFORT, Verdict.PRIORITY)
+            if not authentic:
+                continue
             seen.add(decision.reason)
             if decision.verdict is Verdict.DROP:
                 assert out is None
@@ -590,6 +573,35 @@ class TestBytesInterface:
             Reason.PLAIN_HOP,
             Reason.NO_HOP,
         } <= seen, seen
+
+
+def corrupted_packets(rng):
+    """(bytes, router clock, authentic) for the corruption tests.
+
+    First a flyover packet with random bit flips, then authentic packets
+    with up to three header fields changed, seen at fresh, stale and
+    future router clocks, which reach past the parser and the MAC check.
+    """
+    raw = encode_packet(build(make_plan()))
+    for _ in range(300):
+        corrupted = bytearray(raw)
+        for _ in range(rng.randrange(1, 4)):
+            corrupted[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+        yield bytes(corrupted), BASE_NS, False
+
+    bases = [
+        advance_to(build(make_plan(pre=pre, post=post), payload_len=rng.randrange(2000)), pre)
+        for pre in range(3)
+        for post in range(2)
+    ]
+    bases.append(build(boundary_plan(flyover_on_first=True), payload_len=700))
+    for _ in range(2000):
+        base = rng.choice(bases)
+        buf = bytearray(encode_packet(base))
+        hop_at = 24 + 8 * base.path.meta.num_inf + 4 * base.path.meta.curr_hf
+        for _ in range(rng.randrange(4)):
+            rng.choice(MUTATIONS)(rng, buf, hop_at)
+        yield bytes(buf), BASE_NS + rng.choice((0, 0, 0, 10 * S, -S)), True
 
 
 def _set_bits(buf, offset, shift, width, rng):
@@ -619,3 +631,50 @@ MUTATIONS = (
     lambda rng, buf, hop_at: _set_bits(buf, hop_at + 12, 0, 10, rng),  # BW
     _flip_mac,
 )
+
+
+class TestFlatDecoder:
+    def test_mutated_packets_match_oracle(self):
+        """The path decoder agrees with the per-segment reference decoder
+        on every buffer of the corruption test."""
+        decoded = 0
+        for raw, _, _ in corrupted_packets(random.Random(99)):
+            path_raw = raw[PACKET_PREFIX_LEN:]
+            expected = wire_oracle.decoded_or_none(wire_oracle.decode_path, path_raw)
+            assert wire_oracle.decoded_or_none(decode_path, path_raw) == expected, raw.hex()
+            decoded += expected is not None
+        assert 300 < decoded < 2000
+
+    @pytest.mark.parametrize(
+        "plan",
+        [make_plan(pre=1, post=1), make_plan(reservation=None), boundary_plan(True)],
+        ids=["flyover", "plain", "crossing"],
+    )
+    def test_one_hop_table_walk_per_stage(self, monkeypatch, plan):
+        """Decode, router and encode each derive the hop layout once."""
+        walks = []
+        hop_table = HummingbirdPath.hop_table
+
+        def counted(self):
+            walks.append(self)
+            return hop_table(self)
+
+        raw = encode_packet(build(plan))
+        monkeypatch.setattr(HummingbirdPath, "hop_table", counted)
+        decision, out = router.process_packet_bytes(make_cfg(), raw)
+        assert out is not None, decision
+        assert len(walks) <= 3
+
+
+class TestZeroBandwidthCode:
+    def test_authentic_flyover_forwards_uncharged(self):
+        """BW code 0 reserves nothing: the packet travels best effort and
+        the policer is not asked to charge it."""
+        cfg = make_cfg()
+        before = cfg.policer.ts.tobytes()
+        raw = encode_packet(build(make_plan(reservation=make_reservation(bw_code=0))))
+        decision, out = router.process_packet_bytes(cfg, raw)
+        assert decision == router.ForwardDecision(Verdict.BEST_EFFORT, Reason.OVER_BUDGET)
+        assert decode_packet(out).path.meta.curr_hf == 5
+        assert cfg.policer.ts.tobytes() == before
+        assert cfg.policer.out_of_range == 0

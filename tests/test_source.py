@@ -4,7 +4,7 @@ import pytest
 
 from hummingbird import crypto, source
 from hummingbird.router import Verdict, process_packet
-from hummingbird.wire import PktLenOverflow, encode_packet
+from hummingbird.wire import PktLenOverflow, WireError, encode_packet
 
 from test_router import (
     BASE_NS,
@@ -40,6 +40,17 @@ class TestCounter:
 
 
 class TestBuild:
+    @pytest.mark.parametrize("flyover", [False, True], ids=["plain", "flyover"])
+    def test_out_of_range_hop_field_rejected(self, flyover):
+        # The hop MAC comes from beaconing and never sees ExpTime here, so
+        # only validating the built hop catches the 8-bit overflow.
+        res = make_reservation()
+        reservation = (res, crypto.derive_key(crypto.Prf(bytes(16)), res)) if flyover else None
+        hop = source.HopPlan(1, 2, bytes(6), exp_time=300, reservation=reservation)
+        plan = source.PathPlan(1, 2, (source.SegmentPlan(seg_id=1, timestamp=BASE_S, hops=(hop,)),))
+        with pytest.raises(WireError, match="exp_time"):
+            build(plan)
+
     def test_stamps_clock_fields(self):
         now = BASE_NS + 7 * MS + 123
         packet = build(make_plan(), now=now)

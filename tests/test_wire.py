@@ -16,7 +16,8 @@ from hummingbird.wire import (
     WireError,
 )
 
-from conftest import random_packet, random_path
+import wire_oracle
+from conftest import random_hop, random_packet, random_path
 
 
 def simple_meta(**overrides):
@@ -179,10 +180,10 @@ class TestOffsets:
                 assert raw[offset : offset + 8] == path.infos[i].pack()
             # Hop offsets: walk the buffer hop by hop and compare.
             walked = 12 + 8 * path.meta.num_inf
-            for hop, words in zip(path.hops, path.hop_boundaries()):
+            for hop, words, segment in zip(path.hops, *path.hop_table()):
                 meta = simple_meta(
                     seg_len=path.meta.seg_len,
-                    curr_inf=path.segment_of_word(words),
+                    curr_inf=segment,
                     curr_hf=words,
                 )
                 offset = wire.hop_field_offset(meta)
@@ -247,6 +248,57 @@ class TestRoundTrip:
         for cut in range(len(raw)):
             with pytest.raises(WireError):
                 wire.decode_path(raw[:cut])
+
+
+def random_path_bytes(rng: random.Random) -> bytes:
+    """Path-shaped bytes, from junk to valid, mostly near the valid domain."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randbytes(rng.randrange(120))
+    raw = bytearray(wire.encode_path(random_path(rng)))
+    if kind == 1:
+        for _ in range(rng.randrange(1, 4)):
+            raw[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+        return bytes(raw)
+    if kind == 2:
+        cut = rng.randrange(len(raw) + 1)
+        return bytes(raw[:cut]) + rng.randbytes(rng.choice((0, 0, 4, 8, 12, 20)))
+    # Valid hop fields under a meta header whose seg_len cuts the hop
+    # words anywhere, and whose pointers land anywhere nearby.
+    hops = [random_hop(rng) for _ in range(rng.randrange(7))]
+    starts = [0]
+    for hop in hops:
+        starts.append(starts[-1] + hop.words)
+    total = starts[-1]
+    cuts = sorted(rng.randrange(total + 1) for _ in range(rng.randrange(3)))
+    seg_len = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    seg_len = [length for length in seg_len if length][:3]
+    seg_len += [0] * (3 - len(seg_len))
+    num_inf = sum(1 for length in seg_len if length)
+    meta = PathMetaHdr(
+        curr_inf=rng.randrange(max(num_inf, 1)),
+        curr_hf=rng.choice((rng.choice(starts), rng.randrange(total + 2))) if num_inf else 0,
+        seg_len=tuple(seg_len),
+        base_timestamp=0,
+        millis_timestamp=0,
+        counter=0,
+    )
+    infos = [InfoField(False, True, rng.randrange(1 << 16), 0) for _ in range(num_inf)]
+    return b"".join([meta.pack(), *(i.pack() for i in infos), *(h.pack() for h in hops)])
+
+
+class TestDecodeOracle:
+    """The flat decoder against the per-segment one it replaced."""
+
+    def test_random_buffers(self):
+        rng = random.Random(13)
+        accepted = 0
+        for _ in range(5000):
+            raw = random_path_bytes(rng)
+            expected = wire_oracle.decoded_or_none(wire_oracle.decode_path, raw)
+            assert wire_oracle.decoded_or_none(wire.decode_path, raw) == expected, raw.hex()
+            accepted += expected is not None
+        assert 1000 < accepted < 4000  # both outcomes are well exercised
 
 
 class TestBandwidthCode:
