@@ -15,11 +15,14 @@ fixed local packing, so it is not interoperable with real SCION ASes.
 A key holder keeps a `Prf`: one AES-128 key with its ECB encryptor,
 built once.  ECB chains nothing and pads nothing, so each 16-byte
 block is encrypted on its own; reusing the encryptor, in any order and
-after any other block, cannot change an output.  So every function
+after any other block, cannot change an output.  For the same reason
+every `Prf` shares one stateless ECB mode object.  So every function
 here is still a pure function of its keys and inputs.
 """
 
 from __future__ import annotations
+
+import struct
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -33,9 +36,14 @@ from .wire import (
 
 KEY_LEN = 16
 TAG_LEN = 6  # default flyover tag width; test profiles may shrink it
+_HOP_MAC_INPUT = struct.Struct("!HIBHH5x")  # the block hop_field_mac encrypts
 
 # Alias for readability: the reservation key is a raw AES-128 key.
 ReservationKey = bytes
+
+# Looked up once: both sit behind the library's deprecation wrapper.
+_AES = algorithms.AES
+_ECB = modes.ECB()
 
 
 class CryptoError(ValueError):
@@ -50,7 +58,7 @@ class Prf:
     def __init__(self, key: bytes):
         if len(key) != KEY_LEN:
             raise CryptoError(f"PRF key must be {KEY_LEN} bytes, got {len(key)}")
-        self._update = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update
+        self._update = Cipher(_AES(key), _ECB).encryptor().update
 
 
 def prf_block(prf: Prf, block: bytes) -> bytes:
@@ -88,8 +96,8 @@ def aggregate_mac(hop_mac: bytes, fly_tag: bytes) -> bytes:
         raise CryptoError(f"hop MAC must be {TAG_LEN} bytes, got {len(hop_mac)}")
     if len(fly_tag) > TAG_LEN:
         raise CryptoError(f"tag longer than {TAG_LEN} bytes: {len(fly_tag)}")
-    padded = fly_tag.ljust(TAG_LEN, b"\x00")
-    return bytes(a ^ b for a, b in zip(hop_mac, padded))
+    tag = int.from_bytes(fly_tag, "big") << 8 * (TAG_LEN - len(fly_tag))
+    return (int.from_bytes(hop_mac, "big") ^ tag).to_bytes(TAG_LEN, "big")
 
 
 def hop_field_mac(forwarding_key: Prf, info: InfoField, hop: HopField) -> bytes:
@@ -101,13 +109,8 @@ def hop_field_mac(forwarding_key: Prf, info: InfoField, hop: HopField) -> bytes:
         SegID (2) | InfoTimestamp (4) | ExpTime (1) | ConsIngress (2) |
         ConsEgress (2) | zero (5)
     """
-    block = (
-        info.seg_id.to_bytes(2, "big")
-        + info.timestamp.to_bytes(4, "big")
-        + hop.exp_time.to_bytes(1, "big")
-        + hop.cons_ingress.to_bytes(2, "big")
-        + hop.cons_egress.to_bytes(2, "big")
-        + b"\x00" * 5
+    block = _HOP_MAC_INPUT.pack(
+        info.seg_id, info.timestamp, hop.exp_time, hop.cons_ingress, hop.cons_egress
     )
     return prf_block(forwarding_key, block)[:TAG_LEN]
 

@@ -25,16 +25,20 @@ best effort and never touch policer state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 from . import crypto
 from .policing import TokenBucketArray, monitor_code
 from .wire import (
+    FlyoverHopField,
     HummingbirdPath,
+    InfoField,
     Packet,
+    PathMetaHdr,
     PktLenOverflow,
+    ReservationInfo,
     WireError,
     decode_packet,
     encode_packet,
@@ -74,11 +78,18 @@ class ForwardDecision:
     reason: Reason
 
 
+# Every decision is one of these fixed values.
+_DROP = {reason: ForwardDecision(Verdict.DROP, reason) for reason in Reason}
+_BEST_EFFORT = {reason: ForwardDecision(Verdict.BEST_EFFORT, reason) for reason in Reason}
+_PRIORITY = ForwardDecision(Verdict.PRIORITY, Reason.PRIORITY)
+
+
 @dataclass
 class RouterConfig:
     """Everything one border router needs; the clock is injected.
 
     The two keys never change, so their ciphers are built once here.
+    The flyover tag fills at most the hop MAC it is folded into.
     """
 
     sv: bytes
@@ -92,6 +103,8 @@ class RouterConfig:
     forwarding_prf: crypto.Prf = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not 1 <= self.tag_len <= crypto.TAG_LEN:
+            raise crypto.CryptoError(f"tag_len must be 1 to {crypto.TAG_LEN}: {self.tag_len}")
         self.sv_prf = crypto.Prf(self.sv)
         self.forwarding_prf = crypto.Prf(self.forwarding_key)
 
@@ -99,64 +112,54 @@ class RouterConfig:
 def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, Packet]:
     """Full per-hop pipeline; returns the decision and the updated packet.
 
-    A dropped packet comes back unchanged.
+    A dropped packet comes back unchanged.  A forwarded one is built
+    once, from the fields that change and the ones that do not.
     """
     now = cfg.clock()
     path = packet.path
     meta = path.meta
+    hops = path.hops
     try:
         starts, segments = path.hop_table()
         hop_index = starts.index(meta.curr_hf)
     except (WireError, ValueError):
-        return ForwardDecision(Verdict.DROP, Reason.PARSE_ERROR), packet
-    if hop_index == len(path.hops):
-        return ForwardDecision(Verdict.DROP, Reason.NO_HOP), packet
+        return _DROP[Reason.PARSE_ERROR], packet
+    if hop_index == len(hops):
+        return _DROP[Reason.NO_HOP], packet
 
     # The hop fields this AS owns.  A segment-crossing AS owns the hop
     # field closing the current segment and the one opening the next;
     # its flyover, if any, sits on the first, so one on the second is
     # malformed.
     seg_index = segments[hop_index]
-    owned = [hop_index]
-    if hop_index + 1 < len(path.hops) and segments[hop_index + 1] != seg_index:
-        if path.hops[hop_index + 1].flyover:
-            return ForwardDecision(Verdict.DROP, Reason.MISPLACED_FLYOVER), packet
-        owned.append(hop_index + 1)
+    next_index = hop_index + 1
+    if next_index < len(hops) and segments[next_index] != seg_index:
+        if hops[next_index].flyover:
+            return _DROP[Reason.MISPLACED_FLYOVER], packet
+        next_index += 1
 
-    hops = list(path.hops)
-    infos = list(path.infos)
     first = hops[hop_index]
+    first_mac = first.mac
     reason = Reason.PLAIN_HOP
     if first.flyover:
-        res_start = (meta.base_timestamp - first.res_start_offset) % (1 << 32)
-        res = crypto.ReservationInfo(
-            ingress=first.cons_ingress,
-            egress=first.cons_egress,
-            res_id=first.res_id,
-            bw_code=first.bw,
-            res_start=res_start,
-            duration=first.res_duration,
-        )
-        # The packet's own A_K: the one cipher a hop builds.
-        a_key = crypto.Prf(crypto.derive_key(cfg.sv_prf, res))
         try:
             pkt_len = packet.pkt_len_for_mac()
         except PktLenOverflow:
-            return ForwardDecision(Verdict.DROP, Reason.PKT_LEN_OVERFLOW), packet
-        tag = crypto.flyover_mac(
-            a_key,
-            packet.dst_isd,
-            packet.dst_as,
-            pkt_len,
-            first.res_start_offset,
-            meta.millis_timestamp,
-            meta.counter,
-            cfg.tag_len,
+            return _DROP[Reason.PKT_LEN_OVERFLOW], packet
+        res_start = (meta.base_timestamp - first.res_start_offset) % (1 << 32)
+        res = ReservationInfo(
+            first.cons_ingress, first.cons_egress, first.res_id, first.bw, res_start,
+            first.res_duration,
         )
-        # The candidate hop MAC goes into the header before the gates, so
-        # a stale but authentic packet still verifies (and travels) as a
-        # plain hop.
-        hops[hop_index] = replace(first, mac=crypto.aggregate_mac(first.mac, tag))
+        # The packet's own A_K: the one cipher a hop builds.
+        a_key = crypto.Prf(crypto.derive_key(cfg.sv_prf, res))
+        tag = crypto.flyover_mac(
+            a_key, packet.dst_isd, packet.dst_as, pkt_len, first.res_start_offset,
+            meta.millis_timestamp, meta.counter, cfg.tag_len,
+        )
+        # The candidate hop MAC is what the header carries on, so a stale
+        # but authentic packet still verifies (and travels) as a plain hop.
+        first_mac = crypto.aggregate_mac(first.mac, tag)
         age = now - (meta.base_timestamp * 1000 + meta.millis_timestamp) * NS_PER_MS
         if age < -cfg.delta_ns:
             reason = Reason.FUTURE_TIMESTAMP
@@ -168,33 +171,39 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
             reason = Reason.PRIORITY
 
     # Each owned hop field verifies against its own segment's info field.
-    for info_index, index in enumerate(owned, seg_index):
+    infos = list(path.infos)
+    for info_index, index in enumerate(range(hop_index, next_index), seg_index):
         hop, info = hops[index], infos[info_index]
         if now > info.timestamp * NS_PER_S + (hop.exp_time + 1) * EXP_TIME_UNIT_NS:
-            return ForwardDecision(Verdict.DROP, Reason.HOP_EXPIRED), packet
+            return _DROP[Reason.HOP_EXPIRED], packet
         expected = crypto.hop_field_mac(cfg.forwarding_prf, info, hop)
-        if expected != hop.mac:
-            return ForwardDecision(Verdict.DROP, Reason.MAC_MISMATCH), packet
-        infos[info_index] = replace(info, seg_id=crypto.update_seg_id(info.seg_id, expected))
+        if expected != (first_mac if index == hop_index else hop.mac):
+            return _DROP[Reason.MAC_MISMATCH], packet
+        seg_id = crypto.update_seg_id(info.seg_id, expected)
+        infos[info_index] = InfoField(info.peering, info.cons_dir, seg_id, info.timestamp)
 
+    if first.flyover:
+        hops = list(hops)
+        hops[hop_index] = FlyoverHopField(
+            first.ingress_alert, first.egress_alert, first.exp_time, first.cons_ingress,
+            first.cons_egress, first_mac, first.res_id, first.bw, first.res_start_offset,
+            first.res_duration,
+        )
     # Past the last hop, CurrINF stays on the last hop's segment.
-    next_index = owned[-1] + 1
     curr_inf = segments[min(next_index, len(segments) - 1)]
-    packet = replace(
-        packet,
-        path=HummingbirdPath(
-            meta=replace(meta, curr_hf=starts[next_index], curr_inf=curr_inf),
-            infos=tuple(infos),
-            hops=tuple(hops),
-        ),
+    meta = PathMetaHdr(
+        curr_inf, starts[next_index], meta.seg_len,
+        meta.base_timestamp, meta.millis_timestamp, meta.counter,
     )
+    path = HummingbirdPath(meta, tuple(infos), tuple(hops))
+    packet = Packet(packet.dst_isd, packet.dst_as, packet.payload_len, path)
 
     if reason is not Reason.PRIORITY:
-        return ForwardDecision(Verdict.BEST_EFFORT, reason), packet
+        return _BEST_EFFORT[reason], packet
     # BW code 0 reserves no bandwidth, so there is no budget to charge.
     if first.bw and monitor_code(cfg.policer, first.res_id, first.bw, pkt_len, now):
-        return ForwardDecision(Verdict.PRIORITY, Reason.PRIORITY), packet
-    return ForwardDecision(Verdict.BEST_EFFORT, Reason.OVER_BUDGET), packet
+        return _PRIORITY, packet
+    return _BEST_EFFORT[Reason.OVER_BUDGET], packet
 
 
 def process_packet_bytes(cfg: RouterConfig, raw: bytes) -> tuple[ForwardDecision, bytes | None]:
@@ -202,7 +211,7 @@ def process_packet_bytes(cfg: RouterConfig, raw: bytes) -> tuple[ForwardDecision
     try:
         packet = decode_packet(raw)
     except WireError:
-        return ForwardDecision(Verdict.DROP, Reason.PARSE_ERROR), None
+        return _DROP[Reason.PARSE_ERROR], None
     decision, packet = process_packet(cfg, packet)
     if decision.verdict is Verdict.DROP:
         return decision, None

@@ -10,8 +10,11 @@ reads are modeled: destination ISD/AS, payload length, header length).
 
 All codec types are immutable; encode and decode validate the same
 invariants, so decode(encode(p)) == p and encode(decode(b)) == b on the
-valid domain.  Which word each hop starts at and which segment it
-belongs to is derived in one place, `HummingbirdPath.hop_table`.
+valid domain.  Each record's layout is one precompiled `struct.Struct`,
+which range-checks every byte-aligned field on encode; decode checks
+only what field widths do not already guarantee.  Which word each hop
+starts at and which segment it belongs to is derived in one place,
+`HummingbirdPath.hop_table`.
 """
 
 from __future__ import annotations
@@ -46,8 +49,27 @@ def _check(value: int, bits: int, name: str) -> int:
     return value
 
 
+def _pack(record, *values) -> bytes:
+    """The record's layout over values; on a refusal, validate() names the field."""
+    try:
+        return record._struct.pack(*values)
+    except struct.error:
+        record.validate()
+        raise
+
+
+class _Record:
+    """A fixed-size wire record: `_struct` is its one layout, `_what` its name."""
+
+    @classmethod
+    def unpack(cls, raw: bytes):
+        if len(raw) != cls._struct.size:
+            raise WireError(f"{cls._what} needs {cls._struct.size} bytes, got {len(raw)}")
+        return cls.unpack_from(raw, 0)
+
+
 @dataclass(frozen=True)
-class PathMetaHdr:
+class PathMetaHdr(_Record):
     """Path meta header.
 
         0                   1                   2                   3
@@ -73,14 +95,13 @@ class PathMetaHdr:
     millis_timestamp: int
     counter: int
 
+    _struct = struct.Struct("!III")
+    _what = "meta header"
+
     @property
     def num_inf(self) -> int:
-        n = 0
-        for length in self.seg_len:
-            if length == 0:
-                break
-            n += 1
-        return n
+        """Segments before the first empty one."""
+        return (*self.seg_len, 0).index(0)
 
     @property
     def total_hop_words(self) -> int:
@@ -95,54 +116,46 @@ class PathMetaHdr:
             _check(length, 7, f"seg{i}_len")
         _check(self.base_timestamp, 32, "base_timestamp")
         _check(self.millis_timestamp, 10, "millis_timestamp")
+        _check(self.counter, 22, "counter")
+        self._check_across_fields()
+
+    def _check_across_fields(self) -> None:
+        """The checks that field widths do not already guarantee."""
         if self.millis_timestamp >= 1000:
             raise WireError(f"millis_timestamp must be < 1000: {self.millis_timestamp}")
-        _check(self.counter, 22, "counter")
-        seen_zero = False
-        for i, length in enumerate(self.seg_len):
-            if length == 0:
-                seen_zero = True
-            elif seen_zero:
+        num_inf = self.num_inf
+        for i in range(num_inf + 1, 3):
+            if self.seg_len[i]:
                 raise WireError(f"seg{i}_len > 0 after an empty segment")
-        if self.num_inf == 0:
+        if num_inf == 0:
             if self.curr_inf != 0 or self.curr_hf != 0:
                 raise WireError("empty path requires curr_inf == curr_hf == 0")
-        elif self.curr_inf >= self.num_inf:
-            raise WireError(f"curr_inf {self.curr_inf} >= num_inf {self.num_inf}")
+        elif self.curr_inf >= num_inf:
+            raise WireError(f"curr_inf {self.curr_inf} >= num_inf {num_inf}")
 
     def pack(self) -> bytes:
+        # Every field but the timestamp is bit-packed, so all are checked here.
         self.validate()
-        w0 = (
-            self.curr_inf << 30
-            | self.curr_hf << 22
-            | self.seg_len[0] << 14
-            | self.seg_len[1] << 7
-            | self.seg_len[2]
+        seg0, seg1, seg2 = self.seg_len
+        return self._struct.pack(
+            self.curr_inf << 30 | self.curr_hf << 22 | seg0 << 14 | seg1 << 7 | seg2,
+            self.base_timestamp,
+            self.millis_timestamp << 22 | self.counter,
         )
-        w2 = self.millis_timestamp << 22 | self.counter
-        return struct.pack("!III", w0, self.base_timestamp, w2)
 
     @classmethod
-    def unpack(cls, raw: bytes) -> "PathMetaHdr":
-        if len(raw) != META_LEN:
-            raise WireError(f"meta header needs {META_LEN} bytes, got {len(raw)}")
-        w0, base, w2 = struct.unpack("!III", raw)
+    def unpack_from(cls, buf, offset: int) -> PathMetaHdr:
+        w0, base, w2 = cls._struct.unpack_from(buf, offset)
         if w0 >> 21 & 0x1:
             raise WireError("reserved bit set in path meta header")
-        meta = cls(
-            curr_inf=w0 >> 30,
-            curr_hf=w0 >> 22 & 0xFF,
-            seg_len=(w0 >> 14 & 0x7F, w0 >> 7 & 0x7F, w0 & 0x7F),
-            base_timestamp=base,
-            millis_timestamp=w2 >> 22,
-            counter=w2 & 0x3FFFFF,
-        )
-        meta.validate()
+        seg_len = (w0 >> 14 & 0x7F, w0 >> 7 & 0x7F, w0 & 0x7F)
+        meta = cls(w0 >> 30, w0 >> 22 & 0xFF, seg_len, base, w2 >> 22, w2 & 0x3FFFFF)
+        meta._check_across_fields()
         return meta
 
 
 @dataclass(frozen=True)
-class InfoField:
+class InfoField(_Record):
     """Segment info field.
 
         0                   1                   2                   3
@@ -163,32 +176,27 @@ class InfoField:
     seg_id: int
     timestamp: int
 
+    _struct = struct.Struct("!BBHI")
+    _what = "info field"
+
     def validate(self) -> None:
         _check(self.seg_id, 16, "seg_id")
         _check(self.timestamp, 32, "info timestamp")
 
     def pack(self) -> bytes:
-        self.validate()
         flags = self.peering << 1 | self.cons_dir
-        return struct.pack("!BBHI", flags, 0, self.seg_id, self.timestamp)
+        return _pack(self, flags, 0, self.seg_id, self.timestamp)
 
     @classmethod
-    def unpack(cls, raw: bytes) -> "InfoField":
-        if len(raw) != INFO_LEN:
-            raise WireError(f"info field needs {INFO_LEN} bytes, got {len(raw)}")
-        flags, rsv, seg_id, timestamp = struct.unpack("!BBHI", raw)
+    def unpack_from(cls, buf, offset: int) -> InfoField:
+        flags, rsv, seg_id, timestamp = cls._struct.unpack_from(buf, offset)
         if flags & ~0x03 or rsv:
             raise WireError("reserved bits set in info field")
-        return cls(
-            peering=bool(flags & 0x02),
-            cons_dir=bool(flags & 0x01),
-            seg_id=seg_id,
-            timestamp=timestamp,
-        )
+        return cls(bool(flags & 0x02), bool(flags & 0x01), seg_id, timestamp)
 
 
 @dataclass(frozen=True)
-class HopField:
+class HopField(_Record):
     """Plain hop field.
 
         0                   1                   2                   3
@@ -215,6 +223,8 @@ class HopField:
 
     flyover = False
     words = HOP_LEN // _WORD
+    _struct = struct.Struct("!BBHH6s")
+    _what = "hop field"
 
     def validate(self) -> None:
         _check(self.exp_time, 8, "exp_time")
@@ -224,30 +234,27 @@ class HopField:
             raise WireError(f"hop MAC must be {MAC_LEN} bytes, got {len(self.mac)}")
 
     def pack(self) -> bytes:
-        self.validate()
-        flags = self.flyover << 7 | self.ingress_alert << 1 | self.egress_alert
-        return (
-            struct.pack("!BBHH", flags, self.exp_time, self.cons_ingress, self.cons_egress)
-            + self.mac
-        )
+        # struct pads or cuts a bytes field, so the MAC length is checked here.
+        if len(self.mac) != MAC_LEN:
+            self.validate()
+        flags = self.ingress_alert << 1 | self.egress_alert
+        return _pack(self, flags, self.exp_time, self.cons_ingress, self.cons_egress, self.mac)
 
     @classmethod
-    def unpack(cls, raw: bytes) -> "HopField":
-        if len(raw) != HOP_LEN:
-            raise WireError(f"hop field needs {HOP_LEN} bytes, got {len(raw)}")
-        return cls(*_unpack_hop_prefix(raw))
+    def unpack_from(cls, buf, offset: int) -> HopField:
+        flags, *values = cls._struct.unpack_from(buf, offset)
+        return cls(*_alerts(flags), *values)
 
     def plain(self) -> HopField:
         """The plain hop field holding this one's first six fields."""
         return HopField(*(getattr(self, f.name) for f in fields(HopField)))
 
 
-def _unpack_hop_prefix(raw: bytes) -> tuple:
-    """The six HopField values of the 12 bytes every hop field starts with."""
-    flags, exp_time, ingress, egress = struct.unpack("!BBHH", raw[:6])
+def _alerts(flags: int) -> tuple[bool, bool]:
+    """The ingress and egress alert bits of a hop field's flags byte."""
     if flags & 0x7C:
         raise WireError("reserved bits set in hop field flags")
-    return bool(flags & 0x02), bool(flags & 0x01), exp_time, ingress, egress, raw[6:12]
+    return bool(flags & 0x02), bool(flags & 0x01)
 
 
 @dataclass(frozen=True)
@@ -277,6 +284,8 @@ class FlyoverHopField(HopField):
 
     flyover = True
     words = FLYOVER_HOP_LEN // _WORD
+    _struct = struct.Struct("!BBHH6sIHH")
+    _what = "flyover hop field"
 
     def validate(self) -> None:
         super().validate()
@@ -286,17 +295,20 @@ class FlyoverHopField(HopField):
         _check(self.res_duration, 16, "res_duration")
 
     def pack(self) -> bytes:
-        return super().pack() + struct.pack(
-            "!IHH", self.res_id << 10 | self.bw, self.res_start_offset, self.res_duration
+        # As for a plain hop field, plus ResID and BW, which share one word.
+        if len(self.mac) != MAC_LEN or not (0 <= self.res_id < 1 << 22 and 0 <= self.bw < 1 << 10):
+            self.validate()
+        flags = 0x80 | self.ingress_alert << 1 | self.egress_alert
+        return _pack(
+            self, flags, self.exp_time, self.cons_ingress, self.cons_egress, self.mac,
+            self.res_id << 10 | self.bw, self.res_start_offset, self.res_duration,
         )
 
     @classmethod
-    def unpack(cls, raw: bytes) -> "FlyoverHopField":
-        if len(raw) != FLYOVER_HOP_LEN:
-            raise WireError(f"flyover hop field needs {FLYOVER_HOP_LEN} bytes, got {len(raw)}")
-        res_word, start_offset, duration = struct.unpack("!IHH", raw[12:20])
+    def unpack_from(cls, buf, offset: int) -> FlyoverHopField:
+        flags, *values, res_word, start_offset, duration = cls._struct.unpack_from(buf, offset)
         return cls(
-            *_unpack_hop_prefix(raw), res_word >> 10, res_word & 0x3FF, start_offset, duration
+            *_alerts(flags), *values, res_word >> 10, res_word & 0x3FF, start_offset, duration
         )
 
 
@@ -323,17 +335,20 @@ class HummingbirdPath:
 
         Raises WireError unless the hops tile the seg_len word counts.
         """
-        starts, segments, seg = [0], [], 0
         seg_ends = list(accumulate(self.meta.seg_len[: self.meta.num_inf]))
+        starts, segments, seg, word = [0], [], 0, 0
+        end = seg_ends[0] if seg_ends else 0  # past the last segment: its end
         for hop in self.hops:
-            if seg == len(seg_ends):
+            if word == end:
                 raise WireError("hop fields left over after the last segment")
-            starts.append(starts[-1] + hop.words)
+            word += hop.words
+            starts.append(word)
             segments.append(seg)
-            if starts[-1] > seg_ends[seg]:
-                raise WireError(f"hop fields do not tile segment {seg}")
-            if starts[-1] == seg_ends[seg]:
+            if word >= end:
+                if word > end:
+                    raise WireError(f"hop fields do not tile segment {seg}")
                 seg += 1
+                end = seg_ends[seg] if seg < len(seg_ends) else word
         if seg != len(seg_ends):
             raise WireError(f"hop fields do not tile segment {seg}")
         return starts, segments
@@ -362,18 +377,18 @@ class HummingbirdPath:
 
     def _validate_layout(self) -> None:
         """The checks across fields; assumes each field is valid on its own."""
-        if len(self.infos) != self.meta.num_inf:
-            raise WireError(
-                f"{len(self.infos)} info fields but seg_len declares {self.meta.num_inf}"
-            )
+        meta = self.meta
+        num_inf = meta.num_inf
+        if len(self.infos) != num_inf:
+            raise WireError(f"{len(self.infos)} info fields but seg_len declares {num_inf}")
         starts, segments = self.hop_table()
-        if self.meta.num_inf > 0:
-            index = _hop_at(starts, self.meta.curr_hf)
+        if num_inf > 0:
+            index = _hop_at(starts, meta.curr_hf)
             # Past the last hop, CurrINF stays on the last hop's segment.
             expect_inf = segments[min(index, len(segments) - 1)]
-            if self.meta.curr_inf != expect_inf:
+            if meta.curr_inf != expect_inf:
                 raise WireError(
-                    f"curr_inf {self.meta.curr_inf} does not match hop position"
+                    f"curr_inf {meta.curr_inf} does not match hop position"
                     f" (expected {expect_inf})"
                 )
 
@@ -386,32 +401,37 @@ def _hop_at(starts: list[int], curr_hf: int) -> int:
         raise WireError(f"curr_hf {curr_hf} is not on a hop boundary") from None
 
 
-# encode_path and decode_path check each field once, in pack or unpack,
+# encode_path and decode_path check each field once, in pack or unpack_from,
 # and then the layout across fields.
 def encode_path(path: HummingbirdPath) -> bytes:
     parts = [path.meta.pack()]
-    parts.extend(info.pack() for info in path.infos)
+    for info in path.infos:
+        parts.append(info.pack())
     path._validate_layout()
-    parts.extend(hop.pack() for hop in path.hops)
+    for hop in path.hops:
+        parts.append(hop.pack())
     return b"".join(parts)
 
 
 def decode_path(raw: bytes) -> HummingbirdPath:
-    """Read the fields the meta header declares; the F bit sizes each hop."""
+    """Read the declared fields in place (raw may be a view); the F bit sizes each hop."""
     if len(raw) < META_LEN:
         raise WireError(f"truncated path: {len(raw)} bytes")
-    meta = PathMetaHdr.unpack(raw[:META_LEN])
+    meta = PathMetaHdr.unpack_from(raw, 0)
     pos = META_LEN + INFO_LEN * meta.num_inf
     end = pos + _WORD * meta.total_hop_words
     if len(raw) != end:
         raise WireError(f"meta header declares {end} path bytes, got {len(raw)}")
-    infos = tuple(InfoField.unpack(raw[i : i + INFO_LEN]) for i in range(META_LEN, pos, INFO_LEN))
+    infos = tuple(InfoField.unpack_from(raw, i) for i in range(META_LEN, pos, INFO_LEN))
     hops: list[HopField] = []
     while pos < end:
         cls = FlyoverHopField if raw[pos] & 0x80 else HopField
-        hops.append(cls.unpack(raw[pos : pos + _WORD * cls.words]))
-        pos += _WORD * cls.words
-    path = HummingbirdPath(meta=meta, infos=infos, hops=tuple(hops))
+        hop_len = cls._struct.size
+        if pos + hop_len > end:
+            raise WireError(f"{cls._what} needs {hop_len} bytes, got {end - pos}")
+        hops.append(cls.unpack_from(raw, pos))
+        pos += hop_len
+    path = HummingbirdPath(meta, infos, tuple(hops))
     path._validate_layout()
     return path
 
@@ -480,6 +500,8 @@ class ReservationInfo:
     res_start: int
     duration: int
 
+    _struct = struct.Struct("!HHIIH2x")
+
     def validate(self) -> None:
         _check(self.ingress, 16, "ingress")
         _check(self.egress, 16, "egress")
@@ -491,54 +513,51 @@ class ReservationInfo:
 
 def resinfo_block(res: ReservationInfo) -> bytes:
     """16-byte key-derivation input: In | Eg | ResID | BW | StrT | Dur | pad."""
-    res.validate()
-    return (
-        struct.pack("!HH", res.ingress, res.egress)
-        + struct.pack("!I", res.res_id << 10 | res.bw_code)
-        + struct.pack("!IH", res.res_start, res.duration)
-        + b"\x00\x00"
+    # ResID and BW share one word, so their widths are checked here.
+    if not (0 <= res.res_id < 1 << 22 and 0 <= res.bw_code < 1 << 10):
+        res.validate()
+    return _pack(
+        res, res.ingress, res.egress, res.res_id << 10 | res.bw_code, res.res_start, res.duration
     )
 
 
 def parse_resinfo_block(raw: bytes) -> ReservationInfo:
     if len(raw) != 16:
         raise WireError(f"reservation block needs 16 bytes, got {len(raw)}")
-    ingress, egress, res_word, res_start, duration = struct.unpack("!HHIIH", raw[:14])
+    ingress, egress, res_word, res_start, duration = ReservationInfo._struct.unpack(raw)
     if raw[14:] != b"\x00\x00":
         raise WireError("reservation block padding must be zero")
-    res = ReservationInfo(
-        ingress=ingress,
-        egress=egress,
-        res_id=res_word >> 10,
-        bw_code=res_word & 0x3FF,
-        res_start=res_start,
-        duration=duration,
-    )
-    res.validate()
-    return res
+    return ReservationInfo(ingress, egress, res_word >> 10, res_word & 0x3FF, res_start, duration)
+
+
+_MAC_INPUT = struct.Struct("!HHIHHI")
+_MAC_INPUT_WIDTHS = (
+    (16, "dst_isd"), (48, "dst_as"), (16, "pkt_len"),
+    (16, "res_start_offset"), (10, "millis"), (22, "counter"),
+)
 
 
 def mac_input_block(
-    dst_isd: int,
-    dst_as: int,
-    pkt_len: int,
-    res_start_offset: int,
-    millis: int,
-    counter: int,
+    dst_isd: int, dst_as: int, pkt_len: int, res_start_offset: int, millis: int, counter: int
 ) -> bytes:
     """16-byte flyover MAC input: DstISD | DstAS | PktLen | offset | TS."""
-    _check(dst_isd, 16, "dst_isd")
-    _check(dst_as, 48, "dst_as")
-    _check(pkt_len, 16, "pkt_len")
-    _check(res_start_offset, 16, "res_start_offset")
-    _check(millis, 10, "millis")
-    _check(counter, 22, "counter")
-    return (
-        dst_isd.to_bytes(2, "big")
-        + dst_as.to_bytes(6, "big")
-        + struct.pack("!HH", pkt_len, res_start_offset)
-        + struct.pack("!I", millis << 22 | counter)
-    )
+    values = dst_isd, dst_as, pkt_len, res_start_offset, millis, counter
+    # The timestamp pair shares one word, so its widths are checked here.
+    if not (0 <= millis < 1 << 10 and 0 <= counter < 1 << 22):
+        _check_each(values, _MAC_INPUT_WIDTHS)
+    timestamp = millis << 22 | counter
+    try:
+        return _MAC_INPUT.pack(
+            dst_isd, dst_as >> 32, dst_as & 0xFFFFFFFF, pkt_len, res_start_offset, timestamp
+        )
+    except struct.error:
+        _check_each(values, _MAC_INPUT_WIDTHS)
+        raise
+
+
+def _check_each(values: tuple, widths: tuple) -> None:
+    for value, (bits, name) in zip(values, widths):
+        _check(value, bits, name)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +581,8 @@ class Packet:
     dst_as: int
     payload_len: int
     path: HummingbirdPath
+
+    _prefix = struct.Struct("!HHIHBB")  # DstAS as its high 16 and low 32 bits
 
     @property
     def hdr_len(self) -> int:
@@ -598,30 +619,25 @@ def pkt_len_for_mac(payload_len: int, hdr_len: int) -> int:
 # encode_packet and decode_packet check the prefix themselves and leave
 # the path to encode_path and decode_path, so each check runs once.
 def encode_packet(packet: Packet) -> bytes:
-    packet._validate_prefix()
-    prefix = (
-        packet.dst_isd.to_bytes(2, "big")
-        + packet.dst_as.to_bytes(6, "big")
-        + struct.pack("!HBB", packet.payload_len, packet.hdr_len, 0)
-    )
+    isd, dst_as, payload_len = packet.dst_isd, packet.dst_as, packet.payload_len
+    try:
+        prefix = Packet._prefix.pack(
+            isd, dst_as >> 32, dst_as & 0xFFFFFFFF, payload_len, packet.hdr_len, 0
+        )
+    except struct.error:
+        packet._validate_prefix()
+        raise
     return prefix + encode_path(packet.path)
 
 
 def decode_packet(raw: bytes) -> Packet:
+    """Every prefix value fits its field, and hdr_len its byte, by construction."""
     if len(raw) < PACKET_PREFIX_LEN:
         raise WireError(f"truncated packet prefix: {len(raw)} bytes")
-    dst_isd = int.from_bytes(raw[0:2], "big")
-    dst_as = int.from_bytes(raw[2:8], "big")
-    payload_len, hdr_len, rsv = struct.unpack("!HBB", raw[8:12])
+    dst_isd, as_high, as_low, payload_len, hdr_len, rsv = Packet._prefix.unpack_from(raw)
     if rsv:
         raise WireError("reserved prefix byte must be zero")
     if len(raw) != hdr_len * _WORD:
         raise WireError(f"hdr_len declares {hdr_len * _WORD} bytes, got {len(raw)}")
-    packet = Packet(
-        dst_isd=dst_isd,
-        dst_as=dst_as,
-        payload_len=payload_len,
-        path=decode_path(raw[PACKET_PREFIX_LEN:]),
-    )
-    packet._validate_prefix()
-    return packet
+    path = decode_path(memoryview(raw)[PACKET_PREFIX_LEN:])
+    return Packet(dst_isd, as_high << 32 | as_low, payload_len, path)

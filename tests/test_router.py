@@ -20,6 +20,7 @@ from hummingbird.wire import (
     quantize_bw,
 )
 
+import router_oracle
 import wire_oracle
 
 MS = 1_000_000
@@ -678,3 +679,84 @@ class TestZeroBandwidthCode:
         assert decode_packet(out).path.meta.curr_hf == 5
         assert cfg.policer.ts.tobytes() == before
         assert cfg.policer.out_of_range == 0
+
+
+class TestConfig:
+    @pytest.mark.parametrize("tag_len", [0, 7, 17])
+    def test_unusable_tag_len_refused(self, tag_len):
+        """A tag wider than the hop MAC could not be folded into it, so the
+        router would raise on every flyover; the config refuses it."""
+        with pytest.raises(crypto.CryptoError, match="tag_len"):
+            make_cfg(tag_len=tag_len)
+
+    def test_every_usable_tag_len_forwards_flyovers(self):
+        for tag_len in range(1, crypto.TAG_LEN + 1):
+            raw = encode_packet(build(make_plan(), tag_len=tag_len))
+            decision, _ = router.process_packet_bytes(make_cfg(tag_len=tag_len), raw)
+            assert decision == router.ForwardDecision(Verdict.PRIORITY, Reason.PRIORITY)
+
+
+def one_packet_of_each_kind():
+    """(bytes, router clock, expected reason) for every way one hop can end,
+    and for the last hop of a path that leaves it in its second segment."""
+    flyover = encode_packet(build(make_plan()))
+    forged = bytearray(flyover)
+    forged[PACKET_PREFIX_LEN + 12 + 8 + 6] ^= 1  # first byte of the first hop's MAC
+    overflow = bytearray(flyover)
+    struct.pack_into("!H", overflow, 8, 0xFFFF)  # PayloadLen
+    expired = make_reservation(res_start=BASE_S - 100, duration=50)
+    inactive = build(make_plan(reservation=expired), allow_inactive=True)
+    misplaced = boundary_plan(flyover_on_first=False, misplaced=True)
+    _, crossed = process_packet(make_cfg(), build(boundary_plan(False)))
+    return [
+        (encode_packet(build(make_plan(reservation=None))), BASE_NS, Reason.PLAIN_HOP),
+        (encode_packet(build(boundary_plan(False))), BASE_NS, Reason.PLAIN_HOP),
+        (encode_packet(build(boundary_plan(True))), BASE_NS, Reason.PRIORITY),
+        (encode_packet(crossed), BASE_NS, Reason.PLAIN_HOP),
+        (flyover, BASE_NS, Reason.PRIORITY),
+        (flyover, BASE_NS + 10 * S, Reason.STALE_TIMESTAMP),
+        (flyover, BASE_NS - router.DEFAULT_DELTA_NS - 1, Reason.FUTURE_TIMESTAMP),
+        (encode_packet(inactive), BASE_NS, Reason.RESERVATION_INACTIVE),
+        (bytes(forged), BASE_NS, Reason.MAC_MISMATCH),
+        (bytes(overflow), BASE_NS, Reason.PKT_LEN_OVERFLOW),
+        (encode_packet(build(misplaced)), BASE_NS, Reason.MISPLACED_FLYOVER),
+    ]
+
+
+class TestRouterOracle:
+    """The bytes pipeline against `router_oracle`, the step it replaced
+    with its own codec: same decision, same output bytes and the same
+    policer state after every packet."""
+
+    def assert_same(self, cases) -> list[router.ForwardDecision]:
+        cfg, ref = make_cfg(), make_cfg()
+        decisions = []
+        for raw, now in cases:
+            cfg.clock.now = ref.clock.now = now
+            decision, out = router.process_packet_bytes(cfg, raw)
+            assert (decision, out) == router_oracle.process_packet_bytes(ref, raw), raw.hex()
+            assert cfg.policer.ts.tobytes() == ref.policer.ts.tobytes()
+            assert cfg.policer.out_of_range == ref.policer.out_of_range
+            decisions.append(decision)
+        return decisions
+
+    def test_random_bytes(self):
+        rng = random.Random(21)
+        cases = []
+        for _ in range(3000):
+            raw = bytearray(rng.randbytes(4 * rng.randrange(24)))
+            if len(raw) >= PACKET_PREFIX_LEN and rng.random() < 0.5:
+                raw[10], raw[11] = len(raw) // 4, 0  # a prefix that lets the path be read
+            cases.append((bytes(raw), BASE_NS))
+        self.assert_same(cases)
+
+    def test_corrupted_packets(self):
+        decisions = self.assert_same(
+            (raw, now) for raw, now, _ in corrupted_packets(random.Random(99))
+        )
+        assert len({d.reason for d in decisions}) >= 8
+
+    def test_one_packet_of_each_kind(self):
+        cases = one_packet_of_each_kind()
+        decisions = self.assert_same((raw, now) for raw, now, _ in cases)
+        assert [d.reason for d in decisions] == [reason for _, _, reason in cases]

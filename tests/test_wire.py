@@ -124,9 +124,128 @@ class TestHopFields:
             (fly_hop(mac=bytes(5), bw=1 << 10), "hop MAC"),
             (fly_hop(res_id=1 << 22), "res_id"),
             (fly_hop(res_duration=1 << 16), "res_duration"),
+            (fly_hop(cons_egress=-1, bw=1 << 10), "cons_egress"),
+            (fly_hop(mac=bytes(7), res_start_offset=-1), "hop MAC"),
         ):
             with pytest.raises(WireError, match=message):
                 bad.pack()
+
+
+def info_field(**overrides):
+    fields = dict(peering=False, cons_dir=True, seg_id=9, timestamp=1_700_000_000)
+    fields.update(overrides)
+    return InfoField(**fields)
+
+
+# (record builder, field, width, name in the message) for every range-checked field.
+FIELD_WIDTHS = [
+    (simple_meta, "curr_inf", 2, "curr_inf"),
+    (simple_meta, "curr_hf", 8, "curr_hf"),
+    (simple_meta, "base_timestamp", 32, "base_timestamp"),
+    (simple_meta, "millis_timestamp", 10, "millis_timestamp"),
+    (simple_meta, "counter", 22, "counter"),
+    (info_field, "seg_id", 16, "seg_id"),
+    (info_field, "timestamp", 32, "info timestamp"),
+    *(
+        (builder, name, bits, name)
+        for builder in (plain_hop, fly_hop)
+        for name, bits in (("exp_time", 8), ("cons_ingress", 16), ("cons_egress", 16))
+    ),
+    (fly_hop, "res_id", 22, "res_id"),
+    (fly_hop, "bw", 10, "bw"),
+    (fly_hop, "res_start_offset", 16, "res_start_offset"),
+    (fly_hop, "res_duration", 16, "res_duration"),
+]
+
+
+def out_of_range_records():
+    """(bad record, the message its check gives) for each field and bound."""
+    for builder, field, bits, name in FIELD_WIDTHS:
+        for value in (-1, 1 << bits):
+            yield builder(**{field: value}), f"{name} out of range for {bits}-bit field: {value}"
+    for i in range(3):
+        seg_len = [3, 0, 0]
+        seg_len[i] = 1 << 7
+        yield simple_meta(seg_len=tuple(seg_len)), f"seg{i}_len out of range for 7-bit field: 128"
+    yield simple_meta(seg_len=(3, 0)), "seg_len must have exactly three entries"
+    yield simple_meta(millis_timestamp=1000), "millis_timestamp must be < 1000: 1000"
+    for builder in (plain_hop, fly_hop):
+        for length in (5, 7):
+            yield builder(mac=bytes(length)), f"hop MAC must be 6 bytes, got {length}"
+    # With two bad fields, the first in field order is named.
+    yield simple_meta(curr_inf=4, counter=1 << 22), "curr_inf out of range for 2-bit field: 4"
+    yield plain_hop(exp_time=256, mac=bytes(5)), "exp_time out of range for 8-bit field: 256"
+
+
+def in_packet(record):
+    """A packet that carries record and is valid everywhere else."""
+    if isinstance(record, PathMetaHdr):
+        return Packet(1, 2, 100, replace(one_segment_path([plain_hop()]), meta=record))
+    if isinstance(record, InfoField):
+        return Packet(1, 2, 100, replace(one_segment_path([plain_hop()]), infos=(record,)))
+    return Packet(1, 2, 100, one_segment_path([record]))
+
+
+class TestEncodeMessages:
+    """Encoding leaves the byte-aligned fields to struct, yet every
+    out-of-range value still gets the WireError that names it."""
+
+    @pytest.mark.parametrize("record, message", list(out_of_range_records()))
+    def test_pack_and_encode_name_the_field(self, record, message):
+        with pytest.raises(WireError) as raised:
+            record.pack()
+        assert str(raised.value) == message
+        with pytest.raises(WireError) as raised:
+            wire.encode_packet(in_packet(record))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "field, bits", [("dst_isd", 16), ("dst_as", 48), ("payload_len", 16)]
+    )
+    @pytest.mark.parametrize("high", [False, True])
+    def test_prefix_fields(self, field, bits, high):
+        value = 1 << bits if high else -1
+        packet = replace(in_packet(plain_hop()), **{field: value})
+        with pytest.raises(WireError) as raised:
+            wire.encode_packet(packet)
+        assert str(raised.value) == f"{field} out of range for {bits}-bit field: {value}"
+
+    def test_header_too_long_for_hdr_len(self):
+        hops = [fly_hop()] * 25  # 125 words per segment
+        path = HummingbirdPath(
+            meta=simple_meta(seg_len=(125, 125, 125)),
+            infos=(info_field(),) * 3,
+            hops=tuple(hops * 3),
+        )
+        with pytest.raises(WireError) as raised:
+            wire.encode_packet(Packet(1, 2, 100, path))
+        assert str(raised.value) == "hdr_len 387 does not fit 8 bits"
+
+    @pytest.mark.parametrize(
+        "index, name, bits",
+        [(0, "dst_isd", 16), (1, "dst_as", 48), (2, "pkt_len", 16),
+         (3, "res_start_offset", 16), (4, "millis", 10), (5, "counter", 22)],
+    )
+    @pytest.mark.parametrize("high", [False, True])
+    def test_mac_input_block(self, index, name, bits, high):
+        args = [1, 2, 3, 4, 5, 6]
+        args[index] = 1 << bits if high else -1
+        with pytest.raises(WireError) as raised:
+            wire.mac_input_block(*args)
+        assert str(raised.value) == f"{name} out of range for {bits}-bit field: {args[index]}"
+
+    @pytest.mark.parametrize(
+        "name, bits",
+        [("ingress", 16), ("egress", 16), ("res_id", 22), ("bw_code", 10),
+         ("res_start", 32), ("duration", 16)],
+    )
+    @pytest.mark.parametrize("high", [False, True])
+    def test_resinfo_block(self, name, bits, high):
+        value = 1 << bits if high else -1
+        res = replace(ReservationInfo(1, 2, 3, 4, 5, 6), **{name: value})
+        with pytest.raises(WireError) as raised:
+            wire.resinfo_block(res)
+        assert str(raised.value) == f"{name} out of range for {bits}-bit field: {value}"
 
 
 class TestMetaHdr:
@@ -431,15 +550,26 @@ class TestPacketObj:
 
 class TestValidateOnce:
     def test_each_check_runs_once_per_call(self, monkeypatch):
+        """Encode checks the meta header and the layout once each and
+        leaves the byte-aligned info and hop fields to struct; decode
+        runs no width check, only the meta header's cross-field checks
+        and the layout check, once each."""
         counts = Counter()
-        for cls in (HummingbirdPath, PathMetaHdr, InfoField):
-            def counted(self, _original=cls.validate):
-                counts[type(self).__name__, id(self)] += 1
+        for cls, method in (
+            (HummingbirdPath, "_validate_layout"),
+            (PathMetaHdr, "validate"),
+            (PathMetaHdr, "_check_across_fields"),
+            (InfoField, "validate"),
+            (HopField, "validate"),
+            (FlyoverHopField, "validate"),
+        ):
+            def counted(self, _original=getattr(cls, method), _name=f"{cls.__name__}.{method}"):
+                counts[_name, id(self)] += 1
                 _original(self)
-            monkeypatch.setattr(cls, "validate", counted)
+            monkeypatch.setattr(cls, method, counted)
 
-        def checks(cls_name):
-            return sum(n for (name, _), n in counts.items() if name == cls_name)
+        def checks(check_name):
+            return sum(n for (name, _), n in counts.items() if name == check_name)
 
         rng = random.Random(10)
         for _ in range(100):
@@ -447,12 +577,16 @@ class TestValidateOnce:
             counts.clear()
             raw = wire.encode_packet(packet)
             assert max(counts.values()) == 1  # no object is checked twice
-            assert checks("PathMetaHdr") == 1
-            assert checks("InfoField") == len(packet.path.infos)
+            assert checks("PathMetaHdr.validate") == 1
+            assert checks("PathMetaHdr._check_across_fields") == 1
+            assert checks("HummingbirdPath._validate_layout") == 1
+            assert sum(counts.values()) == 3
             counts.clear()
             assert wire.decode_packet(raw) == packet
             assert max(counts.values()) == 1
-            assert checks("PathMetaHdr") == 1
+            assert checks("PathMetaHdr._check_across_fields") == 1
+            assert checks("HummingbirdPath._validate_layout") == 1
+            assert sum(counts.values()) == 2
 
     def test_encode_still_rejects_bad_prefix_and_path(self):
         packet = random_packet(random.Random(11))
