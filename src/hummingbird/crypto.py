@@ -90,6 +90,12 @@ def flyover_mac(
     return prf_block(a_key, block)[:tag_len]
 
 
+def check_tag_len(tag_len: int) -> None:
+    """Refuse a flyover tag that aggregate_mac could not fold into a hop MAC."""
+    if not 1 <= tag_len <= TAG_LEN:
+        raise CryptoError(f"tag_len must be 1 to {TAG_LEN}: {tag_len}")
+
+
 def aggregate_mac(hop_mac: bytes, fly_tag: bytes) -> bytes:
     """Bytewise xor; short tags (test profiles) are zero-padded on the right."""
     if len(hop_mac) != TAG_LEN:

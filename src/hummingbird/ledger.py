@@ -22,14 +22,22 @@ a staged change.
 
 The same immutability keeps state_hash cheap.  Each asset, listing,
 redeem request and token renders its own entry of the canonical state
-JSON once, on first use, and caches it on itself (`_fragment`).  The
-entry is rendered from the value's dataclass fields, so a field added
-to a stored class is hashed with no further code.  state_hash sorts and
-joins those entries instead of dumping the whole state.  The cache is
-exact because a value never changes after it is built, and every table
-is keyed by its value's own id: a changed entry is a new object from
-`replace()` with a fresh fragment, and a staged copy or a rollback
-carries values that bring their own.
+JSON once and caches it on itself (`_fragment`).  The entry is rendered
+from the value's dataclass fields, so a field added to a stored class
+is hashed with no further code.  The cache is exact because a value
+never changes after it is built: a changed entry is a new object from
+`replace()` with a fresh fragment.
+
+Each table (`_Table`) keeps those entries sorted between hashes and
+moves only the entries of ids written since the last one, so
+state_hash feeds them to sha256 as they lie, with no sort per call and
+no whole-state string.  Sorting the entries is `sort_keys` order: an
+entry starts with its id as a quoted decimal string, and `"` sorts
+before every digit, so "10" < "100" < "9" holds for the entries as
+for the keys.  A staged copy copies each table's order and pending
+writes with its values; the entries are shared, immutable strings.  So
+a block's writes never reach the committed order, and a rollback puts
+back a state whose order still matches its values.
 
 Currency is an abstract integer.
 """
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cache, cached_property
@@ -341,7 +350,7 @@ class ASControlService:
 # The ledger
 
 
-def _get(table: dict, cls: type, ref, what: str):
+def _get(table: _Table, cls: type, ref, what: str):
     """The stored value for an id, or for a value of exactly class cls."""
     key = getattr(ref, _field_names(cls)[0]) if type(ref) is cls else ref
     try:
@@ -350,25 +359,88 @@ def _get(table: dict, cls: type, ref, what: str):
         raise LedgerError(f"no such {what}: {key}") from None
 
 
+class _Table:
+    """Stored values by id, plus their state_hash entries in hash order.
+
+    `put` and `remove` are the only writes.  They note which ids changed
+    since `order` was last read, and reading `order` moves just those
+    ids' entries, so it always holds the `_fragment` of every value,
+    sorted, which is the order `sort_keys` gives the ids: each entry
+    starts with `"<id>":`, and `"` sorts before every digit.  A value
+    replaced or removed before the next read, as most values written
+    inside a block are, is never rendered.  Not a dict subclass: a
+    dict's own writers (`pop`, `update`, `setdefault`, ...) would bypass
+    the order.
+    """
+
+    __slots__ = ("_values", "_order", "_changed")
+
+    def __init__(self, values: dict | None = None, order: list[str] | None = None,
+                 changed: dict | None = None):
+        self._values = {} if values is None else values
+        self._order = [] if order is None else order
+        # id -> the value whose entry `_order` holds for it, or None
+        self._changed = {} if changed is None else changed
+
+    def copy(self) -> _Table:
+        return _Table(dict(self._values), list(self._order), dict(self._changed))
+
+    def put(self, value: _Stored) -> None:
+        """Add value under its id, or swap it in for the value stored there."""
+        key = getattr(value, _field_names(type(value))[0])
+        self._changed.setdefault(key, self._values.get(key))
+        self._values[key] = value
+
+    def remove(self, key: int) -> None:
+        self._changed.setdefault(key, self._values[key])
+        del self._values[key]
+
+    @property
+    def order(self) -> list[str]:
+        """Every value's entry, sorted."""
+        order = self._order
+        for key, old in self._changed.items():
+            if old is not None:
+                del order[bisect_left(order, old._fragment)]
+            new = self._values.get(key)
+            if new is not None:
+                insort(order, new._fragment)
+        self._changed.clear()
+        return order
+
+    def __getitem__(self, key: int):
+        return self._values[key]
+
+    def get(self, key: int):
+        return self._values.get(key)
+
+    def __contains__(self, key) -> bool:
+        return key in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def values(self):
+        return self._values.values()
+
+
 @dataclass
 class _State:
     balances: dict[str, int] = field(default_factory=dict)
-    assets: dict[int, BandwidthAsset] = field(default_factory=dict)
-    listings: dict[int, Listing] = field(default_factory=dict)
-    requests: dict[int, RedeemRequest] = field(default_factory=dict)
-    tokens: dict[int, AuthToken] = field(default_factory=dict)
+    assets: _Table = field(default_factory=_Table)
+    listings: _Table = field(default_factory=_Table)
+    requests: _Table = field(default_factory=_Table)
+    tokens: _Table = field(default_factory=_Table)
     sellers: set[str] = field(default_factory=set)
     next_id: int = 1
 
     def copy(self) -> _State:
         """New containers holding the same (immutable) values."""
-        return _State(dict(self.balances), dict(self.assets), dict(self.listings),
-                      dict(self.requests), dict(self.tokens), set(self.sellers), self.next_id)
-
-
-def _joined(table: dict) -> str:
-    """A table's entries, in the order `sort_keys` gives their keys."""
-    return ",".join(sorted(value._fragment for value in table.values()))
+        return _State(dict(self.balances), self.assets.copy(), self.listings.copy(),
+                      self.requests.copy(), self.tokens.copy(), set(self.sellers), self.next_id)
 
 
 class Ledger:
@@ -452,7 +524,7 @@ class Ledger:
         except InvalidSignature:
             raise LedgerError(f"proof of key for AS {cert.as_id} does not verify") from None
         token = AuthToken(token_id=self._fresh_id(), as_id=cert.as_id, account=account)
-        self._state.tokens[token.token_id] = token
+        self._state.tokens.put(token)
         self._record("register_as", (account, cert.as_id), f"token:{token.token_id}")
         return token
 
@@ -489,7 +561,7 @@ class Ledger:
         )
         asset.validate()
         asset = replace(asset, asset_id=self._fresh_id())
-        self._state.assets[asset.asset_id] = asset
+        self._state.assets.put(asset)
         self._record("issue", (account, token.as_id, bandwidth), f"asset:{asset.asset_id}")
         return asset
 
@@ -567,14 +639,14 @@ class Ledger:
             raise LedgerError("unit price must be non-negative")
         asset = self._owned_asset(account, asset)
         # Escrow: the market holds the asset while it is listed.
-        self._state.assets[asset.asset_id] = replace(asset, owner=MARKET_ACCOUNT)
+        self._state.assets.put(replace(asset, owner=MARKET_ACCOUNT))
         listing = Listing(
             listing_id=self._fresh_id(),
             asset_id=asset.asset_id,
             unit_price=unit_price,
             seller=account,
         )
-        self._state.listings[listing.listing_id] = listing
+        self._state.listings.put(listing)
         self._record("create_listing", (account, asset.asset_id, unit_price),
                      f"listing:{listing.listing_id}")
         return listing
@@ -627,7 +699,7 @@ class Ledger:
         if self.balance(account) < price:
             raise LedgerError(f"{account!r} has {self.balance(account)}, needs {price}")
 
-        del self._state.listings[listing.listing_id]
+        self._state.listings.remove(listing.listing_id)
         remainders = []
         want = asset
         if start_time > want.start_time:
@@ -645,7 +717,7 @@ class Ledger:
             self._state.balances.get(listing.seller, 0) + price
         )
         bought = replace(want, owner=account)
-        self._state.assets[bought.asset_id] = bought
+        self._state.assets.put(bought)
         relisted = []
         for remainder in remainders:
             new = Listing(
@@ -654,7 +726,7 @@ class Ledger:
                 unit_price=listing.unit_price,
                 seller=listing.seller,
             )
-            self._state.listings[new.listing_id] = new
+            self._state.listings.put(new)
             relisted.append(new.listing_id)
         self._record(
             "buy",
@@ -718,7 +790,7 @@ class Ledger:
         )
         # Redemption destroys the assets; the ids are never reused.
         self._replace_assets((ingress, egress), ())
-        self._state.requests[request.request_id] = request
+        self._state.requests.put(request)
         self._record(
             "redeem",
             (account, ingress.asset_id, egress.asset_id),
@@ -738,9 +810,7 @@ class Ledger:
         if request.delivered:
             raise LedgerError(f"request {request.request_id} already delivered")
         blob = service.build_credentials(request)
-        self._state.requests[request.request_id] = replace(
-            request, delivered=True, credentials=blob
-        )
+        self._state.requests.put(replace(request, delivered=True, credentials=blob))
         self._record(
             "deliver_reservation",
             (service.as_id, request.request_id),
@@ -794,25 +864,25 @@ class Ledger:
         """Digest of everything except the call log.
 
         The digest covers one canonical JSON dump of the state (sorted
-        keys, no spaces), built from the per-value fragments.  Every
-        fragment starts with its key as a quoted decimal string, and
-        `"` sorts before every digit, so sorting a table's fragments
-        orders its keys as strings, exactly as `sort_keys` does
-        ("10" < "100" < "9").  The top-level keys are written in that
+        keys, no spaces), fed to sha256 piece by piece and never built
+        as one string.  Each table's entries are already in `sort_keys`
+        order (see `_Table`), and the top-level keys are written in that
         order too.
         """
         state = self._state
-        blob = "".join((
-            '{"assets":{', _joined(state.assets),
+        digest = hashlib.sha256()
+        for part in (
+            '{"assets":{', ",".join(state.assets.order),
             '},"balances":', _dumps(state.balances),
-            ',"listings":{', _joined(state.listings),
+            ',"listings":{', ",".join(state.listings.order),
             '},"next_id":', _dumps(state.next_id),
-            ',"requests":{', _joined(state.requests),
+            ',"requests":{', ",".join(state.requests.order),
             '},"sellers":', _dumps(sorted(state.sellers)),
-            ',"tokens":{', _joined(state.tokens),
+            ',"tokens":{', ",".join(state.tokens.order),
             '}}',
-        ))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        ):
+            digest.update(part.encode())
+        return digest.hexdigest()
 
     def export_log(self) -> tuple[dict, ...]:
         return tuple(dict(r) for r in self._log)
@@ -907,6 +977,6 @@ class Ledger:
         for asset in new:
             asset.validate()
         for asset in old:
-            del self._state.assets[asset.asset_id]
+            self._state.assets.remove(asset.asset_id)
         for asset in new:
-            self._state.assets[asset.asset_id] = asset
+            self._state.assets.put(asset)

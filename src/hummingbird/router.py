@@ -103,8 +103,7 @@ class RouterConfig:
     forwarding_prf: crypto.Prf = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.tag_len <= crypto.TAG_LEN:
-            raise crypto.CryptoError(f"tag_len must be 1 to {crypto.TAG_LEN}: {self.tag_len}")
+        crypto.check_tag_len(self.tag_len)
         self.sv_prf = crypto.Prf(self.sv)
         self.forwarding_prf = crypto.Prf(self.forwarding_key)
 

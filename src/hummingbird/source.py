@@ -124,8 +124,10 @@ def build_packet(
     Refuses reservations that are not active right now unless
     allow_inactive is set (negative tests); an inactive reservation is
     then encoded as well as the wire format permits, which shifts its
-    start and makes routers reject it.
+    start and makes routers reject it.  A tag_len that no router accepts
+    is refused before the counter advances.
     """
+    crypto.check_tag_len(tag_len)
     now = clock()
     base = now // NS_PER_S
     if base >= 1 << 32:

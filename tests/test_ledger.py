@@ -920,6 +920,11 @@ class TestIntegrity:
         assert len(led.format_log().splitlines()) == len(log)
 
 
+def rows(table) -> list:
+    """A ledger table's (id, value) pairs, by id."""
+    return sorted((key, table[key]) for key in table)
+
+
 def canonical_state_hash(led) -> str:
     """Reference: the whole state as one dict, dumped in one go."""
     state = led._state
@@ -937,7 +942,7 @@ def canonical_state_hash(led) -> str:
                 "min_bandwidth": v.min_bandwidth,
                 "owner": v.owner,
             }
-            for k, v in sorted(state.assets.items())
+            for k, v in rows(state.assets)
         },
         "listings": {
             str(k): {
@@ -945,7 +950,7 @@ def canonical_state_hash(led) -> str:
                 "unit_price": v.unit_price,
                 "seller": v.seller,
             }
-            for k, v in sorted(state.listings.items())
+            for k, v in rows(state.listings)
         },
         "requests": {
             str(k): {
@@ -960,11 +965,11 @@ def canonical_state_hash(led) -> str:
                 "delivered": v.delivered,
                 "credentials": v.credentials.hex(),
             }
-            for k, v in sorted(state.requests.items())
+            for k, v in rows(state.requests)
         },
         "tokens": {
             str(k): {"as_id": v.as_id, "account": v.account}
-            for k, v in sorted(state.tokens.items())
+            for k, v in rows(state.tokens)
         },
         "sellers": sorted(state.sellers),
         "next_id": state.next_id,
@@ -981,15 +986,27 @@ KEEPER = "keeper"  # issues one asset per id length and never trades
 
 
 class MarketWalk:
-    """Seeded random ops on one ledger, refused ones included."""
+    """Seeded random ops on one ledger, refused ones included.
+
+    Alongside the ledger it keeps a small model: the currency supply and
+    the reserved area per (AS, interface, direction).  Issuing adds area,
+    redeeming takes it away, and splits, fuses, listings and purchases
+    only move it between assets.  `step` checks the ledger against the
+    model after every move, refused or not.
+    """
 
     def __init__(self, seed: int):
         self.rng = rng = Random(seed)
         root = PkiRoot(rng)
         accounts = (*OPERATORS, *TRADERS, KEEPER)
+        self.supply = 10**15 * len(accounts)
         self.led = Ledger(root.public_key, genesis={a: 10**15 for a in accounts})
-        self.tokens, self.services = {}, {}
+        self.tokens, self.services, self.as_ids = {}, {}, {}
+        self.area: dict[tuple, int] = {}  # the model's area per resource
+        self.sealing_keys = {}  # ephemeral public key -> private key
+        self.rolled_back = self.failed_seals = 0
         for as_id, account in enumerate((*OPERATORS, KEEPER), start=AS_ID):
+            self.as_ids[account] = as_id
             ident = AsIdentity(as_id, rng)
             self.tokens[account] = self.led.register_as(
                 account, root.issue_cert(as_id, ident.public_key), ident.proof_of_key(account)
@@ -1003,20 +1020,50 @@ class MarketWalk:
             (self.issue, 3), (self.issue_batch, 20), (self.split_time, 3),
             (self.split_bandwidth, 3), (self.fuse, 3), (self.list_asset, 3),
             (self.buy, 4), (self.buy_and_redeem, 3), (self.failing_block, 3),
-            (self.deliver, 3), (self.refused_op, 3),
+            (self.deliver, 3), (self.deliver_after_failed_seal, 1), (self.refused_op, 3),
         )
 
     def step(self) -> None:
         move = self.rng.choices(*zip(*self.moves))[0]
         if not self.holders():
             move = self.issue_batch
-        move()
+        try:
+            move()
+        finally:
+            self.check()
+
+    def check(self) -> None:
+        """The ledger agrees with the model, and every table keeps its
+        state_hash entries sorted."""
+        led = self.led
+        assert led.total_supply() == self.supply
+        for key, area in self.area.items():
+            assert led.reserved_area(*key) == area, key
+        assert sum(a.area for a in led._state.assets.values()) == sum(self.area.values())
+        for name in ("assets", "listings", "requests", "tokens"):
+            table = getattr(led._state, name)
+            assert table.order == sorted(v._fragment for v in table.values()), name
+
+    def issued(self, account: str, attrs: dict) -> None:
+        """Model an issue of attrs by account."""
+        key = (self.as_ids[account], attrs["interface"], Direction(attrs["direction"]))
+        area = attrs["bandwidth"] * (attrs["expiration_time"] - attrs["start_time"])
+        self.area[key] = self.area.get(key, 0) + area
+
+    def atomic(self, block: list) -> tuple:
+        try:
+            return self.led.execute_atomic(block)
+        except LedgerError:
+            self.rolled_back += 1
+            raise
 
     def keep_id_length(self) -> None:
         """Have the keeper hold an asset whose id has as many digits as next_id."""
         next_id = self.led._state.next_id
         if not self.keeper_ids or len(str(next_id)) > len(str(self.keeper_ids[-1])):
-            self.keeper_ids.append(self.led.issue(KEEPER, self.tokens[KEEPER], **self.attrs()).asset_id)
+            attrs = self.attrs()
+            self.keeper_ids.append(self.led.issue(KEEPER, self.tokens[KEEPER], **attrs).asset_id)
+            self.issued(KEEPER, attrs)
 
     def attrs(self, **overrides) -> dict:
         rng = self.rng
@@ -1053,6 +1100,7 @@ class MarketWalk:
         if self.rng.random() < 0.2:
             attrs["expiration_time"] += 7  # off the granularity: refused
         self.led.issue(operator, self.tokens[operator], **attrs)
+        self.issued(operator, attrs)
 
     def issue_batch(self) -> None:
         operator = self.rng.choice(OPERATORS)
@@ -1061,7 +1109,9 @@ class MarketWalk:
                  for _ in range(self.rng.randrange(15, 46))]
         if self.rng.random() < 0.2:  # fails on the last call
             block.append(Call("issue", (operator, token), self.attrs(min_bandwidth=10**12)))
-        self.led.execute_atomic(block)
+        self.atomic(block)
+        for call in block:
+            self.issued(operator, call.kwargs)
 
     def split_time(self) -> None:
         account, asset = self.pick_owned()
@@ -1114,10 +1164,12 @@ class MarketWalk:
         del common["interface"], common["direction"]
         want = dict(start_time=common["start_time"], expiration_time=common["expiration_time"],
                     bandwidth=common["bandwidth"])
-        _, pub = sealing_keypair(self.rng)
+        priv, pub = sealing_keypair(self.rng)
+        self.sealing_keys[pub] = priv
         if self.rng.random() < 0.2:
             pub = self.rng.choice(LOW_ORDER_KEYS)  # the redeem fails
-        self.led.execute_atomic([
+        # The redeem takes back the area the two issues add.
+        self.atomic([
             Call("issue", (operator, token), dict(common, interface=1, direction=Direction.INGRESS)),
             Call("issue", (operator, token), dict(common, interface=2, direction=Direction.EGRESS)),
             Call("create_listing", (operator, Result(0), 2)),
@@ -1131,7 +1183,7 @@ class MarketWalk:
         """Valid calls, then one that fails part-way through the block."""
         account, asset = self.pick_owned()
         cut = asset.start_time + MIN10
-        self.led.execute_atomic([
+        self.atomic([
             Call("create_listing", (account, asset, 1)),
             Call("issue", (OPERATORS[0], self.tokens[OPERATORS[0]]), self.attrs()),
             # The escrow above makes this fail.
@@ -1146,7 +1198,38 @@ class MarketWalk:
         if waiting and self.rng.random() < 0.7:
             requests = waiting
         request = self.rng.choice(requests)  # a delivered one is refused
-        self.led.deliver_reservation(self.services[request.as_id], request)
+        self.delivered(request)
+
+    def delivered(self, request) -> None:
+        """Deliver request; its credentials unseal to what was redeemed."""
+        blob = self.led.deliver_reservation(self.services[request.as_id], request)
+        res, _ = unseal_credentials(self.sealing_keys[request.ephemeral_pubkey], blob)
+        assert (res.ingress, res.egress, res.res_start, res.duration) == (
+            request.ingress_interface, request.egress_interface,
+            request.start_time, request.expiration_time - request.start_time,
+        )
+        assert res.bw_code == quantize_bw(request.bandwidth)
+
+    def deliver_after_failed_seal(self) -> None:
+        """A delivery whose sealing fails once changes nothing; the retry
+        delivers."""
+        waiting = [r for r in self.led._state.requests.values() if not r.delivered]
+        if not waiting:
+            return self.buy_and_redeem()
+        request = self.rng.choice(waiting)
+        allocator = self.services[request.as_id].allocator
+        before = self.led.state_hash(), allocator.active_intervals(request.ingress_interface)
+
+        def seal_failing(*args):
+            raise ValueError("sealing failed")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ledger_mod, "seal_credentials", seal_failing)
+            with pytest.raises(ValueError, match="sealing failed"):
+                self.led.deliver_reservation(self.services[request.as_id], request)
+        assert (self.led.state_hash(), allocator.active_intervals(request.ingress_interface)) == before
+        self.failed_seals += 1
+        self.delivered(request)
 
     def refused_op(self) -> None:
         account, asset = self.pick_owned()
@@ -1180,11 +1263,23 @@ class TestStateHash:
                 values = getattr(led._state, table)
                 assert list(map(attrgetter(id_name), values.values())) == list(values), table
         state = led._state
-        assert refused >= 40
+        assert refused >= 40 and walk.rolled_back >= 10 and walk.failed_seals >= 2
         assert sum(r.delivered for r in state.requests.values()) >= 5
         assert len(state.listings) >= 10 and len(state.tokens) == 3
         assert {len(str(k)) for k in state.assets} == {1, 2, 3, 4}
         assert set(walk.keeper_ids) <= set(state.assets)
+
+    def test_table_copy_keeps_its_own_order(self):
+        """A staged copy's writes never reach the original's order, read
+        before or after the copy's."""
+        table = ledger_mod._Table()
+        for token_id in (9, 10, 100):
+            table.put(AuthToken(token_id, AS_ID, "asops"))
+        staged = table.copy()
+        staged.put(AuthToken(11, AS_ID, "alice"))
+        staged.remove(9)
+        assert [entry[:5] for entry in staged.order] == ['"10":', '"100"', '"11":']
+        assert [entry[:5] for entry in table.order] == ['"10":', '"100"', '"9":{']
 
     def test_fragment_holds_every_field(self):
         """Entries are rendered from the dataclass fields, so a field added

@@ -133,6 +133,23 @@ class TestBuild:
         decision, _ = process_packet(cfg, packet)
         assert decision.verdict is Verdict.PRIORITY
 
+    @pytest.mark.parametrize("reservation", [make_reservation(), None], ids=["flyover", "plain"])
+    @pytest.mark.parametrize("tag_len", [0, 7, 17])
+    def test_unusable_tag_len_refused_before_the_counter(self, reservation, tag_len):
+        """No router accepts such a tag, so the packet is refused before it
+        uses up a counter value, with or without a flyover hop."""
+        counter_state = source.CounterState()
+        with pytest.raises(crypto.CryptoError, match=f"tag_len must be 1 to 6: {tag_len}"):
+            source.build_packet(make_plan(reservation=reservation), 100, FakeClock(BASE_NS),
+                                counter_state, tag_len=tag_len)
+        assert counter_state == source.CounterState()
+
+    def test_every_usable_tag_len_builds(self):
+        counter_state = source.CounterState()
+        for tag_len in range(1, crypto.TAG_LEN + 1):
+            source.build_packet(make_plan(), 100, FakeClock(BASE_NS), counter_state, tag_len=tag_len)
+        assert counter_state.value == crypto.TAG_LEN
+
     def test_offset_clamped_to_16_bits(self):
         res = make_reservation(res_start=BASE_S - 0x10000, duration=0xFFFF)
         packet = build(make_plan(reservation=res), allow_inactive=True)
