@@ -7,8 +7,8 @@ Subcommands:
     vectors      regenerate (or check) the golden fixture files
 
 Exit codes: 0 success, 1 failed assertions or mismatched fixtures,
-2 usage or input errors.  The default seed is 1729; the HB_SEED
-environment variable overrides --seed wherever a seed is used.
+2 usage or input errors.  `run` and `ledger-demo` take --seed
+(default 1729); the HB_SEED environment variable overrides it.
 """
 
 from __future__ import annotations
@@ -360,11 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="table"):
+    def seeded(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"PRNG seed (default {DEFAULT_SEED}; HB_SEED overrides)")
+        output(p)
+
+    def output(p, formats=True):
         p.add_argument("--out", help="write primary output to this file")
-        p.add_argument("--format", choices=("table", "records"), default=fmt_default)
+        if formats:
+            p.add_argument("--format", choices=("table", "records"), default="table")
 
     p_run = sub.add_parser("run", help="run a scenario and check its assertions")
     p_run.add_argument(
@@ -372,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bundled name (%s) or path to a JSON file"
         % ", ".join(bundled_scenarios()),
     )
-    common(p_run)
+    seeded(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_demo = sub.add_parser("ledger-demo", help="scripted marketplace walkthrough")
-    common(p_demo)
+    seeded(p_demo)
     p_demo.set_defaults(fn=cmd_ledger_demo)
 
     p_packet = sub.add_parser("packet", help="encode, decode, or verify one packet")
@@ -384,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enc = packet_sub.add_parser("encode", help="JSON packet object to hex")
     p_enc.add_argument("--spec", required=True, help="JSON file, or - for stdin")
-    common(p_enc)
+    output(p_enc, formats=False)
     p_enc.set_defaults(fn=cmd_packet_encode)
 
     p_dec = packet_sub.add_parser("decode", help="hex to a readable dump")
     p_dec.add_argument("hex", help="hex string, @file, or - for stdin")
-    common(p_dec)
+    output(p_dec)
     p_dec.set_defaults(fn=cmd_packet_decode)
 
     p_ver = packet_sub.add_parser("verify", help="run the router pipeline on hex")
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="router clock in unix nanoseconds")
     p_ver.add_argument("--tag-len", type=int, default=TAG_LEN)
     p_ver.add_argument("--policer-entries", type=int, default=64)
-    common(p_ver)
+    output(p_ver)
     p_ver.set_defaults(fn=cmd_packet_verify)
 
     p_vec = sub.add_parser("vectors", help="regenerate or check golden fixtures")
@@ -408,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixture directory (default tests/vectors)")
     p_vec.add_argument("--check", action="store_true",
                        help="compare instead of writing")
-    p_vec.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="accepted for symmetry; fixtures use a fixed seed")
     p_vec.set_defaults(fn=cmd_vectors)
 
     return parser

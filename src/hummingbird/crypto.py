@@ -84,8 +84,7 @@ def flyover_mac(
     tag_len: int = TAG_LEN,
 ) -> bytes:
     """Per-packet tag over destination, length, and the timestamp triple."""
-    if not 1 <= tag_len <= 16:
-        raise CryptoError(f"tag_len out of range: {tag_len}")
+    check_tag_len(tag_len)
     block = mac_input_block(dst_isd, dst_as, pkt_len, res_start_offset, millis, counter)
     return prf_block(a_key, block)[:tag_len]
 

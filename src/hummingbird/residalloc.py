@@ -44,27 +44,16 @@ class ResIdAllocator:
     def _state(self, ingress: int) -> _IngressState:
         return self._ingresses.setdefault(ingress, _IngressState())
 
-    def assign(
-        self,
-        ingress: int,
-        start: int,
-        end: int,
-        handle: object,
-        now: int | None = None,
-    ) -> int:
+    def assign(self, ingress: int, start: int, end: int, handle: object) -> int:
         """Reserve an id for [start, end); returns the smallest free one.
 
-        When now is given, intervals that ended at or before it are
-        garbage collected first.  The handle must be unique and is the
-        key for release().
+        The handle must be unique and is the key for release().
         """
         if start >= end:
             raise AllocatorError(f"empty interval [{start}, {end})")
         if handle in self._handles:
             raise AllocatorError(f"handle {handle!r} already in use")
         state = self._state(ingress)
-        if now is not None:
-            self._collect(state, now)
         for res_id in count():
             if res_id >= self.max_ids:
                 raise IdSpaceExhausted(f"all {self.max_ids} ids busy on ingress {ingress}")
@@ -85,20 +74,6 @@ class ResIdAllocator:
         stored.remove((start, end, handle))
         if not stored:
             del self._ingresses[ingress].by_id[res_id]
-
-    def _collect(self, state: _IngressState, now: int) -> None:
-        for res_id in list(state.by_id):
-            stored = state.by_id[res_id]
-            kept = []
-            for iv in stored:
-                if iv[1] > now:
-                    kept.append(iv)
-                else:
-                    del self._handles[iv[2]]
-            if kept:
-                state.by_id[res_id] = kept
-            else:
-                del state.by_id[res_id]
 
     def high_water(self, ingress: int) -> int:
         """Largest id ever assigned on this ingress, plus one."""

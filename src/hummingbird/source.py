@@ -8,12 +8,14 @@ delivered key.
 
 Every packet stamps the current second, millisecond, and a counter
 that makes the (base, millis, counter) triple unique per source; the
-triple is MAC input, so two distinct packets never share a tag.
+triple is MAC input, so two distinct packets never share a tag.  The
+rest of a packet is fixed per plan, built and checked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 from . import crypto
@@ -30,6 +32,7 @@ from .wire import (
     Packet,
     PathMetaHdr,
     ReservationInfo,
+    WireError,
     pkt_len_for_mac,
 )
 
@@ -81,6 +84,55 @@ class PathPlan:
     dst_as: int
     segments: tuple[SegmentPlan, ...]
 
+    @cached_property
+    def fixed_part(self) -> tuple:
+        """What every packet built from this plan shares: the info fields,
+        each hop's fixed record (a plain hop's field, a reserved hop's
+        plan), seg_len and hdr_len.
+
+        Runs the plan checks, then the field-range checks of
+        `Packet.validate()` on a template packet.  A failed check caches
+        nothing, so every build from a bad plan raises.  The cache is exact
+        because a plan and its parts are immutable.
+        """
+        if not all(segment.hops for segment in self.segments):
+            raise SourceError("segment without hop fields")
+        if len(self.segments) > 3:
+            raise SourceError(f"at most three segments, got {len(self.segments)}")
+        hdr_len = header_bytes(self) // 4
+        if hdr_len > 0xFF:
+            raise SourceError(f"path too long: hdr_len {hdr_len}")
+        infos = []
+        hops: list[HopField | HopPlan] = []
+        template: list[HopField] = []
+        seg_len = [0, 0, 0]
+        for index, segment in enumerate(self.segments):
+            infos.append(
+                InfoField(segment.peering, segment.cons_dir, segment.seg_id, segment.timestamp)
+            )
+            for hop_plan in segment.hops:
+                plain = (
+                    False, False, hop_plan.exp_time, hop_plan.cons_ingress,
+                    hop_plan.cons_egress, hop_plan.hop_mac,
+                )
+                if hop_plan.reservation is None:
+                    hop = HopField(*plain)
+                else:
+                    res = hop_plan.reservation[0]
+                    if (res.ingress, res.egress) != (hop_plan.cons_ingress, hop_plan.cons_egress):
+                        raise SourceError(
+                            f"reservation interfaces ({res.ingress}, {res.egress}) do not match "
+                            f"hop ({hop_plan.cons_ingress}, {hop_plan.cons_egress})"
+                        )
+                    hop = FlyoverHopField(*plain, res.res_id, res.bw_code, 0, res.duration)
+                hops.append(hop_plan if hop.flyover else hop)
+                template.append(hop)
+                seg_len[index] += hop.words
+        infos, seg_len = tuple(infos), tuple(seg_len)
+        path = HummingbirdPath(PathMetaHdr(0, 0, seg_len, 0, 0, 0), infos, tuple(template))
+        Packet(self.dst_isd, self.dst_as, 0, path).validate()
+        return infos, tuple(hops), seg_len, hdr_len
+
 
 @dataclass
 class CounterState:
@@ -125,107 +177,44 @@ def build_packet(
     allow_inactive is set (negative tests); an inactive reservation is
     then encoded as well as the wire format permits, which shifts its
     start and makes routers reject it.  A tag_len that no router accepts
-    is refused before the counter advances.
+    is refused before the counter advances; a bad plan after it, on
+    every build (`PathPlan.fixed_part`).
     """
     crypto.check_tag_len(tag_len)
     now = clock()
     base = now // NS_PER_S
-    if base >= 1 << 32:
+    if not 0 <= base < 1 << 32:
         raise SourceError(f"clock beyond 32-bit unix seconds: {base}")
     millis = now % NS_PER_S // NS_PER_MS
     counter = counter_state.next(base, millis)
 
-    if not all(segment.hops for segment in plan.segments):
-        raise SourceError("segment without hop fields")
-    if len(plan.segments) > 3:
-        raise SourceError(f"at most three segments, got {len(plan.segments)}")
-    # Sizes follow from the plan alone, so each hop is built with its final MAC.
-    hdr_len = header_bytes(plan) // 4
-    if hdr_len > 0xFF:
-        raise SourceError(f"path too long: hdr_len {hdr_len}")
+    infos, fixed_hops, seg_len, hdr_len = plan.fixed_part
     pkt_len = pkt_len_for_mac(payload_len, hdr_len)
-
-    def tag(a_key: crypto.Prf, offset: int) -> bytes:
-        return crypto.flyover_mac(
-            a_key, plan.dst_isd, plan.dst_as, pkt_len, offset, millis, counter, tag_len
-        )
-
-    infos = []
-    hops: list[HopField] = []
-    seg_len = [0, 0, 0]
-    for index, segment in enumerate(plan.segments):
-        infos.append(
-            InfoField(
-                peering=segment.peering,
-                cons_dir=segment.cons_dir,
-                seg_id=segment.seg_id,
-                timestamp=segment.timestamp,
+    if payload_len < 0:  # the template checked every other prefix field
+        raise WireError(f"payload_len out of range for 16-bit field: {payload_len}")
+    hops = []
+    for hop in fixed_hops:
+        if isinstance(hop, HopPlan):
+            res = hop.reservation[0]
+            active = res.res_start * NS_PER_S <= now <= (res.res_start + res.duration) * NS_PER_S
+            if not active and not allow_inactive:
+                raise ReservationInactive(
+                    f"reservation [{res.res_start}, {res.res_start + res.duration}] "
+                    f"not active at build time"
+                )
+            offset = min(max(base - res.res_start, 0), 0xFFFF)
+            tag = crypto.flyover_mac(
+                hop.a_key_prf, plan.dst_isd, plan.dst_as, pkt_len, offset, millis, counter,
+                tag_len,
             )
-        )
-        for hop_plan in segment.hops:
-            hop = _assemble_hop(hop_plan, now, base, allow_inactive, tag)
-            hops.append(hop)
-            seg_len[index] += hop.words
-
-    meta = PathMetaHdr(
-        curr_inf=0,
-        curr_hf=0,
-        seg_len=tuple(seg_len),
-        base_timestamp=base,
-        millis_timestamp=millis,
-        counter=counter,
-    )
-    packet = Packet(
-        dst_isd=plan.dst_isd,
-        dst_as=plan.dst_as,
-        payload_len=payload_len,
-        path=HummingbirdPath(meta=meta, infos=tuple(infos), hops=tuple(hops)),
-    )
-    packet.validate()
-    return packet
-
-
-def _assemble_hop(
-    hop_plan: HopPlan,
-    now: int,
-    base: int,
-    allow_inactive: bool,
-    tag: Callable[[crypto.Prf, int], bytes],
-) -> HopField:
-    if hop_plan.reservation is None:
-        return HopField(
-            ingress_alert=False,
-            egress_alert=False,
-            exp_time=hop_plan.exp_time,
-            cons_ingress=hop_plan.cons_ingress,
-            cons_egress=hop_plan.cons_egress,
-            mac=hop_plan.hop_mac,
-        )
-    res = hop_plan.reservation[0]
-    if (res.ingress, res.egress) != (hop_plan.cons_ingress, hop_plan.cons_egress):
-        raise SourceError(
-            f"reservation interfaces ({res.ingress}, {res.egress}) do not match "
-            f"hop ({hop_plan.cons_ingress}, {hop_plan.cons_egress})"
-        )
-    active = res.res_start * NS_PER_S <= now <= (res.res_start + res.duration) * NS_PER_S
-    if not active and not allow_inactive:
-        raise ReservationInactive(
-            f"reservation [{res.res_start}, {res.res_start + res.duration}] "
-            f"not active at build time"
-        )
-    offset = min(max(base - res.res_start, 0), 0xFFFF)
-    return FlyoverHopField(
-        ingress_alert=False,
-        egress_alert=False,
-        exp_time=hop_plan.exp_time,
-        cons_ingress=hop_plan.cons_ingress,
-        cons_egress=hop_plan.cons_egress,
-        mac=crypto.aggregate_mac(hop_plan.hop_mac, tag(hop_plan.a_key_prf, offset)),
-        res_id=res.res_id,
-        bw=res.bw_code,
-        res_start_offset=offset,
-        res_duration=res.duration,
-    )
+            hop = FlyoverHopField(
+                False, False, hop.exp_time, hop.cons_ingress, hop.cons_egress,
+                crypto.aggregate_mac(hop.hop_mac, tag), res.res_id, res.bw_code, offset,
+                res.duration,
+            )
+        hops.append(hop)
+    meta = PathMetaHdr(0, 0, seg_len, base, millis, counter)
+    return Packet(plan.dst_isd, plan.dst_as, payload_len, HummingbirdPath(meta, infos, tuple(hops)))
 
 
 def reverse_path(packet: Packet) -> Packet:
@@ -238,12 +227,13 @@ def reverse_path(packet: Packet) -> Packet:
     direction flags invert, and the sender-stamped meta fields reset.
     """
     path = packet.path
-    boundaries = path.hop_boundaries()
+    starts, hop_segments = path.hop_table()
+    segments: list[list[HopField]] = [[] for _ in range(path.meta.num_inf)]
     for index, hop in enumerate(path.hops):
-        if hop.flyover and boundaries[index + 1] > path.meta.curr_hf:
+        if hop.flyover and starts[index + 1] > path.meta.curr_hf:
             raise SourceError("packet not in post-forwarding state: live flyover ahead")
+        segments[hop_segments[index]].append(hop)
 
-    segments = path.hops_by_segment()
     rev_infos = []
     rev_hops: list[HopField] = []
     rev_words = []

@@ -353,17 +353,6 @@ class HummingbirdPath:
             raise WireError(f"hop fields do not tile segment {seg}")
         return starts, segments
 
-    def hop_boundaries(self) -> list[int]:
-        """Word offsets at which each hop starts, plus the total."""
-        return self.hop_table()[0]
-
-    def hops_by_segment(self) -> list[list[HopField]]:
-        """Partition hops per segment, validating the tiling."""
-        segments: list[list[HopField]] = [[] for _ in range(self.meta.num_inf)]
-        for hop, seg in zip(self.hops, self.hop_table()[1]):
-            segments[seg].append(hop)
-        return segments
-
     def current_hop_index(self) -> int:
         return _hop_at(self.hop_table()[0], self.meta.curr_hf)
 

@@ -364,3 +364,20 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--scenario", "forgery", "--frpm", "x"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["packet", "encode", "--spec", "-", "--seed", "1"],
+            ["packet", "encode", "--spec", "-", "--format", "records"],
+            ["packet", "decode", "00", "--seed", "1"],
+            ["packet", "verify", "00", "--sv", "00", "--forwarding-key", "00",
+             "--now-ns", "1", "--seed", "1"],
+            ["vectors", "--check", "--seed", "1"],
+        ],
+        ids=["encode-seed", "encode-format", "decode-seed", "verify-seed", "vectors-seed"],
+    )
+    def test_options_that_nothing_reads_are_refused(self, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2

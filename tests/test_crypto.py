@@ -89,11 +89,12 @@ class TestFlyoverMac:
 
     def test_tag_len_profiles(self):
         key = crypto.Prf(bytes(range(16)))
-        full = crypto.flyover_mac(key, 1, 2, 3, 4, 5, 6, tag_len=16)
-        for tag_len in (1, 2, 6, 16):
+        full = crypto.prf_block(key, mac_input_block(1, 2, 3, 4, 5, 6))
+        for tag_len in range(1, crypto.TAG_LEN + 1):
             assert crypto.flyover_mac(key, 1, 2, 3, 4, 5, 6, tag_len=tag_len) == full[:tag_len]
-        with pytest.raises(crypto.CryptoError):
-            crypto.flyover_mac(key, 1, 2, 3, 4, 5, 6, tag_len=0)
+        for tag_len in (0, 7, 16):
+            with pytest.raises(crypto.CryptoError, match=f"^tag_len must be 1 to 6: {tag_len}$"):
+                crypto.flyover_mac(key, 1, 2, 3, 4, 5, 6, tag_len=tag_len)
 
     def test_sensitive_to_every_field(self):
         key = crypto.Prf(bytes(range(16)))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from itertools import combinations
 from operator import attrgetter
 from random import Random
 
@@ -1033,8 +1034,9 @@ class MarketWalk:
             self.check()
 
     def check(self) -> None:
-        """The ledger agrees with the model, and every table keeps its
-        state_hash entries sorted."""
+        """The ledger agrees with the model, every table keeps its
+        state_hash entries sorted, and no two reservations that overlap in
+        time share a ResID on one ingress."""
         led = self.led
         assert led.total_supply() == self.supply
         for key, area in self.area.items():
@@ -1043,6 +1045,13 @@ class MarketWalk:
         for name in ("assets", "listings", "requests", "tokens"):
             table = getattr(led._state, name)
             assert table.order == sorted(v._fragment for v in table.values()), name
+        requests = led._state.requests.values()
+        for as_id, ingress in {(r.as_id, r.ingress_interface) for r in requests}:
+            allocator = self.services[as_id].allocator
+            intervals = allocator.active_intervals(ingress)
+            assert all(0 <= res_id < allocator.max_ids for res_id, _, _ in intervals)
+            for (a_id, a_start, a_end), (b_id, b_start, b_end) in combinations(intervals, 2):
+                assert a_id != b_id or a_end <= b_start or b_end <= a_start, (as_id, ingress)
 
     def issued(self, account: str, attrs: dict) -> None:
         """Model an issue of attrs by account."""

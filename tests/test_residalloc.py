@@ -58,14 +58,6 @@ class TestAssign:
         with pytest.raises(IdSpaceExhausted):
             alloc.assign(1, 0, 10, "overflow")
 
-    def test_lazy_gc(self):
-        alloc = ResIdAllocator()
-        alloc.assign(1, 0, 10, "old")
-        # Overlaps "old" in id space, but "old" expired at now=10.
-        assert alloc.assign(1, 5, 15, "new", now=10) == 0
-        with pytest.raises(AllocatorError):
-            alloc.release("old")  # collected
-
 
 class TestOptimalColoring:
     def test_examples(self):

@@ -1,11 +1,14 @@
+import copy
+import random
 from dataclasses import replace
 
 import pytest
 
 from hummingbird import crypto, source
 from hummingbird.router import Verdict, process_packet
-from hummingbird.wire import PktLenOverflow, WireError, encode_packet
+from hummingbird.wire import PktLenOverflow, ReservationInfo, WireError, encode_packet
 
+import source_oracle
 from test_router import (
     BASE_NS,
     BASE_S,
@@ -154,6 +157,173 @@ class TestBuild:
         res = make_reservation(res_start=BASE_S - 0x10000, duration=0xFFFF)
         packet = build(make_plan(reservation=res), allow_inactive=True)
         assert packet.path.hops[0].res_start_offset == 0xFFFF
+
+
+def outcome(build_packet, plan, payload_len, now, counter_state, **kwargs):
+    """The packet built, or the class and message of the refusal."""
+    try:
+        return build_packet(plan, payload_len, FakeClock(now), counter_state, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def against_oracle(plan, payload_len=100, now=BASE_NS, counter_state=None, **kwargs):
+    """(outcome, counter state after) for the oracle, then for build_packet,
+    each from its own copy of counter_state."""
+    results = []
+    for build_packet in (source_oracle.build_packet, source.build_packet):
+        state = copy.deepcopy(counter_state or source.CounterState())
+        results.append((outcome(build_packet, plan, payload_len, now, state, **kwargs), state))
+    return results
+
+
+def random_plan(rng: random.Random) -> source.PathPlan:
+    """1-3 segments of 1-4 hops, about half of them reserved; some
+    reservations start in the future, some ended, some long ago."""
+    segments = []
+    for _ in range(rng.randint(1, 3)):
+        hops = []
+        for _ in range(rng.randint(1, 4)):
+            ingress, egress = rng.randrange(1 << 16), rng.randrange(1 << 16)
+            reservation = None
+            if rng.random() < 0.5:
+                age = rng.choice((rng.randrange(-100, 1000), rng.randrange(70_000)))
+                res = ReservationInfo(
+                    ingress, egress, rng.randrange(1 << 22), rng.randrange(1 << 10),
+                    BASE_S - age, rng.choice((rng.randrange(1 << 16), 0xFFFF)),
+                )
+                reservation = (res, rng.randbytes(16))
+            hops.append(
+                source.HopPlan(ingress, egress, rng.randbytes(6), rng.randrange(256), reservation)
+            )
+        segments.append(
+            source.SegmentPlan(
+                rng.randrange(1 << 16), rng.randrange(1 << 32), tuple(hops),
+                cons_dir=rng.random() < 0.7, peering=rng.random() < 0.1,
+            )
+        )
+    return source.PathPlan(rng.randrange(1 << 16), rng.randrange(1 << 48), tuple(segments))
+
+
+def plain_hop(**changes):
+    return source.HopPlan(**{"cons_ingress": 10, "cons_egress": 11, "hop_mac": bytes(6), **changes})
+
+
+def reserved_hop(hop_mac=bytes(6), exp_time=255, **res_changes):
+    res = make_reservation(**res_changes)
+    return source.HopPlan(1, 2, hop_mac, exp_time, reservation=(res, bytes(16)))
+
+
+def one_segment(*hops, dst_isd=0x1234, dst_as=0xABCDEF, seg_id=0x1111, timestamp=BASE_S - 100):
+    segment = source.SegmentPlan(seg_id=seg_id, timestamp=timestamp, hops=hops)
+    return source.PathPlan(dst_isd=dst_isd, dst_as=dst_as, segments=(segment,))
+
+
+VALID = one_segment(plain_hop(), reserved_hop(), plain_hop(cons_ingress=20, cons_egress=21))
+SEGMENT = VALID.segments[0]
+
+# One fault each: a bad plan, or a valid plan built with a bad input.
+SINGLE_FAULTS = [
+    pytest.param(plan, kwargs, id=name)
+    for name, plan, kwargs in (
+        ("four_segments", replace(VALID, segments=(SEGMENT,) * 4), {}),
+        ("empty_segment", replace(VALID, segments=(SEGMENT, replace(SEGMENT, hops=()))), {}),
+        ("interface_mismatch", one_segment(plain_hop(), reserved_hop(ingress=9, egress=9)), {}),
+        ("plain_exp_time_300", one_segment(plain_hop(exp_time=300), reserved_hop()), {}),
+        ("reserved_exp_time_300", one_segment(plain_hop(), reserved_hop(exp_time=300)), {}),
+        ("plain_cons_egress", one_segment(plain_hop(cons_egress=1 << 16), reserved_hop()), {}),
+        ("plain_hop_mac_5_bytes", one_segment(plain_hop(hop_mac=bytes(5)), reserved_hop()), {}),
+        ("seg_id", replace(VALID, segments=(replace(SEGMENT, seg_id=1 << 16),)), {}),
+        ("info_timestamp", replace(VALID, segments=(replace(SEGMENT, timestamp=1 << 32),)), {}),
+        ("dst_isd", replace(VALID, dst_isd=1 << 16), {}),
+        ("dst_as", replace(VALID, dst_as=1 << 48), {}),
+        ("dst_as_no_flyover", one_segment(plain_hop(), dst_as=1 << 48), {}),
+        ("res_id", one_segment(reserved_hop(res_id=1 << 22)), {}),
+        ("bw", one_segment(reserved_hop(bw_code=1 << 10)), {}),
+        ("res_duration", one_segment(reserved_hop(duration=1 << 16)), {}),
+        ("26_flyovers_in_a_segment", one_segment(*[reserved_hop()] * 26), {}),
+        ("hdr_len_over_255",
+         replace(VALID, segments=(replace(SEGMENT, hops=(plain_hop(),) * 40),) * 3), {}),
+        ("payload_len_0xFFFF", VALID, {"payload_len": 0xFFFF}),
+        ("payload_len_negative", VALID, {"payload_len": -5}),
+        ("clock_beyond_32_bits", VALID, {"now": (1 << 32) * S}),
+        ("inactive_reservation", VALID, {"now": (BASE_S - 20) * S}),
+        ("tag_len_7", VALID, {"tag_len": 7}),
+        ("counter_exhausted", VALID, {
+            "counter_state": source.CounterState((BASE_S, 0), source.MAX_COUNTER + 1),
+        }),
+    )
+]
+
+
+class TestMatchesOracle:
+    """build_packet against `source_oracle`, the builder that re-checked
+    and rebuilt the whole plan for every packet."""
+
+    def test_random_plans(self):
+        rng = random.Random(0xB1D)
+        built = with_flyover = inactive = 0
+        for _ in range(300):
+            plan = random_plan(rng)
+            kwargs = {"tag_len": rng.randint(1, 6), "allow_inactive": rng.random() < 0.5}
+            now = BASE_NS + rng.randrange(S)
+            states = source.CounterState(), source.CounterState()
+            for _ in range(3):  # one plan, reused as a simulated flow does
+                payload_len = rng.randrange(1500)
+                expected, got = (
+                    outcome(build_packet, plan, payload_len, now, state, **kwargs)
+                    for build_packet, state in zip(
+                        (source_oracle.build_packet, source.build_packet), states
+                    )
+                )
+                assert got == expected
+                assert states[0] == states[1]
+                if isinstance(got, tuple):
+                    assert got[0] is source.ReservationInactive
+                    inactive += 1
+                else:
+                    encode_packet(got)
+                    built += 1
+                    with_flyover += any(hop.flyover for hop in got.path.hops)
+                now += rng.choice((0, rng.randrange(MS), rng.randrange(S)))
+        assert built >= 500 and with_flyover >= 300 and inactive >= 100
+
+    @pytest.mark.parametrize("plan, kwargs", SINGLE_FAULTS)
+    def test_single_fault(self, plan, kwargs):
+        (expected, expected_state), (got, got_state) = against_oracle(plan, **kwargs)
+        assert isinstance(expected, tuple)
+        assert (got, got_state) == (expected, expected_state)
+
+    @pytest.mark.parametrize("plan", [
+        replace(VALID, segments=(SEGMENT,) * 4),
+        one_segment(plain_hop(exp_time=300)),
+    ], ids=["plan_check", "field_range"])
+    def test_a_bad_plan_raises_on_every_build(self, plan):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                build(plan)
+        assert "fixed_part" not in vars(plan)
+
+    def test_reserved_hop_mac_of_5_bytes(self):
+        """Known difference: the template's field check refuses it before a
+        tag is computed, with WireError where the oracle's aggregate_mac
+        raised CryptoError; the message is the same."""
+        plan = one_segment(plain_hop(), reserved_hop(hop_mac=bytes(5)))
+        (expected, expected_state), (got, got_state) = against_oracle(plan)
+        assert expected == (crypto.CryptoError, "hop MAC must be 6 bytes, got 5")
+        assert got == (WireError, "hop MAC must be 6 bytes, got 5")
+        assert got_state == expected_state
+
+    def test_negative_clock(self):
+        """Known difference: refused with the other out-of-range clocks,
+        before the counter advances; the oracle advanced the counter and
+        then refused the meta header's base_timestamp."""
+        plan = one_segment(plain_hop())
+        (expected, expected_state), (got, got_state) = against_oracle(plan, now=-1)
+        assert expected == (WireError, "base_timestamp out of range for 32-bit field: -1")
+        assert expected_state.value == 1
+        assert got == (source.SourceError, "clock beyond 32-bit unix seconds: -1")
+        assert got_state == source.CounterState()
 
 
 def forwarded(plan, hops_count):
