@@ -23,21 +23,28 @@ a staged change.
 The same immutability keeps state_hash cheap.  Each asset, listing,
 redeem request and token renders its own entry of the canonical state
 JSON once and caches it on itself (`_fragment`).  The entry is rendered
-from the value's dataclass fields, so a field added to a stored class
+from the value's dataclass fields by a per-class format string and
+per-type encoders that write what json.dumps would; a field of any
+other type goes through json.dumps, so a field added to a stored class
 is hashed with no further code.  The cache is exact because a value
 never changes after it is built: a changed entry is a new object from
 `replace()` with a fresh fragment.
 
 Each table (`_Table`) keeps those entries sorted between hashes and
-moves only the entries of ids written since the last one, so
-state_hash feeds them to sha256 as they lie, with no sort per call and
-no whole-state string.  Sorting the entries is `sort_keys` order: an
-entry starts with its id as a quoted decimal string, and `"` sorts
-before every digit, so "10" < "100" < "9" holds for the entries as
-for the keys.  A staged copy copies each table's order and pending
-writes with its values; the entries are shared, immutable strings.  So
-a block's writes never reach the committed order, and a rollback puts
-back a state whose order still matches its values.
+moves only the entries of ids written since the last one.  Sorting the
+entries is `sort_keys` order: an entry starts with its id as a quoted
+decimal string, and `"` sorts before every digit, so "10" < "100" < "9"
+holds for the entries as for the keys.  state_hash resumes the same
+digest rather than recomputing it: sha256 reads its input in order, so
+everything before the first changed byte leaves the same hash state.
+Each table keeps copies of that state every few entries from its last
+hash, and the next hash starts again at the last copy before the
+table's first moved entry; the balances and sellers are dumped again
+only when they changed.  A staged copy copies each table's order and
+pending writes with its values and shares the kept states, which are
+never changed in place.  So a block's writes never reach the committed
+order, and a rollback puts back a state whose order and kept states
+still match its values.
 
 Currency is an abstract integer.
 """
@@ -46,10 +53,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from random import Random
 
 from cryptography.exceptions import InvalidSignature
@@ -108,6 +117,21 @@ class Direction(Enum):
     EGRESS = "egress"
 
 
+# type -> a function giving `_dumps(value)` for a value of exactly that
+# type (`_Stored._fragment` writes an int as it is)
+_ENCODERS = {
+    bool: {False: "false", True: "true"}.__getitem__,
+    str: encode_basestring_ascii,
+    bytes: lambda value: f'"{value.hex()}"',
+    Direction: {member: encode_basestring_ascii(member.value) for member in Direction}.__getitem__,
+}
+
+
+def _encode(value) -> str:
+    """`_dumps(value)`, without json.dumps for the types a stored value holds."""
+    return _ENCODERS.get(type(value), _dumps)(value)
+
+
 # ---------------------------------------------------------------------------
 # Domain objects
 
@@ -117,6 +141,16 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+@cache
+def _entry_layout(cls) -> tuple[attrgetter, str]:
+    """A getter of cls's fields, key first and the rest by name, and the
+    %-format of its state_hash entry, `"<key>":{"<name>":<value>,...}`."""
+    key, *rest = _field_names(cls)
+    names = sorted(rest)
+    body = ",".join(encode_basestring_ascii(name).replace("%", "%%") + ":%s" for name in names)
+    return attrgetter(key, *names), '"%s":{' + body + "}"
+
+
 class _Stored:
     """A frozen dataclass kept in a ledger table under its first field."""
 
@@ -124,8 +158,10 @@ class _Stored:
     def _fragment(self) -> str:
         """This value's `"<key>":{...}` entry in the state_hash JSON, which
         holds every other field."""
-        key, *rest = _field_names(type(self))
-        return f'"{getattr(self, key)}":' + _dumps({name: getattr(self, name) for name in rest})
+        getter, layout = _entry_layout(type(self))
+        key, *values = getter(self)
+        # An int's %s is already its JSON.
+        return layout % (key, *[v if type(v) is int else _encode(v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -359,6 +395,9 @@ def _get(table: _Table, cls: type, ref, what: str):
         raise LedgerError(f"no such {what}: {key}") from None
 
 
+_STRIDE = 128  # table entries between the sha256 states a table keeps
+
+
 class _Table:
     """Stored values by id, plus their state_hash entries in hash order.
 
@@ -371,19 +410,35 @@ class _Table:
     inside a block are, is never rendered.  Not a dict subclass: a
     dict's own writers (`pop`, `update`, `setdefault`, ...) would bypass
     the order.
+
+    Reading `order` also lowers `_low` to the first index it moved since
+    the last `hash_into`.  `hash_into` keeps sha256 states from its last
+    call, one every `_STRIDE` entries and one at the end, tagged with the
+    digest of everything hashed before the table.  When the tag matches,
+    the next call resumes from the last kept state at or before `_low`,
+    so it hashes only from there on and returns the same digest a full
+    pass would.  A staged copy shares the kept states with the table it
+    was copied from; each call builds a new list and never changes one,
+    so either side's states match its own order, also after a rollback.
     """
 
-    __slots__ = ("_values", "_order", "_changed")
+    __slots__ = ("_values", "_order", "_changed", "_low", "_marks")
 
     def __init__(self, values: dict | None = None, order: list[str] | None = None,
-                 changed: dict | None = None):
+                 changed: dict | None = None, low: int = 0, marks: tuple | None = None):
         self._values = {} if values is None else values
         self._order = [] if order is None else order
         # id -> the value whose entry `_order` holds for it, or None
         self._changed = {} if changed is None else changed
+        # the first index of `_order` moved since the last hash_into
+        self._low = low
+        # from the last hash_into: (the digest before the table, entries
+        # hashed, the sha256 state every _STRIDE entries, the end state)
+        self._marks = marks
 
     def copy(self) -> _Table:
-        return _Table(dict(self._values), list(self._order), dict(self._changed))
+        return _Table(dict(self._values), list(self._order), dict(self._changed),
+                      self._low, self._marks)
 
     def put(self, value: _Stored) -> None:
         """Add value under its id, or swap it in for the value stored there."""
@@ -398,15 +453,52 @@ class _Table:
     @property
     def order(self) -> list[str]:
         """Every value's entry, sorted."""
-        order = self._order
+        order, low = self._order, self._low
         for key, old in self._changed.items():
             if old is not None:
-                del order[bisect_left(order, old._fragment)]
+                index = bisect_left(order, old._fragment)
+                del order[index]
+                low = min(low, index)
             new = self._values.get(key)
             if new is not None:
-                insort(order, new._fragment)
+                index = bisect_left(order, new._fragment)
+                order.insert(index, new._fragment)
+                low = min(low, index)
         self._changed.clear()
+        self._low = low
         return order
+
+    def hash_into(self, digest):
+        """Feed the entries, comma-separated, to the sha256 object digest.
+
+        Returns the sha256 object that holds the result: digest itself, or
+        a copy of a kept state that went on from there.
+        """
+        order = self.order
+        count, low, self._low = len(order), self._low, len(order)
+        tag = digest.digest()
+        if self._marks is not None and self._marks[0] == tag:
+            _, hashed, states, end = self._marks
+            if low >= hashed:
+                if hashed == count:
+                    return end.copy()
+                start, digest = hashed, end.copy()
+            else:
+                start = low - low % _STRIDE
+                digest = states[start // _STRIDE].copy()
+            states = states[: -(-start // _STRIDE)]  # the states before start
+        else:
+            start, states = 0, []
+        while start < count:
+            if start % _STRIDE == 0:
+                states.append(digest.copy())
+            if start:
+                digest.update(b",")
+            stop = min(start - start % _STRIDE + _STRIDE, count)
+            digest.update(",".join(order[start:stop]).encode())
+            start = stop
+        self._marks = (tag, count, states, digest.copy())
+        return digest
 
     def __getitem__(self, key: int):
         return self._values[key]
@@ -465,6 +557,9 @@ class Ledger:
         self._state = _State()
         self._log: list[dict] = []
         self._in_block = False
+        # the last dumps of the balances and the sellers, each with a copy
+        # of what was dumped
+        self._dumped = (None, b""), (None, b"")
         for account, balance in (genesis or {}).items():
             self.open_account(account, balance)
 
@@ -866,22 +961,29 @@ class Ledger:
         The digest covers one canonical JSON dump of the state (sorted
         keys, no spaces), fed to sha256 piece by piece and never built
         as one string.  Each table's entries are already in `sort_keys`
-        order (see `_Table`), and the top-level keys are written in that
-        order too.
+        order, and the top-level keys are written in that order too.
+        The digest is resumed, not recomputed: each table starts again
+        from the sha256 state it kept at or before its first changed
+        entry (see `_Table`), and the balances and sellers are dumped
+        again only when they differ from the last dump.
         """
         state = self._state
-        digest = hashlib.sha256()
-        for part in (
-            '{"assets":{', ",".join(state.assets.order),
-            '},"balances":', _dumps(state.balances),
-            ',"listings":{', ",".join(state.listings.order),
-            '},"next_id":', _dumps(state.next_id),
-            ',"requests":{', ",".join(state.requests.order),
-            '},"sellers":', _dumps(sorted(state.sellers)),
-            ',"tokens":{', ",".join(state.tokens.order),
-            '}}',
-        ):
-            digest.update(part.encode())
+        balances, sellers = self._dumped
+        # Equal ints dump alike; 1, 1.0 and True are equal but do not.
+        ints = {*map(type, state.balances.values())} <= {int}
+        if not ints or balances[0] != state.balances:
+            balances = dict(state.balances) if ints else None, _dumps(state.balances).encode()
+        if sellers[0] != state.sellers:
+            sellers = frozenset(state.sellers), _dumps(sorted(state.sellers)).encode()
+        self._dumped = balances, sellers
+        digest = state.assets.hash_into(hashlib.sha256(b'{"assets":{'))
+        digest.update(b'},"balances":%s,"listings":{' % balances[1])
+        digest = state.listings.hash_into(digest)
+        digest.update(b'},"next_id":%d,"requests":{' % state.next_id)
+        digest = state.requests.hash_into(digest)
+        digest.update(b'},"sellers":%s,"tokens":{' % sellers[1])
+        digest = state.tokens.hash_into(digest)
+        digest.update(b"}}")
         return digest.hexdigest()
 
     def export_log(self) -> tuple[dict, ...]:

@@ -41,6 +41,7 @@ from .ledger import (
     Call,
     Direction,
     Ledger,
+    Listing,
     PkiRoot,
     Result,
     sealing_keypair,
@@ -540,21 +541,26 @@ class Network:
             if _reserves(flow.spec):
                 self._reserve_for_flow(flow)
 
-    def _find_listing(self, as_id: int, iface: int, direction: Direction,
-                      bandwidth: int):
+    def _covering_listings(self) -> dict[tuple, list[tuple[Listing, int]]]:
+        """Each open listing whose asset spans the market window, with the
+        asset's bandwidth, by (AS, interface, direction)."""
         start, end = self.window
-        candidates = []
+        covering = {}
         for listing in self.ledger.open_listings():
             asset = self.ledger.asset(listing.asset_id)
-            if (
-                asset.as_id == as_id
-                and asset.interface == iface
-                and asset.direction is direction
-                and asset.start_time <= start
-                and asset.expiration_time >= end
-                and asset.bandwidth >= bandwidth
-            ):
-                candidates.append(listing)
+            if asset.start_time <= start and asset.expiration_time >= end:
+                key = (asset.as_id, asset.interface, asset.direction)
+                covering.setdefault(key, []).append((listing, asset.bandwidth))
+        return covering
+
+    def _find_listing(self, covering: dict, as_id: int, iface: int,
+                      direction: Direction, bandwidth: int) -> Listing:
+        """The covering listing with the lowest id that has bandwidth."""
+        candidates = [
+            listing
+            for listing, available in covering.get((as_id, iface, direction), ())
+            if available >= bandwidth
+        ]
         if not candidates:
             raise ScenarioError(
                 f"no listing covers AS {as_id} iface {iface} {direction.value} "
@@ -579,14 +585,16 @@ class Network:
         start, end = self.window
         priv, pub = sealing_keypair(flow.rng)
 
+        # Nothing changes the listings before the block below runs.
+        covering = self._covering_listings()
         calls = []
         own_hops = []
         for index, as_id in enumerate(flow.path):
             if as_id in share:
                 continue
             ingress, egress = self._hop_interfaces(flow.path, index)
-            l_in = self._find_listing(as_id, ingress, Direction.INGRESS, bandwidth)
-            l_eg = self._find_listing(as_id, egress, Direction.EGRESS, bandwidth)
+            l_in = self._find_listing(covering, as_id, ingress, Direction.INGRESS, bandwidth)
+            l_eg = self._find_listing(covering, as_id, egress, Direction.EGRESS, bandwidth)
             want = dict(start_time=start, expiration_time=end, bandwidth=bandwidth)
             base = len(calls)
             calls.append(Call("buy", (flow.account, l_in.listing_id), dict(want)))

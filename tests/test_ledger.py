@@ -1,9 +1,12 @@
 import dataclasses
+import enum
+import functools
 import hashlib
 import json
 from itertools import combinations
 from operator import attrgetter
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from cryptography.exceptions import InvalidTag
@@ -1305,18 +1308,242 @@ class TestStateHash:
         assert value._fragment == '"7":{"added":true,"blob":"00ff","direction":"egress"}'
 
     def test_one_op_serialises_a_bounded_amount(self, monkeypatch):
+        """One op on a large ledger renders its own entries and no more:
+        no table entry already rendered and no whole-state dump."""
         led, token, _, _ = fresh_ledger()
         for _ in range(1000):
             hour_asset(led, token)
         written = []
-        dumps = ledger_mod.json.dumps
+        render, dumps = ledger_mod._Stored._fragment.func, ledger_mod._dumps
 
-        def counting_dumps(*args, **kwargs):
-            text = dumps(*args, **kwargs)
-            written.append(len(text))
-            return text
+        def counting(function):
+            def wrapper(value):
+                text = function(value)
+                written.append(len(text))
+                return text
 
-        monkeypatch.setattr(ledger_mod.json, "dumps", counting_dumps)
+            return wrapper
+
+        rendered = functools.cached_property(counting(render))
+        rendered.__set_name__(ledger_mod._Stored, "_fragment")
+        monkeypatch.setattr(ledger_mod._Stored, "_fragment", rendered)
+        monkeypatch.setattr(ledger_mod, "_dumps", counting(dumps))
         hour_asset(led, token)
         led.state_hash()
-        assert sum(written) < 1000
+        assert 0 < sum(written) < 1000
+
+
+class CountingSha256:
+    """hashlib.sha256 that counts the bytes fed to any of its objects."""
+
+    fed = 0
+
+    def __init__(self, data: bytes = b"", state=None):
+        self.state = hashlib.sha256() if state is None else state
+        self.update(data)
+
+    def update(self, data: bytes) -> None:
+        CountingSha256.fed += len(data)
+        self.state.update(data)
+
+    def copy(self) -> "CountingSha256":
+        return CountingSha256(state=self.state.copy())
+
+    def digest(self) -> bytes:
+        return self.state.digest()
+
+    def hexdigest(self) -> str:
+        return self.state.hexdigest()
+
+
+class TestResumedHash:
+    """state_hash resumes each table at its first changed entry; every
+    case here is checked against canonical_state_hash, which dumps the
+    whole state in one go."""
+
+    @staticmethod
+    def listed_ledger(assets: int = 3 * ledger_mod._STRIDE + 5):
+        """A ledger of `assets` assets, hashed, spanning several strides of
+        kept states, with asops a registered seller."""
+        led, token, root, rng = fresh_ledger()
+        led.register_seller("asops")
+        for _ in range(assets):
+            hour_asset(led, token)
+        assert led.state_hash() == canonical_state_hash(led)
+        return led, token, rng
+
+    @staticmethod
+    def by_position(led) -> list[int]:
+        """The asset ids in the order state_hash writes them."""
+        return sorted(led._state.assets, key=str)
+
+    def test_first_and_last_entry_changed(self):
+        led, _, _ = self.listed_ledger()
+        ids = self.by_position(led)
+        for asset_id in (ids[0], ids[-1], ids[1], ids[-2]):
+            led.create_listing("asops", asset_id, 3)
+            assert led.state_hash() == canonical_state_hash(led)
+
+    def test_removal_only(self):
+        """A pending batch that only removes entries, ahead of every kept
+        state but the first."""
+        led, _, rng = self.listed_ledger()
+        ids = self.by_position(led)
+        ingress, egress = ids[0], ids[1]
+        led._state.assets.put(dataclasses.replace(led.asset(egress), direction=Direction.EGRESS))
+        led.state_hash()
+        _, pub = sealing_keypair(rng)
+        led.redeem("asops", ingress, egress, pub)
+        assert led.state_hash() == canonical_state_hash(led)
+
+    def test_hash_inside_a_block_that_rolls_back(self, monkeypatch):
+        led, _, _ = self.listed_ledger()
+        ids = self.by_position(led)
+        inside = []
+        register_seller = led.register_seller
+
+        def register_and_hash(account):
+            register_seller(account)
+            inside.append((led.state_hash(), canonical_state_hash(led)))
+
+        monkeypatch.setattr(led, "register_seller", register_and_hash)
+        committed = led.state_hash()
+        with pytest.raises(LedgerError, match="already a registered seller"):
+            led.execute_atomic([
+                Call("create_listing", ("asops", ids[0], 5)),
+                Call("register_seller", ("alice",)),
+                Call("register_seller", ("alice",)),
+            ])
+        assert len(inside) == 1 and inside[0][0] == inside[0][1] != committed
+        assert led.state_hash() == canonical_state_hash(led) == committed
+        # The kept states after the first stride still belong to the
+        # committed order, not to the rolled-back one.
+        led.create_listing("asops", ids[-1], 5)
+        assert led.state_hash() == canonical_state_hash(led)
+
+    def test_staged_copy_hashed_then_the_original(self):
+        led, _, _ = self.listed_ledger()
+        ids = self.by_position(led)
+        committed = led._state
+        staged = led._state = committed.copy()
+        staged.assets.put(dataclasses.replace(staged.assets[ids[0]], owner="bob"))
+        staged.assets.remove(ids[-1])
+        assert led.state_hash() == canonical_state_hash(led)
+        led._state = committed
+        assert led.state_hash() == canonical_state_hash(led)
+        led.create_listing("asops", ids[-1], 5)
+        assert led.state_hash() == canonical_state_hash(led)
+        led._state = staged
+        led.create_listing("asops", ids[len(ids) // 2], 5)
+        assert led.state_hash() == canonical_state_hash(led)
+
+    def test_order_read_between_writes_without_a_hash(self):
+        led, _, _ = self.listed_ledger()
+        ids = self.by_position(led)
+        table = led._state.assets
+        for first, second in ((ids[0], ids[-1]), (ids[-2], ids[1])):
+            table.put(dataclasses.replace(table[first], owner="bob"))
+            table.order
+            table.put(dataclasses.replace(table[second], owner="bob"))
+            table.order
+            assert led.state_hash() == canonical_state_hash(led)
+
+    def test_table_emptied_and_refilled(self):
+        led, token, _ = self.listed_ledger(ledger_mod._STRIDE + 3)
+        for asset_id in list(led._state.assets):
+            led.create_listing("asops", asset_id, 1)
+        assert len(led._state.listings) > ledger_mod._STRIDE
+        for listing_id in list(led._state.listings):
+            led.buy("alice", listing_id, start_time=H9, expiration_time=H10, bandwidth=100 * MBPS)
+            assert led.state_hash() == canonical_state_hash(led)
+        assert len(led._state.listings) == 0
+        led.register_seller("alice")
+        for asset in led.assets_owned_by("alice")[:3]:
+            led.create_listing("alice", asset, 2)
+            assert led.state_hash() == canonical_state_hash(led)
+
+    def test_owner_needing_escapes(self):
+        owner = 'q"uo\\te ünï✓ \x07'
+        led, token, _, _ = fresh_ledger()
+        led.open_account(owner, 10**15)
+        led.register_seller("asops")
+        listing = led.create_listing("asops", hour_asset(led, token), 1)
+        bought = led.buy(owner, listing, start_time=H9, expiration_time=H10, bandwidth=100 * MBPS)
+        assert led.state_hash() == canonical_state_hash(led)
+        assert bought._fragment.isascii() and json.loads("{%s}" % bought._fragment)[
+            str(bought.asset_id)
+        ]["owner"] == owner
+
+    def test_balance_equal_to_the_last_dump_but_of_another_type(self):
+        """True == 1 == 1.0, but the dumps read true, 1 and 1.0."""
+        led, token, _, _ = fresh_ledger()
+        led.open_account("frugal", True)
+        led.register_seller("asops")
+        for buyer, price, turns_into in (("frugal", 0, int), ("alice", 0.0, float)):
+            listing = led.create_listing("asops", hour_asset(led, token), price)
+            assert led.state_hash() == canonical_state_hash(led)
+            led.buy(buyer, listing, start_time=H9, expiration_time=H10, bandwidth=100 * MBPS)
+            assert type(led.balance(buyer)) is turns_into
+            assert led.state_hash() == canonical_state_hash(led)
+
+    def test_one_delivery_hashes_less_than_the_assets(self, monkeypatch):
+        monkeypatch.setattr(ledger_mod, "hashlib", SimpleNamespace(sha256=CountingSha256))
+        led, token, rng = self.listed_ledger(1000)
+        ingress = hour_asset(led, token, interface=2)
+        egress = hour_asset(led, token, interface=3, direction=Direction.EGRESS)
+        priv, pub = sealing_keypair(rng)
+        request = led.redeem("asops", ingress, egress, pub)
+        CountingSha256.fed = 0
+        blob = led.deliver_reservation(ASControlService(AS_ID, SV, rng), request)
+        assert CountingSha256.fed < len(",".join(led._state.assets.order))
+        assert led.state_hash() == canonical_state_hash(led)
+        assert unseal_credentials(priv, blob)[0].ingress == 2
+
+
+def sample(annotation: str, rng: Random):
+    """A value for a stored field declared with this annotation."""
+    if annotation == "int":
+        return rng.choice((0, 1, -1, 2**64, rng.randrange(-(10**20), 10**20)))
+    if annotation == "bool":
+        return rng.random() < 0.5
+    if annotation == "str":
+        return "".join(rng.choice('aZ0 "\\/\x00\x1f\x7fé✓\U0001f600') for _ in range(rng.randrange(8)))
+    if annotation == "bytes":
+        return rng.randbytes(rng.randrange(40))
+    if annotation == "Direction":
+        return rng.choice(list(Direction))
+    raise AssertionError(f"no sample for a stored field of type {annotation}")
+
+
+class TestRenderer:
+    STORED = (BandwidthAsset, AuthToken, Listing, RedeemRequest)
+
+    def test_every_stored_class_is_covered(self):
+        module_classes = {
+            cls for cls in ledger_mod._Stored.__subclasses__()
+            if cls.__module__ == ledger_mod.__name__
+        }
+        assert module_classes == set(self.STORED)
+
+    @pytest.mark.parametrize("cls", STORED, ids=lambda cls: cls.__name__)
+    def test_entries_match_json_dumps(self, cls):
+        rng = Random(cls.__name__)
+        key, *rest = (f.name for f in dataclasses.fields(cls))
+        for _ in range(200):
+            value = cls(**{
+                f.name: sample(f.type, rng) for f in dataclasses.fields(cls)
+            })
+            expected = f'"{getattr(value, key)}":' + ledger_mod._dumps(
+                {name: getattr(value, name) for name in rest}
+            )
+            assert value._fragment == expected
+
+    @pytest.mark.parametrize("value", [
+        0, -7, 2**70, True, False, "", 'a"b\\c\n\u2028✓\U0001f600', b"", b"\x00\xff",
+        Direction.INGRESS, None, 1.5, [1, "x"], {"b": 1, "a": [True]},
+        enum.IntEnum("Small", "ONE TWO").TWO,
+        enum.Enum("Named", {"A": "a\"", "B": 3, "C": b"\x01"}).C,
+        enum.Enum("Plain", {"X": (1, "y")}).X,
+    ], ids=repr)
+    def test_encoder_matches_json_dumps(self, value):
+        assert ledger_mod._encode(value) == ledger_mod._dumps(value)

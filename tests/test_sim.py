@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from hummingbird import sim
+from hummingbird import cli, sim
 from hummingbird.sim import (
     Network,
     ScenarioError,
@@ -169,6 +169,54 @@ class TestReservationUse:
     def test_report_includes_ledger_state_hash(self):
         report = run_scenario(mini_scenario(), 3)
         assert len(report["ledger"]["state_hash"]) == 64
+
+    def test_reservation_beyond_every_listing_is_refused(self):
+        scenario = mini_scenario()
+        scenario["flows"][0]["reserve_mbps"] = 11  # the 1->2 link carries 10
+        with pytest.raises(
+            ScenarioError,
+            match=r"^no listing covers AS 1 iface \d+ egress 11000000 bit/s over \(\d+, \d+\)$",
+        ):
+            Network(scenario, 3)
+
+    @pytest.mark.parametrize("name", ["exact_rate", "starvation"])
+    def test_listing_search_picks_the_lowest_covering_id(self, name):
+        """Against a scan of every open listing, as set-up did per hop
+        before it indexed them once per flow."""
+        net = Network(load_scenario(name), 1)
+        start, end = net.window
+        # Resell half of each listing that spans the window, so that some
+        # keys have two covering listings.
+        led, buyer = net.ledger, sorted(f.account for f in net.flows.values())[0]
+        led.register_seller(buyer)
+        for listing in led.open_listings():
+            asset = led.asset(listing.asset_id)
+            if asset.start_time <= start and asset.expiration_time >= end:
+                half = led.buy(buyer, listing, start_time=asset.start_time,
+                               expiration_time=asset.expiration_time, bandwidth=asset.bandwidth // 2)
+                led.create_listing(buyer, half, 1)
+        covering = net._covering_listings()
+        listed = [(l.listing_id, net.ledger.asset(l.asset_id)) for l in net.ledger.open_listings()]
+        found = several = 0
+        for as_id, iface, direction in {(a.as_id, a.interface, a.direction) for _, a in listed}:
+            for bandwidth in {a.bandwidth for _, a in listed} | {1, 10**15}:
+                scanned = [
+                    listing_id
+                    for listing_id, a in listed
+                    if (a.as_id, a.interface, a.direction) == (as_id, iface, direction)
+                    and a.start_time <= start
+                    and a.expiration_time >= end
+                    and a.bandwidth >= bandwidth
+                ]
+                if scanned:
+                    found += 1
+                    several += len(scanned) > 1
+                    listing = net._find_listing(covering, as_id, iface, direction, bandwidth)
+                    assert listing.listing_id == min(scanned)
+                else:
+                    with pytest.raises(ScenarioError, match="no listing covers"):
+                        net._find_listing(covering, as_id, iface, direction, bandwidth)
+        assert found >= 6 and several >= 3
 
 
 class TestSchemaRejections:
@@ -336,6 +384,16 @@ class TestBundledScenarios:
         assert check_expectations(report, scenario) == []
         digest = hashlib.sha256(report_json(report).encode()).hexdigest()
         assert digest == self.PINNED_REPORTS[name]
+
+    # sha256 of `hummingbird ledger-demo --format records` at seed 1729.
+    # Every line carries its op's state hash, so this pins the digest of
+    # every logged op, not only the last.
+    PINNED_LEDGER_RECORDS = "48ac7bb4282a615d6cfae205add1277f3e764f3cf9f7b10d22ca413caf7af8d9"
+
+    def test_ledger_demo_records_are_pinned(self, capsys):
+        assert cli.main(["ledger-demo", "--format", "records", "--seed", "1729"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.PINNED_LEDGER_RECORDS
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
