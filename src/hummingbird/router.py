@@ -16,8 +16,9 @@ one, or two when the packet crosses into the next segment here.
 The aggregate MAC trick does double duty: xoring the recomputed
 FlyoverMAC into the header both reveals the hop field MAC candidate
 for verification and leaves the header holding a plain hop MAC
-afterwards, which is what path reversal needs.  A forged or mismatched
-tag therefore surfaces as an ordinary hop MAC failure and drops.
+afterwards, which a reply path would need (reply paths are not
+modelled).  A forged or mismatched tag therefore surfaces as an
+ordinary hop MAC failure and drops.
 
 Demotions (stale timestamp, inactive or exhausted reservation) forward
 best effort and never touch policer state.

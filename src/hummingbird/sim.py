@@ -320,16 +320,25 @@ def validate_scenario(scenario: dict) -> None:
             raise ScenarioError(f"{where} is missing {key!r}")
         return mapping[key]
 
+    def number(mapping, key, where, default=None):
+        value = need(mapping, key, where) if default is None else mapping.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioError(f"{where}: {key} must be a number, got {value!r}")
+        return value
+
     need(scenario, "name", "scenario")
     duration = need(scenario, "duration_s", "scenario")
     if not isinstance(duration, (int, float)) or duration <= 0:
         raise ScenarioError(f"duration_s must be positive, got {duration!r}")
+    for key, default in (("host_capacity_mbps", 10_000), ("burst_ms", 50), ("funding", 0)):
+        number(scenario, key, "scenario", default)
     topo = need(scenario, "topology", "scenario")
     as_ids = set()
     for entry in need(topo, "ases", "topology"):
         as_id = need(entry, "id", "AS entry")
         if as_id in as_ids:
             raise ScenarioError(f"duplicate AS id {as_id}")
+        number(entry, "clock_offset_ms", f"AS {as_id}", 0)
         as_ids.add(as_id)
     links = set()
     for entry in need(topo, "links", "topology"):
@@ -339,8 +348,11 @@ def validate_scenario(scenario: dict) -> None:
                 raise ScenarioError(f"link endpoint {end} is not a declared AS")
         if (src, dst) in links:
             raise ScenarioError(f"duplicate link {src}->{dst}")
-        if need(entry, "capacity_mbps", "link") <= 0:
+        if number(entry, "capacity_mbps", "link") <= 0:
             raise ScenarioError("link capacity must be positive")
+        if number(entry, "delay_ms", "link", 1) < 0:
+            raise ScenarioError(f"link {src}->{dst} delay_ms must not be negative")
+        number(entry, "be_buffer_ms", "link", 50)
         links.add((src, dst))
 
     names = set()
@@ -356,6 +368,8 @@ def validate_scenario(scenario: dict) -> None:
         if cls == "adversary" and kind not in ADVERSARY_KINDS:
             raise ScenarioError(f"flow {name}: unknown adversary kind {kind!r}")
         path = need(spec, "path", f"flow {name}")
+        if not isinstance(path, list):
+            raise ScenarioError(f"flow {name}: path must be a list, got {path!r}")
         if len(path) < 1:
             raise ScenarioError(f"flow {name}: empty path")
         for hop in path:
@@ -374,26 +388,37 @@ def validate_scenario(scenario: dict) -> None:
                     f"flow {name}: replays_flow {victim!r} must be declared earlier"
                 )
         else:
-            need(spec, "rate_mbps", f"flow {name}")
-            need(spec, "packet_bytes", f"flow {name}")
-        if _reserves(spec) and "reserve_mbps" not in spec:
-            raise ScenarioError(f"flow {name}: reserve_mbps required")
-        for shared_as in spec.get("share", {}):
+            if round(number(spec, "rate_mbps", f"flow {name}") * 1_000_000) <= 0:
+                raise ScenarioError(f"flow {name}: rate_mbps must be at least 1 bit/s")
+            if not isinstance(number(spec, "packet_bytes", f"flow {name}"), int):
+                raise ScenarioError(f"flow {name}: packet_bytes must be an integer")
+            if number(spec, "start_s", f"flow {name}", 0) < 0:
+                raise ScenarioError(f"flow {name}: start_s must not be negative")
+            number(spec, "stop_s", f"flow {name}", duration)
+        if _reserves(spec):
+            number(spec, "reserve_mbps", f"flow {name}")
+        share = spec.get("share", {})
+        if not isinstance(share, dict):
+            raise ScenarioError(f"flow {name}: share must be an object, got {share!r}")
+        for shared_as, source in share.items():
             if int(shared_as) not in path:
                 raise ScenarioError(f"flow {name}: shared AS {shared_as} not on path")
-            if spec["share"][shared_as] not in names - {name}:
+            if source not in names - {name}:
                 raise ScenarioError(
-                    f"flow {name}: share source {spec['share'][shared_as]!r} "
-                    f"must be an earlier flow"
+                    f"flow {name}: share source {source!r} must be an earlier flow"
                 )
     needs_market = any(map(_reserves, scenario.get("flows", ()))) or scenario.get("buyouts")
     if needs_market and "market" not in scenario:
         raise ScenarioError("scenario needs a market block for reservations")
     if scenario.get("market"):
         market = {**_MARKET_DEFAULTS, **scenario["market"]}
-        window = market["window_s"]
-        gran = market["granularity_s"]
-        lead = market["lead_s"]
+        window, gran, lead = (
+            number(market, key, "market") for key in ("window_s", "granularity_s", "lead_s")
+        )
+        if gran <= 0:
+            raise ScenarioError(f"market granularity_s must be positive, got {gran!r}")
+        for key in ("min_bandwidth", "unit_price"):
+            number(market, key, "market")
         if window % gran:
             raise ScenarioError(f"market window {window}s not a multiple of {gran}s")
         if lead % gran or lead < 0:

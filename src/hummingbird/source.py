@@ -1,4 +1,4 @@
-"""End-host packet construction and path reversal.
+"""End-host packet construction.
 
 A source holds a path plan: per segment the info field seed, per hop
 the forwarding interfaces, the hop field MAC (obtained out of band
@@ -9,12 +9,13 @@ delivered key.
 Every packet stamps the current second, millisecond, and a counter
 that makes the (base, millis, counter) triple unique per source; the
 triple is MAC input, so two distinct packets never share a tag.  The
-rest of a packet is fixed per plan, built and checked once.
+rest of a packet is fixed per plan, built and checked once, together
+with the cipher of each reserved hop's delivered key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -33,6 +34,7 @@ from .wire import (
     PathMetaHdr,
     ReservationInfo,
     WireError,
+    encode_packet,
     pkt_len_for_mac,
 )
 
@@ -61,12 +63,6 @@ class HopPlan:
     exp_time: int = 255
     # (attributes, delivered key) for a purchased reservation
     reservation: tuple[ReservationInfo, bytes] | None = None
-    # The delivered key's cipher, built once for every packet on this hop.
-    a_key_prf: crypto.Prf | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.reservation is not None:
-            object.__setattr__(self, "a_key_prf", crypto.Prf(self.reservation[1]))
 
 
 @dataclass(frozen=True)
@@ -87,13 +83,13 @@ class PathPlan:
     @cached_property
     def fixed_part(self) -> tuple:
         """What every packet built from this plan shares: the info fields,
-        each hop's fixed record (a plain hop's field, a reserved hop's
-        plan), seg_len and hdr_len.
+        each hop's fixed record (a plain hop's field, or a reserved hop's
+        plan and the cipher of its delivered key), seg_len and hdr_len.
 
-        Runs the plan checks, then the field-range checks of
-        `Packet.validate()` on a template packet.  A failed check caches
-        nothing, so every build from a bad plan raises.  The cache is exact
-        because a plan and its parts are immutable.
+        Runs the plan checks, then encodes a template packet, which checks
+        every field's range, and only then builds the ciphers.  A failed
+        check caches nothing, so every build from a bad plan raises.  The
+        cache is exact because a plan and its parts are immutable.
         """
         if not all(segment.hops for segment in self.segments):
             raise SourceError("segment without hop fields")
@@ -130,8 +126,12 @@ class PathPlan:
                 seg_len[index] += hop.words
         infos, seg_len = tuple(infos), tuple(seg_len)
         path = HummingbirdPath(PathMetaHdr(0, 0, seg_len, 0, 0, 0), infos, tuple(template))
-        Packet(self.dst_isd, self.dst_as, 0, path).validate()
-        return infos, tuple(hops), seg_len, hdr_len
+        encode_packet(Packet(self.dst_isd, self.dst_as, 0, path))
+        fixed_hops = tuple(
+            (hop, crypto.Prf(hop.reservation[1])) if isinstance(hop, HopPlan) else hop
+            for hop in hops
+        )
+        return infos, fixed_hops, seg_len, hdr_len
 
 
 @dataclass
@@ -194,7 +194,8 @@ def build_packet(
         raise WireError(f"payload_len out of range for 16-bit field: {payload_len}")
     hops = []
     for hop in fixed_hops:
-        if isinstance(hop, HopPlan):
+        if isinstance(hop, tuple):
+            hop, a_key_prf = hop
             res = hop.reservation[0]
             active = res.res_start * NS_PER_S <= now <= (res.res_start + res.duration) * NS_PER_S
             if not active and not allow_inactive:
@@ -204,7 +205,7 @@ def build_packet(
                 )
             offset = min(max(base - res.res_start, 0), 0xFFFF)
             tag = crypto.flyover_mac(
-                hop.a_key_prf, plan.dst_isd, plan.dst_as, pkt_len, offset, millis, counter,
+                a_key_prf, plan.dst_isd, plan.dst_as, pkt_len, offset, millis, counter,
                 tag_len,
             )
             hop = FlyoverHopField(
@@ -216,43 +217,3 @@ def build_packet(
     meta = PathMetaHdr(0, 0, seg_len, base, millis, counter)
     return Packet(plan.dst_isd, plan.dst_as, payload_len, HummingbirdPath(meta, infos, tuple(hops)))
 
-
-def reverse_path(packet: Packet) -> Packet:
-    """Reply-direction packet for a delivered one.
-
-    Flyover hop fields collapse to plain ones (reservations are one
-    way); their MAC slots must already hold the plain hop MAC, which is
-    true exactly when the packet traveled past them, so every flyover
-    must lie behind curr_hf.  Segment and hop order flip, construction
-    direction flags invert, and the sender-stamped meta fields reset.
-    """
-    path = packet.path
-    starts, hop_segments = path.hop_table()
-    segments: list[list[HopField]] = [[] for _ in range(path.meta.num_inf)]
-    for index, hop in enumerate(path.hops):
-        if hop.flyover and starts[index + 1] > path.meta.curr_hf:
-            raise SourceError("packet not in post-forwarding state: live flyover ahead")
-        segments[hop_segments[index]].append(hop)
-
-    rev_infos = []
-    rev_hops: list[HopField] = []
-    rev_words = []
-    for info, seg_hops in zip(reversed(path.infos), reversed(segments)):
-        rev_infos.append(replace(info, cons_dir=not info.cons_dir))
-        rev_hops.extend(hop.plain() for hop in reversed(seg_hops))
-        rev_words.append(HopField.words * len(seg_hops))
-    while len(rev_words) < 3:
-        rev_words.append(0)
-
-    meta = PathMetaHdr(
-        curr_inf=0,
-        curr_hf=0,
-        seg_len=tuple(rev_words),
-        base_timestamp=0,
-        millis_timestamp=0,
-        counter=0,
-    )
-    return replace(
-        packet,
-        path=HummingbirdPath(meta=meta, infos=tuple(rev_infos), hops=tuple(rev_hops)),
-    )

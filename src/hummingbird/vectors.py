@@ -102,7 +102,7 @@ def packet_from_obj(obj: dict) -> Packet:
             hops.append(_fields_from_obj(cls, h))
         path = HummingbirdPath(meta=meta, infos=infos, hops=tuple(hops))
         packet = _fields_from_obj(Packet, {**obj, "path": path})
-        packet.validate()
+        encode_packet(packet)  # checks every field and the layout
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, WireError):
             raise

@@ -10,10 +10,11 @@ reads are modeled: destination ISD/AS, payload length, header length).
 
 All codec types are immutable; encode and decode validate the same
 invariants, so decode(encode(p)) == p and encode(decode(b)) == b on the
-valid domain.  Each record's layout is one precompiled `struct.Struct`,
-which range-checks every byte-aligned field on encode; decode checks
-only what field widths do not already guarantee.  Which word each hop
-starts at and which segment it belongs to is derived in one place,
+valid domain; encoding is the one check of a whole packet.  Each
+record's layout is one precompiled `struct.Struct`, which range-checks
+every byte-aligned field on encode; decode checks only what field
+widths do not already guarantee.  Which word each hop starts at and
+which segment it belongs to is derived in one place,
 `HummingbirdPath.hop_table`.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
 
 META_LEN = 12
@@ -245,10 +246,6 @@ class HopField(_Record):
         flags, *values = cls._struct.unpack_from(buf, offset)
         return cls(*_alerts(flags), *values)
 
-    def plain(self) -> HopField:
-        """The plain hop field holding this one's first six fields."""
-        return HopField(*(getattr(self, f.name) for f in fields(HopField)))
-
 
 def _alerts(flags: int) -> tuple[bool, bool]:
     """The ingress and egress alert bits of a hop field's flags byte."""
@@ -355,14 +352,6 @@ class HummingbirdPath:
 
     def current_hop_index(self) -> int:
         return _hop_at(self.hop_table()[0], self.meta.curr_hf)
-
-    def validate(self) -> None:
-        self.meta.validate()
-        for info in self.infos:
-            info.validate()
-        for hop in self.hops:
-            hop.validate()
-        self._validate_layout()
 
     def _validate_layout(self) -> None:
         """The checks across fields; assumes each field is valid on its own."""
@@ -584,10 +573,6 @@ class Packet:
 
     def pkt_len_for_mac(self) -> int:
         return pkt_len_for_mac(self.payload_len, self.hdr_len)
-
-    def validate(self) -> None:
-        self._validate_prefix()
-        self.path.validate()
 
     def _validate_prefix(self) -> None:
         _check(self.dst_isd, 16, "dst_isd")

@@ -5,8 +5,9 @@ output once: it rebuilds the hop, info, meta, path and packet with
 `dataclasses.replace`, derives the reservation key before checking
 PktLen, and returns freshly made decisions.  Its bytes front end reads
 the prefix with slices and the path with `wire_oracle.decode_path`, and
-encodes by validating the whole packet and then packing each field on
-its own, so no codec fast path is shared with the code under test.
+encodes by checking the whole packet with `wire.encode_packet` and then
+packing each field on its own, so the bytes it returns come from no
+codec fast path shared with the code under test.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import replace
 
-from hummingbird import crypto
+from hummingbird import crypto, wire
 from hummingbird.policing import monitor_code
 from hummingbird.router import (
     EXP_TIME_UNIT_NS,
@@ -53,7 +54,7 @@ def decode_packet(raw: bytes) -> Packet:
 
 
 def encode_packet(packet: Packet) -> bytes:
-    packet.validate()
+    wire.encode_packet(packet)  # the checks only
     meta = packet.path.meta
     seg0, seg1, seg2 = meta.seg_len
     parts = [

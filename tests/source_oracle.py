@@ -3,7 +3,8 @@
 This is `build_packet` as it was before a plan's fixed part was built
 and checked once: every packet re-checks the plan (segment count, empty
 segments, header length, reservation interfaces), builds every info and
-hop field again, and ends with a full `Packet.validate()`.
+hop field again, builds each reserved hop's cipher, and ends by encoding
+the whole packet, which checks every field.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from hummingbird.wire import (
     InfoField,
     Packet,
     PathMetaHdr,
+    encode_packet,
     pkt_len_for_mac,
 )
 
@@ -93,7 +95,7 @@ def build_packet(
         payload_len=payload_len,
         path=HummingbirdPath(meta=meta, infos=tuple(infos), hops=tuple(hops)),
     )
-    packet.validate()
+    encode_packet(packet)
     return packet
 
 
@@ -126,13 +128,14 @@ def _assemble_hop(
             f"not active at build time"
         )
     offset = min(max(base - res.res_start, 0), 0xFFFF)
+    a_key = crypto.Prf(hop_plan.reservation[1])
     return FlyoverHopField(
         ingress_alert=False,
         egress_alert=False,
         exp_time=hop_plan.exp_time,
         cons_ingress=hop_plan.cons_ingress,
         cons_egress=hop_plan.cons_egress,
-        mac=crypto.aggregate_mac(hop_plan.hop_mac, tag(hop_plan.a_key_prf, offset)),
+        mac=crypto.aggregate_mac(hop_plan.hop_mac, tag(a_key, offset)),
         res_id=res.res_id,
         bw=res.bw_code,
         res_start_offset=offset,

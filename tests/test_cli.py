@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hummingbird import cli, vectors
+from hummingbird.sim import bundled_scenarios
 from hummingbird.wire import FlyoverHopField, InfoField, Packet, PathMetaHdr
 
 
@@ -36,6 +37,39 @@ WRONG_TYPED = [
     for f in fields(cls)
     if f.name != "path"
     for value in ("0", 0.5, None, {"bool": 1, "int": True}.get(f.type, [None, 0, 0]))
+]
+
+
+# One-field corruptions of the bundled qos_flood scenario, each of which
+# once crashed the run with a traceback instead of a scenario error.
+CORRUPTED_FIELDS = [
+    pytest.param(where, value, id=f"{'.'.join(map(str, where))}={value!r}")
+    for where, value in (
+        (("flows", 0, "rate_mbps"), 0),
+        (("flows", 0, "rate_mbps"), -1),
+        (("flows", 0, "rate_mbps"), 1e-9),
+        (("flows", 0, "rate_mbps"), "5"),
+        (("flows", 0, "packet_bytes"), "1250"),
+        (("flows", 0, "packet_bytes"), 1250.5),
+        (("flows", 0, "start_s"), -0.5),
+        (("flows", 0, "start_s"), "0"),
+        (("flows", 0, "stop_s"), "1"),
+        (("flows", 0, "reserve_mbps"), "5"),
+        (("flows", 0, "path"), 1),
+        (("topology", "links", 0, "delay_ms"), -1),
+        (("topology", "links", 0, "delay_ms"), "1"),
+        (("topology", "links", 0, "capacity_mbps"), "100"),
+        (("flows", 0, "share"), 5),
+        (("topology", "links", 0, "be_buffer_ms"), None),
+        (("topology", "ases", 0, "clock_offset_ms"), "1"),
+        (("host_capacity_mbps",), "x"),
+        (("burst_ms",), "x"),
+        (("funding",), "x"),
+        (("market", "granularity_s"), 0),
+        (("market", "granularity_s"), "60"),
+        (("market", "min_bandwidth"), "x"),
+        (("market", "unit_price"), "x"),
+    )
 ]
 
 
@@ -70,6 +104,21 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", "--scenario", str(bad))
         assert code == 2
         assert "missing" in stderr
+
+    @pytest.mark.parametrize("where, value", CORRUPTED_FIELDS)
+    def test_corrupted_field_is_a_scenario_error(self, capsys, tmp_path, where, value):
+        scenario = json.loads(bundled_scenarios()["qos_flood"])
+        *parents, key = where
+        record = scenario
+        for step in parents:
+            record = record[step]
+        record[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario))
+        code, _, stderr = run_cli(capsys, "run", "--scenario", str(bad))
+        assert code == 2
+        assert stderr.startswith("scenario error: ")
+        assert "Traceback" not in stderr
 
     def test_unknown_bundled_name(self, capsys):
         code, _, stderr = run_cli(capsys, "run", "--scenario", "nope")

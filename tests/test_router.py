@@ -485,7 +485,8 @@ class TestSegmentBoundary:
 
 class TestCipherCount:
     """Key holders build their ciphers once: a flyover hop builds only
-    the packet's own A_K, a plain hop and a built packet none.  Every
+    the packet's own A_K, a plain hop none, and a path plan one per
+    reserved hop, on its first packet.  Every
     block still goes through `crypto.prf_block`, where the benchmark's
     tracer counts it, and each `Prf` builds exactly one AES cipher."""
 
@@ -533,9 +534,11 @@ class TestCipherCount:
         flyovers = sum(h.reservation is not None for s in plan.segments for h in s.hops)
         assert flyovers == 2
         counts.clear()
-        for _ in range(3):
+        for ciphers in (flyovers, 0, 0):
             build(plan)
-            assert (counts["Prf"], counts["Cipher"], counts["prf_block"]) == (0, 0, flyovers)
+            assert (counts["Prf"], counts["Cipher"], counts["prf_block"]) == (
+                ciphers, ciphers, flyovers
+            )
             counts.clear()
 
 

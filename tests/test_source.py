@@ -16,7 +16,6 @@ from test_router import (
     MS,
     S,
     build,
-    chain_hops,
     make_cfg,
     make_plan,
     make_reservation,
@@ -297,7 +296,8 @@ class TestMatchesOracle:
     @pytest.mark.parametrize("plan", [
         replace(VALID, segments=(SEGMENT,) * 4),
         one_segment(plain_hop(exp_time=300)),
-    ], ids=["plan_check", "field_range"])
+        one_segment(source.HopPlan(1, 2, bytes(6), reservation=(make_reservation(), bytes(15)))),
+    ], ids=["plan_check", "field_range", "reservation_key_length"])
     def test_a_bad_plan_raises_on_every_build(self, plan):
         for _ in range(2):
             with pytest.raises(ValueError):
@@ -325,88 +325,3 @@ class TestMatchesOracle:
         assert got == (source.SourceError, "clock beyond 32-bit unix seconds: -1")
         assert got_state == source.CounterState()
 
-
-def forwarded(plan, hops_count):
-    packet = build(plan)
-    cfg = make_cfg()
-    for _ in range(hops_count):
-        decision, packet = process_packet(cfg, packet)
-        assert decision.verdict is not Verdict.DROP
-    return packet
-
-
-class TestReversePath:
-    def test_live_flyover_ahead_rejected(self):
-        packet = build(make_plan())
-        with pytest.raises(source.SourceError, match="live flyover"):
-            source.reverse_path(packet)
-
-    def test_reverses_forwarded_packet(self):
-        packet = forwarded(make_plan(pre=1, post=1), 3)
-        rev = source.reverse_path(packet)
-        assert all(not h.flyover for h in rev.path.hops)
-        assert [h.words for h in rev.path.hops] == [3, 3, 3]
-        fwd_ifaces = [(h.cons_ingress, h.cons_egress) for h in packet.path.hops]
-        rev_ifaces = [(h.cons_ingress, h.cons_egress) for h in rev.path.hops]
-        assert rev_ifaces == fwd_ifaces[::-1]
-        # Collapsed flyover keeps the unmasked plain hop MAC.
-        macs = {(h.cons_ingress, h.cons_egress): h.mac for h in packet.path.hops}
-        for hop in rev.path.hops:
-            assert hop.mac == macs[(hop.cons_ingress, hop.cons_egress)]
-
-    def test_meta_and_infos_reset(self):
-        packet = forwarded(make_plan(), 1)
-        rev = source.reverse_path(packet)
-        meta = rev.path.meta
-        assert (meta.curr_inf, meta.curr_hf) == (0, 0)
-        assert (meta.base_timestamp, meta.millis_timestamp, meta.counter) == (0, 0, 0)
-        assert [i.cons_dir for i in rev.path.infos] == [
-            not i.cons_dir for i in reversed(packet.path.infos)
-        ]
-        assert [i.seg_id for i in rev.path.infos] == [
-            i.seg_id for i in reversed(packet.path.infos)
-        ]
-
-    def test_segments_reverse_as_units(self):
-        res = make_reservation()
-        a_key = crypto.derive_key(crypto.Prf(bytes(range(16))), res)
-        seg0 = chain_hops(
-            [source.HopPlan(res.ingress, res.egress, bytes(6), 255, reservation=(res, a_key))],
-            0x2222,
-            BASE_S - 100,
-        )
-        seg1 = chain_hops(
-            [source.HopPlan(1, 2, bytes(6), 255), source.HopPlan(30, 31, bytes(6), 255)],
-            0x3333,
-            BASE_S - 100,
-        )
-        plan = source.PathPlan(
-            dst_isd=1,
-            dst_as=2,
-            segments=(
-                source.SegmentPlan(seg_id=0x2222, timestamp=BASE_S - 100, hops=seg0),
-                source.SegmentPlan(seg_id=0x3333, timestamp=BASE_S - 100, hops=seg1),
-            ),
-        )
-        packet = forwarded(plan, 2)  # boundary consumes two hops, then the tail hop
-        rev = source.reverse_path(packet)
-        assert rev.path.meta.seg_len == (6, 3, 0)
-        assert [h.cons_ingress for h in rev.path.hops] == [30, 1, res.ingress]
-
-    def test_double_reverse_is_flyover_stripping(self):
-        packet = forwarded(make_plan(pre=1), 2)
-        twice = source.reverse_path(source.reverse_path(packet))
-        assert twice.path.infos == packet.path.infos
-        assert [h.words for h in twice.path.hops] == [3] * len(packet.path.hops)
-        assert [
-            (h.cons_ingress, h.cons_egress, h.mac) for h in twice.path.hops
-        ] == [(h.cons_ingress, h.cons_egress, h.mac) for h in packet.path.hops]
-        meta = twice.path.meta
-        assert (meta.curr_inf, meta.curr_hf) == (0, 0)
-
-    def test_reverse_reaches_origin_router(self):
-        # The reply packet's first hop is the last forward hop, now plain.
-        packet = forwarded(make_plan(post=1), 2)
-        rev = source.reverse_path(packet)
-        assert rev.path.hops[0].cons_ingress == 20
-        assert rev.path.meta.curr_hf == 0

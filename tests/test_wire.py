@@ -546,6 +546,10 @@ class TestPacketObj:
                 vectors.packet_from_obj({**obj, "hops": [bad_hop] + obj["hops"][1:]})
         with pytest.raises(WireError, match="malformed packet object: 'counter'"):
             vectors.packet_from_obj(missing)
+        # Encoding is the check: a bad layout is refused before a bad field.
+        two_faults = {**obj, "infos": obj["infos"] * 2, "hops": [{**hop, "exp_time": 300}]}
+        with pytest.raises(WireError, match="2 info fields but seg_len declares 1"):
+            vectors.packet_from_obj(two_faults)
 
 
 class TestValidateOnce:
