@@ -24,11 +24,11 @@ The same immutability keeps state_hash cheap.  Each asset, listing,
 redeem request and token renders its own entry of the canonical state
 JSON once and caches it on itself (`_fragment`).  The entry is rendered
 from the value's dataclass fields by a per-class format string and
-per-type encoders that write what json.dumps would; a field of any
-other type goes through json.dumps, so a field added to a stored class
-is hashed with no further code.  The cache is exact because a value
-never changes after it is built: a changed entry is a new object from
-`replace()` with a fresh fragment.
+per-type encoders that write what json.dumps would.  A stored value
+holds only ints, strings, bytes, a bool and a Direction; the ledger
+refuses anything else where it enters.  The cache is exact because a
+value never changes after it is built: a changed entry is a new object
+from `replace()` with a fresh fragment.
 
 Each table (`_Table`) keeps those entries sorted between hashes and
 moves only the entries of ids written since the last one.  Sorting the
@@ -98,18 +98,9 @@ def _low_order_probe() -> X25519PrivateKey:
     return X25519PrivateKey.from_private_bytes(bytes(32))
 
 
-def _json_default(value):
-    """The JSON of the two non-JSON types a stored value holds."""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, bytes):
-        return value.hex()
-    raise TypeError(f"{type(value).__name__} is not part of the ledger state")
-
-
 def _dumps(value) -> str:
     """Canonical JSON, as state_hash writes it."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_json_default)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 class Direction(Enum):
@@ -117,19 +108,14 @@ class Direction(Enum):
     EGRESS = "egress"
 
 
-# type -> a function giving `_dumps(value)` for a value of exactly that
-# type (`_Stored._fragment` writes an int as it is)
+# each type a stored value holds but int -> a function giving the JSON of
+# a value of exactly that type (`_Stored._fragment` writes an int as it is)
 _ENCODERS = {
     bool: {False: "false", True: "true"}.__getitem__,
     str: encode_basestring_ascii,
     bytes: lambda value: f'"{value.hex()}"',
     Direction: {member: encode_basestring_ascii(member.value) for member in Direction}.__getitem__,
 }
-
-
-def _encode(value) -> str:
-    """`_dumps(value)`, without json.dumps for the types a stored value holds."""
-    return _ENCODERS.get(type(value), _dumps)(value)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +133,7 @@ def _entry_layout(cls) -> tuple[attrgetter, str]:
     %-format of its state_hash entry, `"<key>":{"<name>":<value>,...}`."""
     key, *rest = _field_names(cls)
     names = sorted(rest)
-    body = ",".join(encode_basestring_ascii(name).replace("%", "%%") + ":%s" for name in names)
+    body = ",".join(encode_basestring_ascii(name) + ":%s" for name in names)
     return attrgetter(key, *names), '"%s":{' + body + "}"
 
 
@@ -161,7 +147,7 @@ class _Stored:
         getter, layout = _entry_layout(type(self))
         key, *values = getter(self)
         # An int's %s is already its JSON.
-        return layout % (key, *[v if type(v) is int else _encode(v) for v in values])
+        return layout % (key, *[v if type(v) is int else _ENCODERS[type(v)](v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -178,6 +164,8 @@ class BandwidthAsset(_Stored):
     owner: str
 
     def validate(self) -> None:
+        if {*map(type, _ASSET_INTS(self))} != {int}:  # a bool or a float is not an int
+            raise LedgerError(f"asset fields must be ints, got {self}")
         if self.time_granularity <= 0 or self.min_bandwidth <= 0:
             raise LedgerError("granularity and minimum bandwidth must be positive")
         if not 0 <= self.start_time < self.expiration_time:
@@ -204,6 +192,9 @@ class BandwidthAsset(_Stored):
     def area(self) -> int:
         """Bandwidth-time product, the conserved quantity under split/fuse."""
         return self.bandwidth * self.duration
+
+
+_ASSET_INTS = attrgetter(*(f.name for f in fields(BandwidthAsset) if f.type == "int"))
 
 
 @dataclass(frozen=True)
@@ -567,8 +558,10 @@ class Ledger:
 
     def open_account(self, account: str, balance: int = 0) -> None:
         """Genesis helper; mints currency, so it is not an atomic op."""
-        if balance < 0:
-            raise LedgerError("balance must be non-negative")
+        if type(account) is not str:
+            raise LedgerError(f"account name must be a str, got {account!r}")
+        if type(balance) is not int or balance < 0:
+            raise LedgerError(f"balance must be a non-negative int, got {balance!r}")
         if account in self._state.balances:
             raise LedgerError(f"account {account!r} already exists")
         self._state.balances[account] = balance
@@ -643,7 +636,7 @@ class Ledger:
                 f"token for AS {token.as_id} cannot issue assets for AS {as_id}"
             )
         asset = BandwidthAsset(
-            asset_id=0,  # placeholder until validated
+            asset_id=0,  # placeholder for the id _replace_assets gives it
             as_id=token.as_id,
             bandwidth=bandwidth,
             start_time=start_time,
@@ -654,9 +647,7 @@ class Ledger:
             min_bandwidth=min_bandwidth,
             owner=account,
         )
-        asset.validate()
-        asset = replace(asset, asset_id=self._fresh_id())
-        self._state.assets.put(asset)
+        (asset,) = self._replace_assets((), asset, {})
         self._record("issue", (account, token.as_id, bandwidth), f"asset:{asset.asset_id}")
         return asset
 
@@ -713,8 +704,7 @@ class Ledger:
         return a, b
 
     def _fuse(self, op: str, account: str, a, b, **change) -> BandwidthAsset:
-        fused = replace(a, asset_id=self._fresh_id(), **change)
-        self._replace_assets((a, b), (fused,))
+        (fused,) = self._replace_assets((a, b), a, change)
         self._record(op, (account, a.asset_id, b.asset_id), f"asset:{fused.asset_id}")
         return fused
 
@@ -730,8 +720,8 @@ class Ledger:
     def create_listing(self, account: str, asset, unit_price: int) -> Listing:
         if account not in self._state.sellers:
             raise LedgerError(f"{account!r} is not a registered seller")
-        if unit_price < 0:
-            raise LedgerError("unit price must be non-negative")
+        if type(unit_price) is not int or unit_price < 0:
+            raise LedgerError(f"unit price must be a non-negative int, got {unit_price!r}")
         asset = self._owned_asset(account, asset)
         # Escrow: the market holds the asset while it is listed.
         self._state.assets.put(replace(asset, owner=MARKET_ACCOUNT))
@@ -762,6 +752,9 @@ class Ledger:
         listings at the same unit price.
         """
         self._require_account(account)
+        if {type(start_time), type(expiration_time), type(bandwidth)} != {int}:
+            raise LedgerError(f"wanted times and bandwidth must be ints, got [{start_time!r}, "
+                              f"{expiration_time!r}) at {bandwidth!r} bit/s")
         listing = self.listing(listing)
         asset = self._state.assets[listing.asset_id]
 
@@ -864,7 +857,7 @@ class Ledger:
             raise LedgerError("expiration beyond 32-bit unix seconds")
         if ingress.bandwidth > MAX_BW_VALUE:
             raise LedgerError(f"bandwidth {ingress.bandwidth} not encodable")
-        if len(ephemeral_pubkey) != 32:
+        if type(ephemeral_pubkey) is not bytes or len(ephemeral_pubkey) != 32:
             raise LedgerError("ephemeral public key must be 32 bytes")
         try:
             # Any fixed private key will do: an exchange fails exactly on
@@ -969,10 +962,8 @@ class Ledger:
         """
         state = self._state
         balances, sellers = self._dumped
-        # Equal ints dump alike; 1, 1.0 and True are equal but do not.
-        ints = {*map(type, state.balances.values())} <= {int}
-        if not ints or balances[0] != state.balances:
-            balances = dict(state.balances) if ints else None, _dumps(state.balances).encode()
+        if balances[0] != state.balances:
+            balances = dict(state.balances), _dumps(state.balances).encode()
         if sellers[0] != state.sellers:
             sellers = frozenset(state.sellers), _dumps(sorted(state.sellers)).encode()
         self._dumped = balances, sellers
@@ -1051,10 +1042,7 @@ class Ledger:
                 f"cut {cut} not aligned to granularity {asset.time_granularity} "
                 f"from {asset.start_time}"
             )
-        first = replace(asset, asset_id=self._fresh_id(), expiration_time=cut)
-        second = replace(asset, asset_id=self._fresh_id(), start_time=cut)
-        self._replace_assets((asset,), (first, second))
-        return first, second
+        return self._replace_assets((asset,), asset, {"expiration_time": cut}, {"start_time": cut})
 
     def _split_bandwidth(
         self, asset: BandwidthAsset, part: int
@@ -1069,16 +1057,19 @@ class Ledger:
                 f"split ({rest}, {part}) violates minimum bandwidth "
                 f"{asset.min_bandwidth}"
             )
-        first = replace(asset, asset_id=self._fresh_id(), bandwidth=rest)
-        second = replace(asset, asset_id=self._fresh_id(), bandwidth=part)
-        self._replace_assets((asset,), (first, second))
-        return first, second
+        return self._replace_assets((asset,), asset, {"bandwidth": rest}, {"bandwidth": part})
 
-    def _replace_assets(self, old: tuple, new: tuple) -> None:
-        """Validate the new assets, then swap them in for the old ones."""
+    def _replace_assets(self, old: tuple, base: BandwidthAsset, *changes: dict) -> tuple:
+        """Swap in for the old assets one new asset per change to base, all
+        validated before they take the next free ids."""
+        state = self._state
+        new = tuple(replace(base, asset_id=state.next_id + i, **change)
+                    for i, change in enumerate(changes))
         for asset in new:
             asset.validate()
+        state.next_id += len(new)
         for asset in old:
-            self._state.assets.remove(asset.asset_id)
+            state.assets.remove(asset.asset_id)
         for asset in new:
-            self._state.assets.put(asset)
+            state.assets.put(asset)
+        return new

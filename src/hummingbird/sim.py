@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 from random import Random
@@ -104,6 +104,8 @@ class Simulator:
 
 @dataclass
 class FlowStats:
+    """A flow's counters; the report writes each under its field name."""
+
     offered_packets: int = 0
     offered_bytes: int = 0
     priority_packets: int = 0
@@ -112,7 +114,6 @@ class FlowStats:
     best_effort_bytes: int = 0
     dropped_packets: int = 0
     dropped_bytes: int = 0
-    latencies_ns: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -129,6 +130,8 @@ class _Transit:
 
 @dataclass
 class LinkStats:
+    """A link's counters; the report writes each under its field name."""
+
     priority_bytes: int = 0
     best_effort_bytes: int = 0
     dropped_packets: int = 0
@@ -278,6 +281,7 @@ class Flow:
         self.account = spec.get("account", self.name)
         self.kind = spec.get("kind", "")
         self.stats = FlowStats()
+        self.latencies_ns: list[int] = []  # of each delivered packet
         self.counter = CounterState()
         self.plan: PathPlan | None = None
         self.payload_len = 0
@@ -320,18 +324,21 @@ def validate_scenario(scenario: dict) -> None:
             raise ScenarioError(f"{where} is missing {key!r}")
         return mapping[key]
 
-    def number(mapping, key, where, default=None):
+    def number(mapping, key, where, default=None, kinds=(int, float)):
         value = need(mapping, key, where) if default is None else mapping.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{where}: {key} must be a number, got {value!r}")
+        if type(value) not in kinds:
+            what = "a number" if float in kinds else "an integer"
+            raise ScenarioError(f"{where}: {key} must be {what}, got {value!r}")
         return value
 
     need(scenario, "name", "scenario")
     duration = need(scenario, "duration_s", "scenario")
     if not isinstance(duration, (int, float)) or duration <= 0:
         raise ScenarioError(f"duration_s must be positive, got {duration!r}")
-    for key, default in (("host_capacity_mbps", 10_000), ("burst_ms", 50), ("funding", 0)):
+    for key, default in (("host_capacity_mbps", 10_000), ("burst_ms", 50)):
         number(scenario, key, "scenario", default)
+    # Funding and the market's numbers are ledger amounts and times: integers.
+    number(scenario, "funding", "scenario", 0, kinds=(int,))
     topo = need(scenario, "topology", "scenario")
     as_ids = set()
     for entry in need(topo, "ases", "topology"):
@@ -387,11 +394,12 @@ def validate_scenario(scenario: dict) -> None:
                 raise ScenarioError(
                     f"flow {name}: replays_flow {victim!r} must be declared earlier"
                 )
+            if number(spec, "multiplicity", f"flow {name}", 1, kinds=(int,)) < 0:
+                raise ScenarioError(f"flow {name}: multiplicity must not be negative")
         else:
             if round(number(spec, "rate_mbps", f"flow {name}") * 1_000_000) <= 0:
                 raise ScenarioError(f"flow {name}: rate_mbps must be at least 1 bit/s")
-            if not isinstance(number(spec, "packet_bytes", f"flow {name}"), int):
-                raise ScenarioError(f"flow {name}: packet_bytes must be an integer")
+            number(spec, "packet_bytes", f"flow {name}", kinds=(int,))
             if number(spec, "start_s", f"flow {name}", 0) < 0:
                 raise ScenarioError(f"flow {name}: start_s must not be negative")
             number(spec, "stop_s", f"flow {name}", duration)
@@ -401,24 +409,30 @@ def validate_scenario(scenario: dict) -> None:
         if not isinstance(share, dict):
             raise ScenarioError(f"flow {name}: share must be an object, got {share!r}")
         for shared_as, source in share.items():
-            if int(shared_as) not in path:
+            if not (str(shared_as).isdecimal() and int(shared_as) in path):
                 raise ScenarioError(f"flow {name}: shared AS {shared_as} not on path")
             if source not in names - {name}:
                 raise ScenarioError(
                     f"flow {name}: share source {source!r} must be an earlier flow"
                 )
-    needs_market = any(map(_reserves, scenario.get("flows", ()))) or scenario.get("buyouts")
+    buyouts = scenario.get("buyouts", [])
+    if not isinstance(buyouts, list):
+        raise ScenarioError(f"buyouts must be a list, got {buyouts!r}")
+    for entry in buyouts:
+        need(entry, "account", "buyout")
+        if need(entry, "as", "buyout") not in as_ids:
+            raise ScenarioError(f"buyout AS {entry['as']} is not a declared AS")
+    needs_market = any(map(_reserves, scenario.get("flows", ()))) or buyouts
     if needs_market and "market" not in scenario:
         raise ScenarioError("scenario needs a market block for reservations")
     if scenario.get("market"):
         market = {**_MARKET_DEFAULTS, **scenario["market"]}
-        window, gran, lead = (
-            number(market, key, "market") for key in ("window_s", "granularity_s", "lead_s")
+        window, gran, lead, _, _ = (
+            number(market, key, "market", kinds=(int,))
+            for key in ("window_s", "granularity_s", "lead_s", "min_bandwidth", "unit_price")
         )
         if gran <= 0:
             raise ScenarioError(f"market granularity_s must be positive, got {gran!r}")
-        for key in ("min_bandwidth", "unit_price"):
-            number(market, key, "market")
         if window % gran:
             raise ScenarioError(f"market window {window}s not a multiple of {gran}s")
         if lead % gran or lead < 0:
@@ -748,7 +762,7 @@ class Network:
         else:
             stats.best_effort_packets += 1
             stats.best_effort_bytes += transit.wire_bytes
-        stats.latencies_ns.append(self.sim.now - transit.sent_ns)
+        transit.flow.latencies_ns.append(self.sim.now - transit.sent_ns)
 
     def _emit(self, flow: Flow) -> None:
         packet = build_packet(
@@ -814,20 +828,13 @@ class Network:
             s = flow.stats
             delivered_packets = s.priority_packets + s.best_effort_packets
             delivered_bytes = s.priority_bytes + s.best_effort_bytes
-            lat = sorted(s.latencies_ns)
+            lat = sorted(flow.latencies_ns)
             flows[name] = {
                 "class": flow.spec["class"],
                 "kind": flow.kind,
-                "offered_packets": s.offered_packets,
-                "offered_bytes": s.offered_bytes,
+                **asdict(s),
                 "delivered_packets": delivered_packets,
                 "delivered_bytes": delivered_bytes,
-                "priority_packets": s.priority_packets,
-                "priority_bytes": s.priority_bytes,
-                "best_effort_packets": s.best_effort_packets,
-                "best_effort_bytes": s.best_effort_bytes,
-                "dropped_packets": s.dropped_packets,
-                "dropped_bytes": s.dropped_bytes,
                 "priority_fraction": (
                     s.priority_bytes / s.offered_bytes if s.offered_bytes else 0.0
                 ),
@@ -851,13 +858,7 @@ class Network:
             for flow, per_flow in sorted(self.hop_counts.items())
         }
         links = {
-            f"{src}->{dst}": {
-                "priority_bytes": link.stats.priority_bytes,
-                "best_effort_bytes": link.stats.best_effort_bytes,
-                "dropped_packets": link.stats.dropped_packets,
-                "dropped_bytes": link.stats.dropped_bytes,
-            }
-            for (src, dst), link in sorted(self.links.items())
+            f"{src}->{dst}": asdict(link.stats) for (src, dst), link in sorted(self.links.items())
         }
         open_by_as = {str(as_id): 0 for as_id in sorted(self.ases)}
         for listing in self.ledger.open_listings():

@@ -152,14 +152,7 @@ def _flyover_macs() -> dict:
         cases.append(
             {
                 "sv": sv.hex(),
-                "reservation": {
-                    "ingress": res.ingress,
-                    "egress": res.egress,
-                    "res_id": res.res_id,
-                    "bw_code": res.bw_code,
-                    "res_start": res.res_start,
-                    "duration": res.duration,
-                },
+                "reservation": _fields_to_obj(res),
                 "a_key": a_key.hex(),
                 "mac_inputs": inputs,
                 "tag": tag.hex(),

@@ -431,23 +431,16 @@ def hop_field_offset(meta: PathMetaHdr) -> int:
 # ---------------------------------------------------------------------------
 # Bandwidth encoding
 
-def encode_bw(exponent: int, significand: int) -> int:
-    """Decoded bits-per-second value of a (exponent, significand) pair."""
-    _check(exponent, 5, "bw exponent")
-    _check(significand, 5, "bw significand")
-    if exponent == 0:
-        return significand
-    return (32 + significand) << (exponent - 1)
+# Bits per second of each 10-bit BW code: a 5-bit exponent, then a 5-bit significand.
+_BW_VALUES = [
+    sig if exp == 0 else (32 + sig) << (exp - 1) for exp in range(32) for sig in range(32)
+]
+MAX_BW_VALUE = _BW_VALUES[-1]
 
 
 def decode_bw(code: int) -> int:
     """Bits-per-second value of a 10-bit BW code."""
-    _check(code, 10, "bw code")
-    return encode_bw(code >> 5, code & 0x1F)
-
-
-_BW_VALUES = [decode_bw(code) for code in range(1024)]
-MAX_BW_VALUE = _BW_VALUES[-1]
+    return _BW_VALUES[_check(code, 10, "bw code")]
 
 
 def quantize_bw(raw_bps: int) -> int:

@@ -40,36 +40,58 @@ WRONG_TYPED = [
 ]
 
 
-# One-field corruptions of the bundled qos_flood scenario, each of which
-# once crashed the run with a traceback instead of a scenario error.
+# One-field corruptions of a bundled scenario, each of which once crashed
+# the run with a traceback, ran on a float where the ledger keeps integer
+# amounts and times, or silently did nothing, instead of a scenario error.
 CORRUPTED_FIELDS = [
-    pytest.param(where, value, id=f"{'.'.join(map(str, where))}={value!r}")
-    for where, value in (
-        (("flows", 0, "rate_mbps"), 0),
-        (("flows", 0, "rate_mbps"), -1),
-        (("flows", 0, "rate_mbps"), 1e-9),
-        (("flows", 0, "rate_mbps"), "5"),
-        (("flows", 0, "packet_bytes"), "1250"),
-        (("flows", 0, "packet_bytes"), 1250.5),
-        (("flows", 0, "start_s"), -0.5),
-        (("flows", 0, "start_s"), "0"),
-        (("flows", 0, "stop_s"), "1"),
-        (("flows", 0, "reserve_mbps"), "5"),
-        (("flows", 0, "path"), 1),
-        (("topology", "links", 0, "delay_ms"), -1),
-        (("topology", "links", 0, "delay_ms"), "1"),
-        (("topology", "links", 0, "capacity_mbps"), "100"),
-        (("flows", 0, "share"), 5),
-        (("topology", "links", 0, "be_buffer_ms"), None),
-        (("topology", "ases", 0, "clock_offset_ms"), "1"),
-        (("host_capacity_mbps",), "x"),
-        (("burst_ms",), "x"),
-        (("funding",), "x"),
-        (("market", "granularity_s"), 0),
-        (("market", "granularity_s"), "60"),
-        (("market", "min_bandwidth"), "x"),
-        (("market", "unit_price"), "x"),
-    )
+    pytest.param(scenario, where, value, id=f"{'.'.join(map(str, where))}={value!r}")
+    for scenario, cases in {
+        "qos_flood": (
+            (("flows", 0, "rate_mbps"), 0),
+            (("flows", 0, "rate_mbps"), -1),
+            (("flows", 0, "rate_mbps"), 1e-9),
+            (("flows", 0, "rate_mbps"), "5"),
+            (("flows", 0, "packet_bytes"), "1250"),
+            (("flows", 0, "packet_bytes"), 1250.5),
+            (("flows", 0, "start_s"), -0.5),
+            (("flows", 0, "start_s"), "0"),
+            (("flows", 0, "stop_s"), "1"),
+            (("flows", 0, "reserve_mbps"), "5"),
+            (("flows", 0, "path"), 1),
+            (("topology", "links", 0, "delay_ms"), -1),
+            (("topology", "links", 0, "delay_ms"), "1"),
+            (("topology", "links", 0, "capacity_mbps"), "100"),
+            (("flows", 0, "share"), 5),
+            (("topology", "links", 0, "be_buffer_ms"), None),
+            (("topology", "ases", 0, "clock_offset_ms"), "1"),
+            (("host_capacity_mbps",), "x"),
+            (("burst_ms",), "x"),
+            (("funding",), "x"),
+            (("market", "granularity_s"), 0),
+            (("market", "granularity_s"), "60"),
+            (("market", "min_bandwidth"), "x"),
+            (("market", "unit_price"), "x"),
+            (("market", "granularity_s"), 60.0),
+            (("market", "window_s"), 600.0),
+            (("market", "lead_s"), 0.0),
+            (("market", "min_bandwidth"), 1e6),
+            (("market", "unit_price"), 1.5),
+            (("funding",), 1e18),
+        ),
+        "replay_shared": (
+            (("flows", 1, "share"), {"x": "bait"}),
+            (("flows", 2, "multiplicity"), "3"),
+            (("flows", 2, "multiplicity"), 2.5),
+            (("flows", 2, "multiplicity"), -1),
+        ),
+        "starvation": (
+            (("buyouts",), {"account": "hoarder", "as": 2}),
+            (("buyouts", 0), {"as": 2}),
+            (("buyouts", 0), {"account": "hoarder"}),
+            (("buyouts", 0, "as"), 3),
+        ),
+    }.items()
+    for where, value in cases
 ]
 
 
@@ -105,9 +127,9 @@ class TestRun:
         assert code == 2
         assert "missing" in stderr
 
-    @pytest.mark.parametrize("where, value", CORRUPTED_FIELDS)
-    def test_corrupted_field_is_a_scenario_error(self, capsys, tmp_path, where, value):
-        scenario = json.loads(bundled_scenarios()["qos_flood"])
+    @pytest.mark.parametrize("name, where, value", CORRUPTED_FIELDS)
+    def test_corrupted_field_is_a_scenario_error(self, capsys, tmp_path, name, where, value):
+        scenario = json.loads(bundled_scenarios()[name])
         *parents, key = where
         record = scenario
         for step in parents:

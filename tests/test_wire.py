@@ -422,9 +422,10 @@ class TestDecodeOracle:
 
 class TestBandwidthCode:
     def test_examples(self):
-        assert wire.encode_bw(0, 5) == 5
-        assert wire.encode_bw(1, 5) == 37
-        assert wire.encode_bw(2, 0) == 64
+        # (exponent, significand) = (0, 5), (1, 5) and (2, 0)
+        assert wire.decode_bw(5) == 5
+        assert wire.decode_bw(1 << 5 | 5) == 37
+        assert wire.decode_bw(2 << 5) == 64
         assert wire.decode_bw(0) == 0
         assert wire.MAX_BW_VALUE == 63 << 30
 
@@ -449,6 +450,9 @@ class TestBandwidthCode:
             wire.quantize_bw(wire.MAX_BW_VALUE + 1)
         with pytest.raises(WireError):
             wire.quantize_bw(-1)
+        for code in (-1, 1024):
+            with pytest.raises(WireError, match="bw code"):
+                wire.decode_bw(code)
 
 
 class TestPrfBlocks:
