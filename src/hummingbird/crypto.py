@@ -50,6 +50,23 @@ class CryptoError(ValueError):
     pass
 
 
+def _choose_context():
+    """Chosen once, at import: the private binding call `Cipher(...).encryptor()`
+    ends in, if it encrypts the FIPS-197 C.1 vector right; else the public API."""
+    try:
+        from cryptography.hazmat.bindings._rust import openssl
+        create = openssl.ciphers.create_encryption_ctx
+        kat = create(_AES(bytes(range(16))), _ECB).update(bytes(range(0, 256, 17)))
+        if kat.hex() == "69c4e0d86a7b0430d8cdb78070b4c55a":
+            return create
+    except Exception:  # a private module: absent, moved or changed
+        pass
+    return lambda algorithm, mode: Cipher(algorithm, mode).encryptor()
+
+
+_new_context = _choose_context()
+
+
 class Prf:
     """AES-128 under one fixed key, its cipher built once for every block."""
 
@@ -58,7 +75,7 @@ class Prf:
     def __init__(self, key: bytes):
         if len(key) != KEY_LEN:
             raise CryptoError(f"PRF key must be {KEY_LEN} bytes, got {len(key)}")
-        self._update = Cipher(_AES(key), _ECB).encryptor().update
+        self._update = _new_context(_AES(key), _ECB).update
 
 
 def prf_block(prf: Prf, block: bytes) -> bytes:

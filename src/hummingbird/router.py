@@ -38,11 +38,11 @@ from .wire import (
     InfoField,
     Packet,
     PathMetaHdr,
-    PktLenOverflow,
-    ReservationInfo,
     WireError,
     decode_packet,
     encode_packet,
+    mac_input_block,
+    pack_resinfo,
 )
 
 NS_PER_S = 1_000_000_000
@@ -77,6 +77,11 @@ class Reason(Enum):
 class ForwardDecision:
     verdict: Verdict
     reason: Reason
+    # "verdict:reason", the simulator's count key, formatted once per decision
+    label: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "label", f"{self.verdict.value}:{self.reason.value}")
 
 
 # Every decision is one of these fixed values.
@@ -142,24 +147,23 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
     first_mac = first.mac
     reason = Reason.PLAIN_HOP
     if first.flyover:
-        try:
-            pkt_len = packet.pkt_len_for_mac()
-        except PktLenOverflow:
+        # PktLen: prefix and meta header (6 words), 2 per info field, the hops.
+        pkt_len = packet.payload_len + 4 * (6 + 2 * len(path.infos) + starts[-1])
+        if pkt_len >= 1 << 16:
             return _DROP[Reason.PKT_LEN_OVERFLOW], packet
         res_start = (meta.base_timestamp - first.res_start_offset) % (1 << 32)
-        res = ReservationInfo(
+        # The packet's own A_K, from the hop's fields: the one cipher a hop builds.
+        a_key = crypto.Prf(crypto.prf_block(cfg.sv_prf, pack_resinfo(
             first.cons_ingress, first.cons_egress, first.res_id, first.bw, res_start,
             first.res_duration,
-        )
-        # The packet's own A_K: the one cipher a hop builds.
-        a_key = crypto.Prf(crypto.derive_key(cfg.sv_prf, res))
-        tag = crypto.flyover_mac(
-            a_key, packet.dst_isd, packet.dst_as, pkt_len, first.res_start_offset,
-            meta.millis_timestamp, meta.counter, cfg.tag_len,
-        )
+        )))
+        tag = crypto.prf_block(a_key, mac_input_block(
+            packet.dst_isd, packet.dst_as, pkt_len, first.res_start_offset,
+            meta.millis_timestamp, meta.counter,
+        ))
         # The candidate hop MAC is what the header carries on, so a stale
         # but authentic packet still verifies (and travels) as a plain hop.
-        first_mac = crypto.aggregate_mac(first.mac, tag)
+        first_mac = crypto.aggregate_mac(first.mac, tag[:cfg.tag_len])
         age = now - (meta.base_timestamp * 1000 + meta.millis_timestamp) * NS_PER_MS
         if age < -cfg.delta_ns:
             reason = Reason.FUTURE_TIMESTAMP

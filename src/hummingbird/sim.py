@@ -48,6 +48,7 @@ from .ledger import (
     unseal_credentials,
 )
 from .policing import TokenBucketArray, size_array
+from .residalloc import MAX_IDS
 from .router import ForwardDecision, RouterConfig, Verdict, process_packet
 from .source import (
     CounterState,
@@ -324,10 +325,10 @@ def validate_scenario(scenario: dict) -> None:
             raise ScenarioError(f"{where} is missing {key!r}")
         return mapping[key]
 
-    def number(mapping, key, where, default=None, kinds=(int, float)):
+    def typed(mapping, key, where, default=None, kinds=(int, float)):
         value = need(mapping, key, where) if default is None else mapping.get(key, default)
         if type(value) not in kinds:
-            what = "a number" if float in kinds else "an integer"
+            what = {float: "a number", int: "an integer", str: "a string"}[kinds[-1]]
             raise ScenarioError(f"{where}: {key} must be {what}, got {value!r}")
         return value
 
@@ -335,17 +336,18 @@ def validate_scenario(scenario: dict) -> None:
     duration = need(scenario, "duration_s", "scenario")
     if not isinstance(duration, (int, float)) or duration <= 0:
         raise ScenarioError(f"duration_s must be positive, got {duration!r}")
-    for key, default in (("host_capacity_mbps", 10_000), ("burst_ms", 50)):
-        number(scenario, key, "scenario", default)
+    capacities_mbps = [typed(scenario, "host_capacity_mbps", "scenario", 10_000)]
+    typed(scenario, "burst_ms", "scenario", 50)
     # Funding and the market's numbers are ledger amounts and times: integers.
-    number(scenario, "funding", "scenario", 0, kinds=(int,))
+    if typed(scenario, "funding", "scenario", 0, kinds=(int,)) < 0:
+        raise ScenarioError(f"funding must not be negative, got {scenario['funding']}")
     topo = need(scenario, "topology", "scenario")
     as_ids = set()
     for entry in need(topo, "ases", "topology"):
         as_id = need(entry, "id", "AS entry")
         if as_id in as_ids:
             raise ScenarioError(f"duplicate AS id {as_id}")
-        number(entry, "clock_offset_ms", f"AS {as_id}", 0)
+        typed(entry, "clock_offset_ms", f"AS {as_id}", 0)
         as_ids.add(as_id)
     links = set()
     for entry in need(topo, "links", "topology"):
@@ -355,16 +357,18 @@ def validate_scenario(scenario: dict) -> None:
                 raise ScenarioError(f"link endpoint {end} is not a declared AS")
         if (src, dst) in links:
             raise ScenarioError(f"duplicate link {src}->{dst}")
-        if number(entry, "capacity_mbps", "link") <= 0:
+        capacities_mbps.append(typed(entry, "capacity_mbps", "link"))
+        if capacities_mbps[-1] <= 0:
             raise ScenarioError("link capacity must be positive")
-        if number(entry, "delay_ms", "link", 1) < 0:
+        if typed(entry, "delay_ms", "link", 1) < 0:
             raise ScenarioError(f"link {src}->{dst} delay_ms must not be negative")
-        number(entry, "be_buffer_ms", "link", 50)
+        typed(entry, "be_buffer_ms", "link", 50)
         links.add((src, dst))
 
     names = set()
     for spec in scenario.get("flows", ()):
-        name = need(spec, "name", "flow")
+        name = typed(spec, "name", "flow", kinds=(str,))
+        typed(spec, "account", f"flow {name}", name, kinds=(str,))
         if name in names:
             raise ScenarioError(f"duplicate flow name {name!r}")
         names.add(name)
@@ -394,17 +398,17 @@ def validate_scenario(scenario: dict) -> None:
                 raise ScenarioError(
                     f"flow {name}: replays_flow {victim!r} must be declared earlier"
                 )
-            if number(spec, "multiplicity", f"flow {name}", 1, kinds=(int,)) < 0:
+            if typed(spec, "multiplicity", f"flow {name}", 1, kinds=(int,)) < 0:
                 raise ScenarioError(f"flow {name}: multiplicity must not be negative")
         else:
-            if round(number(spec, "rate_mbps", f"flow {name}") * 1_000_000) <= 0:
+            if round(typed(spec, "rate_mbps", f"flow {name}") * 1_000_000) <= 0:
                 raise ScenarioError(f"flow {name}: rate_mbps must be at least 1 bit/s")
-            number(spec, "packet_bytes", f"flow {name}", kinds=(int,))
-            if number(spec, "start_s", f"flow {name}", 0) < 0:
+            typed(spec, "packet_bytes", f"flow {name}", kinds=(int,))
+            if typed(spec, "start_s", f"flow {name}", 0) < 0:
                 raise ScenarioError(f"flow {name}: start_s must not be negative")
-            number(spec, "stop_s", f"flow {name}", duration)
+            typed(spec, "stop_s", f"flow {name}", duration)
         if _reserves(spec):
-            number(spec, "reserve_mbps", f"flow {name}")
+            typed(spec, "reserve_mbps", f"flow {name}")
         share = spec.get("share", {})
         if not isinstance(share, dict):
             raise ScenarioError(f"flow {name}: share must be an object, got {share!r}")
@@ -419,20 +423,22 @@ def validate_scenario(scenario: dict) -> None:
     if not isinstance(buyouts, list):
         raise ScenarioError(f"buyouts must be a list, got {buyouts!r}")
     for entry in buyouts:
-        need(entry, "account", "buyout")
+        typed(entry, "account", "buyout", kinds=(str,))
         if need(entry, "as", "buyout") not in as_ids:
             raise ScenarioError(f"buyout AS {entry['as']} is not a declared AS")
     needs_market = any(map(_reserves, scenario.get("flows", ()))) or buyouts
     if needs_market and "market" not in scenario:
         raise ScenarioError("scenario needs a market block for reservations")
+    market = {**_MARKET_DEFAULTS, **scenario.get("market", {})}
     if scenario.get("market"):
-        market = {**_MARKET_DEFAULTS, **scenario["market"]}
-        window, gran, lead, _, _ = (
-            number(market, key, "market", kinds=(int,))
+        window, gran, lead, _, price = (
+            typed(market, key, "market", kinds=(int,))
             for key in ("window_s", "granularity_s", "lead_s", "min_bandwidth", "unit_price")
         )
         if gran <= 0:
             raise ScenarioError(f"market granularity_s must be positive, got {gran!r}")
+        if price < 0:
+            raise ScenarioError(f"market unit_price must not be negative, got {price}")
         if window % gran:
             raise ScenarioError(f"market window {window}s not a multiple of {gran}s")
         if lead % gran or lead < 0:
@@ -442,6 +448,12 @@ def validate_scenario(scenario: dict) -> None:
                 f"market window {window}s does not cover lead {lead}s plus "
                 f"duration {duration}s"
             )
+    min_bw, widest = market["min_bandwidth"], round(max(capacities_mbps) * 1_000_000)
+    if min_bw <= 0 or size_array(widest, min_bw) > MAX_IDS:
+        raise ScenarioError(
+            f"market min_bandwidth must be positive and size the policer of a {widest} bit/s "
+            f"interface within {MAX_IDS} entries, got {min_bw}"
+        )
     for expect in scenario.get("expect", ()):
         for key in ("metric", "op", "value"):
             if key not in expect:
@@ -751,8 +763,7 @@ class Network:
 
     def count_hop(self, flow: Flow, as_id: int, decision: ForwardDecision) -> None:
         per_as = self.hop_counts[flow.name].setdefault(as_id, {})
-        key = f"{decision.verdict.value}:{decision.reason.value}"
-        per_as[key] = per_as.get(key, 0) + 1
+        per_as[decision.label] = per_as.get(decision.label, 0) + 1
 
     def delivered(self, transit: _Transit) -> None:
         stats = transit.flow.stats

@@ -35,6 +35,7 @@ from .wire import (
     ReservationInfo,
     WireError,
     encode_packet,
+    mac_input_block,
     pkt_len_for_mac,
 )
 
@@ -192,6 +193,10 @@ def build_packet(
     pkt_len = pkt_len_for_mac(payload_len, hdr_len)
     if payload_len < 0:  # the template checked every other prefix field
         raise WireError(f"payload_len out of range for 16-bit field: {payload_len}")
+    # A reserved hop's MAC input is one block per packet plus the hop's
+    # offset; the first tag_len bytes of its tag fold into its hop MAC.
+    shared = None
+    shift = 8 * (crypto.TAG_LEN - tag_len)
     hops = []
     for hop in fixed_hops:
         if isinstance(hop, tuple):
@@ -204,13 +209,14 @@ def build_packet(
                     f"not active at build time"
                 )
             offset = min(max(base - res.res_start, 0), 0xFFFF)
-            tag = crypto.flyover_mac(
-                a_key_prf, plan.dst_isd, plan.dst_as, pkt_len, offset, millis, counter,
-                tag_len,
-            )
+            if shared is None:
+                block = mac_input_block(plan.dst_isd, plan.dst_as, pkt_len, 0, millis, counter)
+                shared = int.from_bytes(block, "big")
+            tag = crypto.prf_block(a_key_prf, (shared | offset << 32).to_bytes(16, "big"))
+            mac = int.from_bytes(hop.hop_mac, "big") ^ int.from_bytes(tag[:tag_len], "big") << shift
             hop = FlyoverHopField(
                 False, False, hop.exp_time, hop.cons_ingress, hop.cons_egress,
-                crypto.aggregate_mac(hop.hop_mac, tag), res.res_id, res.bw_code, offset,
+                mac.to_bytes(crypto.TAG_LEN, "big"), res.res_id, res.bw_code, offset,
                 res.duration,
             )
         hops.append(hop)

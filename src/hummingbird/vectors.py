@@ -348,7 +348,7 @@ def _decisions() -> dict:
         packets, expected = case["packets"], []
         for packet in packets:
             decision, _ = process_packet(cfg, packet)
-            expected.append(f"{decision.verdict.value}:{decision.reason.value}")
+            expected.append(decision.label)
         if expected != case["expected"]:
             raise AssertionError(
                 f"vector {case['name']!r} produced {expected}, "

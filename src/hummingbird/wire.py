@@ -484,12 +484,24 @@ class ReservationInfo:
 
 def resinfo_block(res: ReservationInfo) -> bytes:
     """16-byte key-derivation input: In | Eg | ResID | BW | StrT | Dur | pad."""
-    # ResID and BW share one word, so their widths are checked here.
-    if not (0 <= res.res_id < 1 << 22 and 0 <= res.bw_code < 1 << 10):
-        res.validate()
-    return _pack(
-        res, res.ingress, res.egress, res.res_id << 10 | res.bw_code, res.res_start, res.duration
+    return pack_resinfo(
+        res.ingress, res.egress, res.res_id, res.bw_code, res.res_start, res.duration
     )
+
+
+def pack_resinfo(*fields: int) -> bytes:
+    """resinfo_block from the fields themselves, as a router reads them off a hop."""
+    ingress, egress, res_id, bw_code, res_start, duration = fields
+    # ResID and BW share one word, so their widths are checked here.
+    if not (0 <= res_id < 1 << 22 and 0 <= bw_code < 1 << 10):
+        ReservationInfo(*fields).validate()
+    try:
+        return ReservationInfo._struct.pack(
+            ingress, egress, res_id << 10 | bw_code, res_start, duration
+        )
+    except struct.error:
+        ReservationInfo(*fields).validate()
+        raise
 
 
 def parse_resinfo_block(raw: bytes) -> ReservationInfo:

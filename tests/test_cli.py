@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from hummingbird import cli, vectors
+from hummingbird import cli, sim, vectors
+from hummingbird.policing import TokenBucketArray
+from hummingbird.residalloc import MAX_IDS
 from hummingbird.sim import bundled_scenarios
 from hummingbird.wire import FlyoverHopField, InfoField, Packet, PathMetaHdr
 
@@ -77,6 +79,11 @@ CORRUPTED_FIELDS = [
             (("market", "min_bandwidth"), 1e6),
             (("market", "unit_price"), 1.5),
             (("funding",), 1e18),
+            (("funding",), -1),
+            (("market", "unit_price"), -1),
+            (("flows", 0, "name"), 5),
+            (("flows", 0, "account"), 5),
+            (("market", "min_bandwidth"), 1),
         ),
         "replay_shared": (
             (("flows", 1, "share"), {"x": "bait"}),
@@ -89,6 +96,7 @@ CORRUPTED_FIELDS = [
             (("buyouts", 0), {"as": 2}),
             (("buyouts", 0), {"account": "hoarder"}),
             (("buyouts", 0, "as"), 3),
+            (("buyouts", 0, "account"), 5),
         ),
     }.items()
     for where, value in cases
@@ -128,7 +136,17 @@ class TestRun:
         assert "missing" in stderr
 
     @pytest.mark.parametrize("name, where, value", CORRUPTED_FIELDS)
-    def test_corrupted_field_is_a_scenario_error(self, capsys, tmp_path, name, where, value):
+    def test_corrupted_field_is_a_scenario_error(
+        self, capsys, tmp_path, monkeypatch, name, where, value
+    ):
+        # A policer past MAX_IDS entries is never allocated: tiny
+        # min_bandwidth values ask for about 3*10^10 of them.
+        def bounded_policer(entries, *args):
+            if entries > MAX_IDS:
+                raise MemoryError(f"{entries} policer entries")
+            return TokenBucketArray(entries, *args)
+
+        monkeypatch.setattr(sim, "TokenBucketArray", bounded_policer)
         scenario = json.loads(bundled_scenarios()[name])
         *parents, key = where
         record = scenario

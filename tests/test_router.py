@@ -488,12 +488,12 @@ class TestCipherCount:
     the packet's own A_K, a plain hop none, and a path plan one per
     reserved hop, on its first packet.  Every
     block still goes through `crypto.prf_block`, where the benchmark's
-    tracer counts it, and each `Prf` builds exactly one AES cipher."""
+    tracer counts it, and each `Prf` builds exactly one AES context."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
         counts = Counter()
-        prf, prf_block, cipher = crypto.Prf, crypto.prf_block, crypto.Cipher
+        prf, prf_block, context = crypto.Prf, crypto.prf_block, crypto._new_context
 
         def counted_prf(key):
             counts["Prf"] += 1
@@ -503,13 +503,13 @@ class TestCipherCount:
             counts["prf_block"] += 1
             return prf_block(key, block)
 
-        def counted_cipher(*args):
-            counts["Cipher"] += 1
-            return cipher(*args)
+        def counted_context(*args):
+            counts["context"] += 1
+            return context(*args)
 
         monkeypatch.setattr(crypto, "Prf", counted_prf)
         monkeypatch.setattr(crypto, "prf_block", counted_prf_block)
-        monkeypatch.setattr(crypto, "Cipher", counted_cipher)
+        monkeypatch.setattr(crypto, "_new_context", counted_context)
         return counts
 
     @pytest.mark.parametrize(
@@ -527,7 +527,7 @@ class TestCipherCount:
         counts.clear()
         decision, _ = process_packet(cfg, packet)
         assert decision.verdict is verdict
-        assert (counts["Prf"], counts["Cipher"], counts["prf_block"]) == (prfs, prfs, blocks)
+        assert (counts["Prf"], counts["context"], counts["prf_block"]) == (prfs, prfs, blocks)
 
     def test_build_packet(self, counts):
         plan = boundary_plan(flyover_on_first=True, misplaced=True)
@@ -536,7 +536,7 @@ class TestCipherCount:
         counts.clear()
         for ciphers in (flyovers, 0, 0):
             build(plan)
-            assert (counts["Prf"], counts["Cipher"], counts["prf_block"]) == (
+            assert (counts["Prf"], counts["context"], counts["prf_block"]) == (
                 ciphers, ciphers, flyovers
             )
             counts.clear()
@@ -763,3 +763,85 @@ class TestRouterOracle:
         cases = one_packet_of_each_kind()
         decisions = self.assert_same((raw, now) for raw, now, _ in cases)
         assert [d.reason for d in decisions] == [reason for _, _, reason in cases]
+
+
+def test_every_fixed_decision_carries_its_label():
+    """The simulator counts hops by this label, formatted once per decision."""
+    fixed = [*router._DROP.values(), *router._BEST_EFFORT.values(), router._PRIORITY]
+    assert len(fixed) == 2 * len(Reason) + 1
+    for decision in fixed:
+        assert decision.label == f"{decision.verdict.value}:{decision.reason.value}"
+
+
+def flyover_path_plan(segments: int):
+    """A path of 1-3 segments with a reservation in each, none on a hop
+    that opens a segment (a crossing AS carries its flyover on the first
+    of its two hop fields)."""
+    segment_plans = []
+    for index in range(segments):
+        res = make_reservation(ingress=40 + index, egress=50 + index, res_id=index)
+        a_key = crypto.derive_key(crypto.Prf(SV), res)
+        reserved = source.HopPlan(res.ingress, res.egress, bytes(6), reservation=(res, a_key))
+        plain = [source.HopPlan(10 * index + i, 10 * index + i + 1, bytes(6)) for i in (1, 3)]
+        hops = [reserved, plain[1]] if index == 0 else [plain[0], reserved, plain[1]]
+        seg_id = 0x1111 * (index + 1)
+        hops = chain_hops(hops, seg_id, BASE_S - 100)
+        segment_plans.append(source.SegmentPlan(seg_id, BASE_S - 100, hops))
+    return source.PathPlan(dst_isd=0x1234, dst_as=0xABCDEF, segments=tuple(segment_plans))
+
+
+class TestPktLenBoundary:
+    """The router takes PktLen from the hop table it walked: at 65 535 the
+    flyover tags verify, at 65 536 the first flyover hop drops, as in
+    `router_oracle`, at every hop of the path."""
+
+    @pytest.mark.parametrize("segments", [1, 2, 3])
+    @pytest.mark.parametrize("pkt_len", [0xFFFF, 0x10000])
+    def test_matches_oracle_along_the_path(self, segments, pkt_len):
+        plan = flyover_path_plan(segments)
+        header = source.header_bytes(plan)
+        packet = build(plan, payload_len=0xFFFF - header)
+        raw = encode_packet(replace(packet, payload_len=pkt_len - header))
+        cfg, ref = make_cfg(), make_cfg()
+        reasons = []
+        while raw is not None:
+            decision, out = router.process_packet_bytes(cfg, raw)
+            assert (decision, out) == router_oracle.process_packet_bytes(ref, raw)
+            assert cfg.policer.ts.tobytes() == ref.policer.ts.tobytes()
+            reasons.append(decision.reason)
+            if decision.reason is Reason.NO_HOP:
+                break
+            raw = out
+        if pkt_len == 0xFFFF:
+            assert reasons.count(Reason.PRIORITY) + reasons.count(Reason.OVER_BUDGET) == segments
+            assert reasons[-1] is Reason.NO_HOP
+        else:
+            assert reasons == [Reason.PKT_LEN_OVERFLOW]
+
+
+@pytest.mark.parametrize(
+    "hop, packet",
+    [
+        ({"res_id": 1 << 22}, {}), ({"res_id": -1}, {}), ({"bw": 1 << 10}, {}),
+        ({"cons_ingress": 1 << 16}, {}), ({"res_duration": 1 << 16}, {}),
+        ({"res_start_offset": 1 << 16}, {}), ({"mac": bytes(5)}, {}), ({"res_id": 5.0}, {}),
+        ({}, {"payload_len": -5000}), ({}, {"dst_isd": 1 << 16}), ({}, {"dst_as": 1 << 48}),
+    ],
+)
+def test_a_flyover_hop_that_does_not_fit_raises_as_the_oracle_does(hop, packet):
+    """A dataclass packet can hold values no wire field can: the flyover
+    step packs its blocks from the hop's fields and refuses them with the
+    exception and message `router_oracle` raises."""
+    built = build(make_plan())
+    hops = (replace(built.path.hops[0], **hop),) + built.path.hops[1:]
+    built = replace(built, path=replace(built.path, hops=hops), **packet)
+
+    def outcome(process):
+        try:
+            return process(make_cfg(), built)[0]
+        except (ValueError, TypeError) as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(router_oracle.process_packet)
+    assert isinstance(expected, tuple)
+    assert outcome(process_packet) == expected
