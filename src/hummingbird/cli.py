@@ -145,7 +145,7 @@ def cmd_run(args) -> int:
         print(_table(_hop_rows(report)))
     failures = check_expectations(report, scenario)
     print()
-    for expect in scenario.get("expect", ()):
+    for expect in scenario["expect"]:
         line = f"{expect['metric']} {expect['op']} {expect['value']}"
         status = "FAIL" if any(f.startswith(expect["metric"] + ":") for f in failures) else "ok"
         print(f"  [{status}] {line}")

@@ -212,7 +212,7 @@ class BorderAS:
         self.egress_iface: dict[int, int] = {}  # next-hop AS id -> iface
         self.ingress_iface: dict[int, int] = {}  # previous AS id -> iface
         self.network: "Network | None" = None
-        self.replay: dict | None = None
+        self.replay: "Flow | None" = None  # the replayer at this AS
 
     def clock(self) -> int:
         return EPOCH_NS + self.sim.now + self.clock_offset_ns
@@ -246,15 +246,14 @@ class BorderAS:
 
     def _maybe_replay(self, transit: _Transit) -> None:
         """On-path adversary: re-emit copies of a forwarded packet."""
-        cfg = self.replay
-        if transit.flow.name != cfg["flow"]:
+        replayer = self.replay
+        if transit.flow.name != replayer.spec["replays_flow"]:
             return
-        replayer: Flow = cfg["replayer"]
         path = transit.flow.path
         if transit.hop + 1 >= len(path):
             return  # nothing downstream to replay into
         link = self.links[path[transit.hop + 1]]
-        for _ in range(cfg["multiplicity"]):
+        for _ in range(replayer.spec["multiplicity"]):
             clone = _Transit(
                 flow=replayer,
                 packet=transit.packet,  # identical header, same tags
@@ -279,8 +278,8 @@ class Flow:
         self.spec = spec
         self.rng = rng
         self.path: list[int] = list(spec["path"])
-        self.account = spec.get("account", self.name)
-        self.kind = spec.get("kind", "")
+        self.account = spec["account"]
+        self.kind = spec["kind"]
         self.stats = FlowStats()
         self.latencies_ns: list[int] = []  # of each delivered packet
         self.counter = CounterState()
@@ -288,10 +287,6 @@ class Flow:
         self.payload_len = 0
         self.wire_bytes = 0
         self.credentials: dict[int, tuple] = {}  # as_id -> (ResInfo, key)
-
-    @property
-    def sends(self) -> bool:
-        return self.kind != "replay_on_reservation_set"
 
     @property
     def rate_bps(self) -> int:
@@ -302,87 +297,136 @@ class Flow:
 # The network: scenario realization
 
 
-_FLOW_CLASSES = ("reserved", "best_effort", "adversary")
-
-_MARKET_DEFAULTS = {
-    "granularity_s": 60,
-    "window_s": 600,
-    "lead_s": 0,  # issue this far before time zero
-    "min_bandwidth": 1_000_000,
-    "unit_price": 1,
+# The JSON types of scenario fields, named as errors name them.  A number
+# is bounded so that no product of two fields overflows a float.
+INTEGER, NUMBER, STRING = "an integer", "a number within 1e15", "a string"
+_IS = {
+    INTEGER: lambda v: type(v) is int,
+    NUMBER: lambda v: type(v) in (int, float) and -1e15 <= v <= 1e15,
+    STRING: lambda v: type(v) is str,
+    "a list": lambda v: type(v) is list,
+    "an object": lambda v: type(v) is dict,
 }
+_BOUNDS = {
+    "positive": lambda v: v > 0,
+    "non-negative": lambda v: v >= 0,
+    "non-empty": len,
+    "at least 1 bit/s": lambda mbps: round(mbps * 1_000_000) >= 1,
+    "below 2**64": lambda v: 0 <= v < 1 << 64,  # the ledger signs an AS id as 8 bytes
+}
+REQUIRED = object()
+
+# Every scenario field.  A type is a key of _IS, a record (a JSON object),
+# or a one-item list of either (a JSON list); a default that is a function
+# gets the record and the scenario.  validate_scenario picks a flow's other
+# records.  Ledger amounts and times, such as the market's, are integers.
+_FIELDS = [
+    # record        field                 type         default         lower bound
+    ("scenario",    "name",               STRING,      REQUIRED,       None),
+    ("scenario",    "duration_s",         NUMBER,      REQUIRED,       "positive"),
+    ("scenario",    "host_capacity_mbps", NUMBER,      10_000,         "at least 1 bit/s"),
+    ("scenario",    "burst_ms",           NUMBER,      50,             "non-negative"),
+    ("scenario",    "funding",            INTEGER,     10**18,         "non-negative"),
+    ("scenario",    "topology",           "topology",  REQUIRED,       None),
+    ("scenario",    "market",             "market",    {},             None),
+    ("scenario",    "flows",              ["flow"],    [],             None),
+    ("scenario",    "buyouts",            ["buyout"],  [],             None),
+    ("scenario",    "expect",             ["expect"],  [],             None),
+    ("topology",    "ases",               ["as"],      REQUIRED,       None),
+    ("topology",    "links",              ["link"],    REQUIRED,       None),
+    ("as",          "id",                 INTEGER,     REQUIRED,       "below 2**64"),
+    ("as",          "clock_offset_ms",    NUMBER,      0,              None),
+    ("link",        "from",               INTEGER,     REQUIRED,       None),
+    ("link",        "to",                 INTEGER,     REQUIRED,       None),
+    ("link",        "capacity_mbps",      NUMBER,      REQUIRED,       "at least 1 bit/s"),
+    ("link",        "delay_ms",           NUMBER,      1,              "non-negative"),
+    ("link",        "be_buffer_ms",       NUMBER,      50,             "non-negative"),
+    ("market",      "granularity_s",      INTEGER,     60,             "positive"),
+    ("market",      "window_s",           INTEGER,     600,            "positive"),
+    ("market",      "lead_s",             INTEGER,     0,              "non-negative"),
+    ("market",      "min_bandwidth",      INTEGER,     1_000_000,      "positive"),
+    ("market",      "unit_price",         INTEGER,     1,              "non-negative"),
+    ("flow",        "name",               STRING,      REQUIRED,       None),
+    ("flow",        "account",            STRING,      lambda f, _: f["name"], None),
+    ("flow",        "class",              STRING,      REQUIRED,       None),
+    ("flow",        "kind",               STRING,      "",             None),
+    ("flow",        "path",               [INTEGER],   REQUIRED,       "non-empty"),
+    ("flow",        "share",              "share",     {},             None),
+    ("sender",      "rate_mbps",          NUMBER,      REQUIRED,       "at least 1 bit/s"),
+    ("sender",      "packet_bytes",       INTEGER,     REQUIRED,       "positive"),
+    ("sender",      "start_s",            NUMBER,      0,              "non-negative"),
+    ("sender",      "stop_s",             NUMBER,      lambda _, s: s["duration_s"], None),
+    ("replayer",    "at_as",              INTEGER,     REQUIRED,       None),
+    ("replayer",    "replays_flow",       STRING,      REQUIRED,       None),
+    ("replayer",    "multiplicity",       INTEGER,     1,              "non-negative"),
+    ("reservation", "reserve_mbps",       NUMBER,      REQUIRED,       "at least 1 bit/s"),
+    ("buyout",      "account",            STRING,      REQUIRED,       None),
+    ("buyout",      "as",                 INTEGER,     REQUIRED,       None),
+    ("expect",      "metric",             STRING,      REQUIRED,       None),
+    ("expect",      "op",                 STRING,      REQUIRED,       None),
+    ("expect",      "value",              NUMBER,      REQUIRED,       None),
+]
+_RECORDS = {kind: [row[1:] for row in _FIELDS if row[0] == kind] for kind, *_ in _FIELDS}
+_RECORDS["share"] = []  # AS ids to earlier flows' names, checked with the flows
+
+
+def _checked(kind, value, at: str, scenario: dict):
+    """`value`, found at `at`, checked as type `kind`; lists and records are filled-in copies."""
+    what = "a list" if isinstance(kind, list) else "an object" if kind in _RECORDS else kind
+    if not _IS[what](value):
+        raise ScenarioError(f"{at} must be {what}, got {value!r}")
+    if isinstance(kind, list):
+        return [_checked(kind[0], item, f"{at}.{i}", scenario) for i, item in enumerate(value)]
+    if kind not in _RECORDS:
+        return value
+    out = dict(value)
+    for key, field_kind, default, bound in _RECORDS[kind]:
+        if key in value:
+            field = value[key]
+        elif default is REQUIRED:
+            raise ScenarioError(f"{at} is missing {key!r}")
+        else:
+            field = default(out, scenario) if callable(default) else default
+        out[key] = field = _checked(field_kind, field, f"{at}.{key}", scenario)
+        if bound and not _BOUNDS[bound](field):
+            raise ScenarioError(f"{at}.{key} must be {bound}, got {field!r}")
+    return out
 
 
 def _reserves(spec: dict) -> bool:
     """Whether a flow buys its reservations through the market."""
-    return spec["class"] == "reserved" or spec.get("kind") == "overuse"
+    return spec["class"] == "reserved" or spec["kind"] == "overuse"
 
 
-def validate_scenario(scenario: dict) -> None:
-    """Schema and topology checks; everything fails before the sim starts."""
-    def need(mapping, key, where):
-        if key not in mapping:
-            raise ScenarioError(f"{where} is missing {key!r}")
-        return mapping[key]
-
-    def typed(mapping, key, where, default=None, kinds=(int, float)):
-        value = need(mapping, key, where) if default is None else mapping.get(key, default)
-        if type(value) not in kinds:
-            what = {float: "a number", int: "an integer", str: "a string"}[kinds[-1]]
-            raise ScenarioError(f"{where}: {key} must be {what}, got {value!r}")
-        return value
-
-    need(scenario, "name", "scenario")
-    duration = need(scenario, "duration_s", "scenario")
-    if not isinstance(duration, (int, float)) or duration <= 0:
-        raise ScenarioError(f"duration_s must be positive, got {duration!r}")
-    capacities_mbps = [typed(scenario, "host_capacity_mbps", "scenario", 10_000)]
-    typed(scenario, "burst_ms", "scenario", 50)
-    # Funding and the market's numbers are ledger amounts and times: integers.
-    if typed(scenario, "funding", "scenario", 0, kinds=(int,)) < 0:
-        raise ScenarioError(f"funding must not be negative, got {scenario['funding']}")
-    topo = need(scenario, "topology", "scenario")
-    as_ids = set()
-    for entry in need(topo, "ases", "topology"):
-        as_id = need(entry, "id", "AS entry")
-        if as_id in as_ids:
-            raise ScenarioError(f"duplicate AS id {as_id}")
-        typed(entry, "clock_offset_ms", f"AS {as_id}", 0)
-        as_ids.add(as_id)
-    links = set()
-    for entry in need(topo, "links", "topology"):
-        src, dst = need(entry, "from", "link"), need(entry, "to", "link")
-        for end in (src, dst):
-            if end not in as_ids:
-                raise ScenarioError(f"link endpoint {end} is not a declared AS")
-        if (src, dst) in links:
+def validate_scenario(scenario: dict) -> dict:
+    """A copy of the scenario with the defaults of _FIELDS filled in, once all checks pass."""
+    out = _checked("scenario", scenario, "scenario", scenario)
+    as_ids, links = set(), set()
+    for entry in out["topology"]["ases"]:
+        if entry["id"] in as_ids:
+            raise ScenarioError(f"duplicate AS id {entry['id']}")
+        as_ids.add(entry["id"])
+    for entry in out["topology"]["links"]:
+        src, dst = link = entry["from"], entry["to"]
+        if not as_ids.issuperset(link):
+            raise ScenarioError(f"link {src}->{dst} has an end that is not a declared AS")
+        if link in links:
             raise ScenarioError(f"duplicate link {src}->{dst}")
-        capacities_mbps.append(typed(entry, "capacity_mbps", "link"))
-        if capacities_mbps[-1] <= 0:
-            raise ScenarioError("link capacity must be positive")
-        if typed(entry, "delay_ms", "link", 1) < 0:
-            raise ScenarioError(f"link {src}->{dst} delay_ms must not be negative")
-        typed(entry, "be_buffer_ms", "link", 50)
-        links.add((src, dst))
-
+        links.add(link)
     names = set()
-    for spec in scenario.get("flows", ()):
-        name = typed(spec, "name", "flow", kinds=(str,))
-        typed(spec, "account", f"flow {name}", name, kinds=(str,))
+    for i, spec in enumerate(out["flows"]):
+        name, kind, path = spec["name"], spec["kind"], spec["path"]
         if name in names:
             raise ScenarioError(f"duplicate flow name {name!r}")
         names.add(name)
-        cls = need(spec, "class", f"flow {name}")
-        if cls not in _FLOW_CLASSES:
-            raise ScenarioError(f"flow {name}: unknown class {cls!r}")
-        kind = spec.get("kind", "")
-        if cls == "adversary" and kind not in ADVERSARY_KINDS:
+        if spec["class"] not in ("reserved", "best_effort", "adversary"):
+            raise ScenarioError(f"flow {name}: unknown class {spec['class']!r}")
+        if spec["class"] == "adversary" and kind not in ADVERSARY_KINDS:
             raise ScenarioError(f"flow {name}: unknown adversary kind {kind!r}")
-        path = need(spec, "path", f"flow {name}")
-        if not isinstance(path, list):
-            raise ScenarioError(f"flow {name}: path must be a list, got {path!r}")
-        if len(path) < 1:
-            raise ScenarioError(f"flow {name}: empty path")
+        extra = "replayer" if kind == "replay_on_reservation_set" else "sender"
+        spec.update(_checked(extra, spec, f"scenario.flows.{i}", out))
+        if _reserves(spec):
+            spec.update(_checked("reservation", spec, f"scenario.flows.{i}", out))
         for hop in path:
             if hop not in as_ids:
                 raise ScenarioError(f"flow {name}: path AS {hop} not declared")
@@ -390,89 +434,55 @@ def validate_scenario(scenario: dict) -> None:
             if (a, b) not in links:
                 raise ScenarioError(f"flow {name}: no link {a}->{b}")
         if kind == "replay_on_reservation_set":
-            at_as = need(spec, "at_as", f"flow {name}")
-            if at_as not in path:
-                raise ScenarioError(f"flow {name}: at_as {at_as} not on path")
-            victim = need(spec, "replays_flow", f"flow {name}")
-            if victim not in names:
+            if spec["at_as"] not in path:
+                raise ScenarioError(f"flow {name}: at_as {spec['at_as']} not on path")
+            if spec["replays_flow"] not in names:
                 raise ScenarioError(
-                    f"flow {name}: replays_flow {victim!r} must be declared earlier"
+                    f"flow {name}: replays_flow {spec['replays_flow']!r} must be declared earlier"
                 )
-            if typed(spec, "multiplicity", f"flow {name}", 1, kinds=(int,)) < 0:
-                raise ScenarioError(f"flow {name}: multiplicity must not be negative")
-        else:
-            if round(typed(spec, "rate_mbps", f"flow {name}") * 1_000_000) <= 0:
-                raise ScenarioError(f"flow {name}: rate_mbps must be at least 1 bit/s")
-            typed(spec, "packet_bytes", f"flow {name}", kinds=(int,))
-            if typed(spec, "start_s", f"flow {name}", 0) < 0:
-                raise ScenarioError(f"flow {name}: start_s must not be negative")
-            typed(spec, "stop_s", f"flow {name}", duration)
-        if _reserves(spec):
-            typed(spec, "reserve_mbps", f"flow {name}")
-        share = spec.get("share", {})
-        if not isinstance(share, dict):
-            raise ScenarioError(f"flow {name}: share must be an object, got {share!r}")
-        for shared_as, source in share.items():
+        elif spec["packet_bytes"] * 8 * NS_PER_S // round(spec["rate_mbps"] * 1_000_000) < 1:
+            raise ScenarioError(f"flow {name}: sends packets less than 1 ns apart")
+        for shared_as, source in spec["share"].items():
             if not (str(shared_as).isdecimal() and int(shared_as) in path):
                 raise ScenarioError(f"flow {name}: shared AS {shared_as} not on path")
-            if source not in names - {name}:
-                raise ScenarioError(
-                    f"flow {name}: share source {source!r} must be an earlier flow"
-                )
-    buyouts = scenario.get("buyouts", [])
-    if not isinstance(buyouts, list):
-        raise ScenarioError(f"buyouts must be a list, got {buyouts!r}")
-    for entry in buyouts:
-        typed(entry, "account", "buyout", kinds=(str,))
-        if need(entry, "as", "buyout") not in as_ids:
+            if type(source) is not str or source not in names - {name}:
+                raise ScenarioError(f"flow {name}: share source {source!r} is no earlier flow")
+    for entry in out["buyouts"]:
+        if entry["as"] not in as_ids:
             raise ScenarioError(f"buyout AS {entry['as']} is not a declared AS")
-    needs_market = any(map(_reserves, scenario.get("flows", ()))) or buyouts
-    if needs_market and "market" not in scenario:
+    if "market" not in scenario and (out["buyouts"] or any(map(_reserves, out["flows"]))):
         raise ScenarioError("scenario needs a market block for reservations")
-    market = {**_MARKET_DEFAULTS, **scenario.get("market", {})}
-    if scenario.get("market"):
-        window, gran, lead, _, price = (
-            typed(market, key, "market", kinds=(int,))
-            for key in ("window_s", "granularity_s", "lead_s", "min_bandwidth", "unit_price")
-        )
-        if gran <= 0:
-            raise ScenarioError(f"market granularity_s must be positive, got {gran!r}")
-        if price < 0:
-            raise ScenarioError(f"market unit_price must not be negative, got {price}")
-        if window % gran:
-            raise ScenarioError(f"market window {window}s not a multiple of {gran}s")
-        if lead % gran or lead < 0:
-            raise ScenarioError(f"market lead {lead}s must be a multiple of {gran}s")
-        if lead + duration > window:
-            raise ScenarioError(
-                f"market window {window}s does not cover lead {lead}s plus "
-                f"duration {duration}s"
-            )
-    min_bw, widest = market["min_bandwidth"], round(max(capacities_mbps) * 1_000_000)
-    if min_bw <= 0 or size_array(widest, min_bw) > MAX_IDS:
+    market, duration = out["market"], out["duration_s"]
+    window, gran, lead = market["window_s"], market["granularity_s"], market["lead_s"]
+    if window % gran:
+        raise ScenarioError(f"market window {window}s not a multiple of {gran}s")
+    if lead % gran:
+        raise ScenarioError(f"market lead {lead}s must be a multiple of {gran}s")
+    if lead + duration > window:
         raise ScenarioError(
-            f"market min_bandwidth must be positive and size the policer of a {widest} bit/s "
-            f"interface within {MAX_IDS} entries, got {min_bw}"
+            f"market window {window}s does not cover lead {lead}s plus "
+            f"duration {duration}s"
         )
-    for expect in scenario.get("expect", ()):
-        for key in ("metric", "op", "value"):
-            if key not in expect:
-                raise ScenarioError(f"expect entry missing {key!r}: {expect}")
-        if expect["op"] not in ("==", "!=", ">=", "<=", ">", "<"):
+    capacities = [link["capacity_mbps"] for link in out["topology"]["links"]]
+    widest = round(max(out["host_capacity_mbps"], *capacities) * 1_000_000)
+    if size_array(widest, market["min_bandwidth"]) > MAX_IDS:
+        raise ScenarioError(
+            f"market min_bandwidth must size the policer of a {widest} bit/s "
+            f"interface within {MAX_IDS} entries, got {market['min_bandwidth']}"
+        )
+    for expect in out["expect"]:
+        if expect["op"] not in _OPS:
             raise ScenarioError(f"unknown expect op {expect['op']!r}")
+    return out
 
 
 class Network:
     def __init__(self, scenario: dict, seed: int):
-        validate_scenario(scenario)
-        self.scenario = scenario
+        self.scenario = scenario = validate_scenario(scenario)
         self.seed = seed
         self.sim = Simulator()
-        self.market = {**_MARKET_DEFAULTS, **scenario.get("market", {})}
-        self.host_capacity_bps = round(
-            scenario.get("host_capacity_mbps", 10_000) * 1_000_000
-        )
-        burst_ns = round(scenario.get("burst_ms", 50) * NS_PER_MS)
+        self.market = scenario["market"]
+        self.host_capacity_bps = round(scenario["host_capacity_mbps"] * 1_000_000)
 
         self.ases: dict[int, BorderAS] = {}
         for entry in scenario["topology"]["ases"]:
@@ -481,8 +491,8 @@ class Network:
                 as_id,
                 self.sim,
                 self._rng(f"as{as_id}"),
-                clock_offset_ns=round(entry.get("clock_offset_ms", 0) * NS_PER_MS),
-                burst_ns=burst_ns,
+                clock_offset_ns=round(entry["clock_offset_ms"] * NS_PER_MS),
+                burst_ns=round(scenario["burst_ms"] * NS_PER_MS),
             )
             self.ases[as_id].network = self
 
@@ -503,15 +513,13 @@ class Network:
             self.ases[dst].ingress_iface[src] = dst_iface
             self.iface_capacity[(src, src_iface)] = capacity
             self.iface_capacity[(dst, dst_iface)] = capacity
-            buffer_bytes = round(
-                entry.get("be_buffer_ms", 50) * NS_PER_MS * capacity / (8 * NS_PER_S)
-            )
+            buffer_bytes = round(entry["be_buffer_ms"] * NS_PER_MS * capacity / (8 * NS_PER_S))
             link = Link(
                 self.sim,
                 self.ases[dst],
                 dst_iface,
                 capacity,
-                round(entry.get("delay_ms", 1) * NS_PER_MS),
+                round(entry["delay_ms"] * NS_PER_MS),
                 buffer_bytes,
             )
             self.ases[src].links[dst] = link
@@ -526,7 +534,7 @@ class Network:
                 border.add_router(iface, entries_for(as_id, iface))
 
         self.flows: dict[str, Flow] = {}
-        for spec in scenario.get("flows", ()):
+        for spec in scenario["flows"]:
             flow = Flow(spec, self._rng(f"flow:{spec['name']}"))
             self.flows[flow.name] = flow
 
@@ -544,12 +552,12 @@ class Network:
     def _setup_ledger(self) -> None:
         rng = self._rng("ledger")
         root = PkiRoot(rng)
-        funding = self.scenario.get("funding", 10**18)
+        funding = self.scenario["funding"]
         genesis = {}
         for as_id in self.ases:
             genesis[f"as{as_id}-ops"] = 0
         accounts = {f.account for f in self.flows.values()}
-        accounts.update(b["account"] for b in self.scenario.get("buyouts", ()))
+        accounts.update(b["account"] for b in self.scenario["buyouts"])
         for account in sorted(accounts):
             genesis[account] = funding
         self.genesis = dict(genesis)
@@ -585,7 +593,7 @@ class Network:
                         account, asset, self.market["unit_price"]
                     )
 
-        for entry in self.scenario.get("buyouts", ()):
+        for entry in self.scenario["buyouts"]:
             self._buy_out_as(entry["account"], entry["as"])
 
         for flow in self.flows.values():
@@ -631,7 +639,7 @@ class Network:
 
     def _reserve_for_flow(self, flow: Flow) -> None:
         """Buy, redeem, and decrypt credentials for every hop of the path."""
-        share = {int(k): v for k, v in flow.spec.get("share", {}).items()}
+        share = {int(k): v for k, v in flow.spec["share"].items()}
         bandwidth = round(flow.spec["reserve_mbps"] * 1_000_000)
         start, end = self.window
         priv, pub = sealing_keypair(flow.rng)
@@ -688,7 +696,7 @@ class Network:
 
     def _setup_plans(self) -> None:
         for flow in self.flows.values():
-            if not flow.sends:
+            if flow.kind == "replay_on_reservation_set":
                 continue
             flow.plan = self._build_plan(flow)
             overhead = header_bytes(flow.plan)
@@ -799,10 +807,8 @@ class Network:
         self.ases[flow.path[0]].receive(transit, 0)
 
     def _schedule_flow(self, flow: Flow) -> None:
-        start_ns = round(flow.spec.get("start_s", 0.0) * NS_PER_S)
-        stop_ns = round(
-            flow.spec.get("stop_s", self.scenario["duration_s"]) * NS_PER_S
-        )
+        start_ns = round(flow.spec["start_s"] * NS_PER_S)
+        stop_ns = round(flow.spec["stop_s"] * NS_PER_S)
         interval_ns = flow.wire_bytes * 8 * NS_PER_S // flow.rate_bps
 
         def tick(at_ns: int) -> None:
@@ -816,11 +822,7 @@ class Network:
     def run(self) -> dict:
         for flow in self.flows.values():
             if flow.kind == "replay_on_reservation_set":
-                self.ases[flow.spec["at_as"]].replay = {
-                    "flow": flow.spec["replays_flow"],
-                    "multiplicity": flow.spec.get("multiplicity", 1),
-                    "replayer": flow,
-                }
+                self.ases[flow.spec["at_as"]].replay = flow
                 continue
             self._schedule_flow(flow)
         self.sim.run()
@@ -929,10 +931,7 @@ def load_scenario(ref: str) -> dict:
         scenario = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {ref!r} is not valid JSON: {exc}") from exc
-    if not isinstance(scenario, dict):
-        raise ScenarioError(f"scenario {ref!r} must be a JSON object")
-    validate_scenario(scenario)
-    return scenario
+    return validate_scenario(scenario)
 
 
 def run_scenario(scenario: dict, seed: int) -> dict:
@@ -946,9 +945,9 @@ def report_json(report: dict) -> str:
 def _lookup(report: dict, dotted: str):
     node = report
     for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise KeyError(dotted)
-        node = node[part]
+        node = node.get(part) if isinstance(node, dict) else None
+    if type(node) not in (int, float):  # expect values are numbers
+        raise KeyError(dotted)
     return node
 
 
@@ -965,7 +964,7 @@ _OPS = {
 def check_expectations(report: dict, scenario: dict) -> list[str]:
     """Evaluate the scenario's embedded assertions; returns failures."""
     failures = []
-    for expect in scenario.get("expect", ()):
+    for expect in scenario["expect"]:
         metric, op, value = expect["metric"], expect["op"], expect["value"]
         try:
             actual = _lookup(report, metric)

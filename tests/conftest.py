@@ -1,4 +1,4 @@
-"""Shared builders for randomized tests.
+"""Shared builders for randomized tests, and a bounded policer stub.
 
 Random structures are drawn from caller-seeded random.Random instances
 so every failure reproduces from the printed seed.
@@ -10,6 +10,9 @@ import random
 
 import pytest
 
+from hummingbird import sim
+from hummingbird.policing import TokenBucketArray
+from hummingbird.residalloc import MAX_IDS
 from hummingbird.wire import (
     FlyoverHopField,
     HopField,
@@ -107,3 +110,16 @@ def random_packet(rng: random.Random) -> Packet:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def bounded_policer(monkeypatch):
+    """Stands in for sim.TokenBucketArray: a policer past MAX_IDS entries is
+    never allocated (tiny min_bandwidth values ask for about 3*10^10)."""
+
+    def policer(entries, *args):
+        if entries > MAX_IDS:
+            raise MemoryError(f"{entries} policer entries")
+        return TokenBucketArray(entries, *args)
+
+    monkeypatch.setattr(sim, "TokenBucketArray", policer)

@@ -7,9 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hummingbird import cli, sim, vectors
-from hummingbird.policing import TokenBucketArray
-from hummingbird.residalloc import MAX_IDS
+from hummingbird import cli, vectors
 from hummingbird.sim import bundled_scenarios
 from hummingbird.wire import FlyoverHopField, InfoField, Packet, PathMetaHdr
 
@@ -84,12 +82,28 @@ CORRUPTED_FIELDS = [
             (("flows", 0, "name"), 5),
             (("flows", 0, "account"), 5),
             (("market", "min_bandwidth"), 1),
+            (("market",), None),
+            (("flows",), 5),
+            (("host_capacity_mbps",), 0),
+            (("topology", "ases", 0, "id"), True),
+            (("topology", "links", 0, "from"), True),
+            (("topology", "links", 0, "from"), []),
+            (("flows", 0, "path", 0), True),
+            (("flows", 0, "path", 0), []),
+            (("topology", "links", 0, "be_buffer_ms"), 1e300),
+            (("flows", 0, "start_s"), 1e300),
+            (("flows", 0, "stop_s"), float("nan")),
+            (("expect", 0, "metric"), 0),
+            (("expect", 0, "value"), []),
+            # About 10^-14 ns between packets: the event loop would never advance.
+            (("flows", 1, "rate_mbps"), 10**30),
         ),
         "replay_shared": (
             (("flows", 1, "share"), {"x": "bait"}),
             (("flows", 2, "multiplicity"), "3"),
             (("flows", 2, "multiplicity"), 2.5),
             (("flows", 2, "multiplicity"), -1),
+            (("flows", 2, "at_as"), True),
         ),
         "starvation": (
             (("buyouts",), {"account": "hoarder", "as": 2}),
@@ -97,6 +111,7 @@ CORRUPTED_FIELDS = [
             (("buyouts", 0), {"account": "hoarder"}),
             (("buyouts", 0, "as"), 3),
             (("buyouts", 0, "account"), 5),
+            (("buyouts", 0, "as"), True),
         ),
     }.items()
     for where, value in cases
@@ -137,16 +152,8 @@ class TestRun:
 
     @pytest.mark.parametrize("name, where, value", CORRUPTED_FIELDS)
     def test_corrupted_field_is_a_scenario_error(
-        self, capsys, tmp_path, monkeypatch, name, where, value
+        self, capsys, tmp_path, bounded_policer, name, where, value
     ):
-        # A policer past MAX_IDS entries is never allocated: tiny
-        # min_bandwidth values ask for about 3*10^10 of them.
-        def bounded_policer(entries, *args):
-            if entries > MAX_IDS:
-                raise MemoryError(f"{entries} policer entries")
-            return TokenBucketArray(entries, *args)
-
-        monkeypatch.setattr(sim, "TokenBucketArray", bounded_policer)
         scenario = json.loads(bundled_scenarios()[name])
         *parents, key = where
         record = scenario

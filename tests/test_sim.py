@@ -2,6 +2,8 @@
 
 import copy
 import hashlib
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -348,6 +350,87 @@ class TestExpectations:
             report, {"expect": [{"metric": "flows.res.offered_packets", "op": "==", "value": 7}]}
         )
         assert failures == ["flows.res.offered_packets: 50 == 7 is false"]
+
+    def test_metric_that_is_no_number_is_a_failure_not_a_crash(self):
+        report = run_scenario(mini_scenario(), 1)
+        failures = check_expectations(
+            report, {"expect": [{"metric": "flows.res", "op": ">=", "value": 1}]}
+        )
+        assert failures == ["flows.res: no such metric"]
+
+
+class TestFilledScenario:
+    def test_every_default_is_filled_in_and_the_argument_kept(self):
+        scenario = mini_scenario()
+        del scenario["topology"]["links"][0]["delay_ms"]
+        scenario["flows"].append(
+            {
+                "name": "rep",
+                "class": "adversary",
+                "kind": "replay_on_reservation_set",
+                "path": [1, 2],
+                "at_as": 1,
+                "replays_flow": "res",
+            }
+        )
+        before = copy.deepcopy(scenario)
+        filled = validate_scenario(scenario)
+        assert scenario == before
+        assert filled == {
+            **before,
+            "host_capacity_mbps": 10_000,
+            "burst_ms": 50,
+            "funding": 10**18,
+            "topology": {
+                "ases": [{"id": 1, "clock_offset_ms": 0}, {"id": 2, "clock_offset_ms": 0}],
+                "links": [
+                    {"from": 1, "to": 2, "capacity_mbps": 10, "delay_ms": 1, "be_buffer_ms": 50}
+                ],
+            },
+            "market": {**before["market"], "lead_s": 0},
+            "flows": [
+                *(
+                    {**flow, "account": flow["name"], "kind": "", "share": {},
+                     "start_s": 0, "stop_s": 0.2}
+                    for flow in before["flows"][:2]
+                ),
+                {**before["flows"][2], "account": "rep", "share": {}, "multiplicity": 1},
+            ],
+            "buyouts": [],
+            "expect": [],
+        }
+        # Network validates again what load_scenario returns.
+        assert validate_scenario(filled) == filled
+        # The copy shares no list or object with the argument.
+        filled["topology"]["ases"][0]["id"] = 7
+        filled["flows"][0]["path"].append(3)
+        filled["market"]["unit_price"] = 5
+        assert scenario == before
+
+    def test_a_scenario_without_market_gets_the_default_one(self):
+        scenario = mini_scenario()
+        del scenario["market"]
+        del scenario["flows"][0]
+        assert validate_scenario(scenario)["market"] == {
+            "granularity_s": 60,
+            "window_s": 600,
+            "lead_s": 0,
+            "min_bandwidth": 1_000_000,
+            "unit_price": 1,
+        }
+
+    def test_as_id_the_ledger_cannot_sign_is_refused(self):
+        scenario = mini_scenario()
+        scenario["topology"]["ases"].append({"id": 1 << 64})
+        with pytest.raises(ScenarioError, match=r"ases\.2\.id must be below 2\*\*64"):
+            validate_scenario(scenario)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_scenario_validates(self, seed, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        scenario = importlib.import_module("sim_contended").make_scenario(seed)
+        filled = validate_scenario(scenario)
+        assert [f["name"] for f in filled["flows"]] == [f["name"] for f in scenario["flows"]]
 
 
 class TestBundledScenarios:
