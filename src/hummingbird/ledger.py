@@ -27,8 +27,8 @@ from the value's dataclass fields by a per-class format string and
 per-type encoders that write what json.dumps would.  A stored value
 holds only ints, strings, bytes, a bool and a Direction; the ledger
 refuses anything else where it enters.  The cache is exact because a
-value never changes after it is built: a changed entry is a new object
-from `replace()` with a fresh fragment.
+value never changes after it is built: a changed entry is a field copy
+(`_with`) that renders its own fragment.
 
 Each table (`_Table`) keeps those entries sorted between hashes and
 moves only the entries of ids written since the last one.  Sorting the
@@ -54,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
@@ -74,7 +74,9 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import crypto
 from .residalloc import ResIdAllocator
-from .wire import MAX_BW_VALUE, ReservationInfo, parse_resinfo_block, quantize_bw, resinfo_block
+from .wire import (
+    MAX_BW_VALUE, ReservationInfo, frozen_record, parse_resinfo_block, quantize_bw, resinfo_block,
+)
 
 MARKET_ACCOUNT = "__market__"
 _REG_CONTEXT = b"hummingbird-as-registration:"
@@ -137,10 +139,18 @@ def _entry_layout(cls) -> tuple[attrgetter, str]:
     return attrgetter(key, *names), '"%s":{' + body + "}"
 
 
+class _Rendered(cached_property):
+    """A `cached_property` whose first read takes no lock (3.11's takes one):
+    the value goes into the instance `__dict__`, where later reads find it."""
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
 class _Stored:
     """A frozen dataclass kept in a ledger table under its first field."""
 
-    @cached_property
+    @_Rendered
     def _fragment(self) -> str:
         """This value's `"<key>":{...}` entry in the state_hash JSON, which
         holds every other field."""
@@ -149,8 +159,15 @@ class _Stored:
         # An int's %s is already its JSON.
         return layout % (key, *[v if type(v) is int else _ENCODERS[type(v)](v) for v in values])
 
+    def _with(self, **changes):
+        """A copy with changes, its fields copied once; it renders its own entry."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, **changes)
+        copy.__dict__.pop("_fragment", None)
+        return copy
 
-@dataclass(frozen=True)
+
+@frozen_record
 class BandwidthAsset(_Stored):
     asset_id: int
     as_id: int
@@ -178,9 +195,7 @@ class BandwidthAsset(_Stored):
                 f"of granularity {self.time_granularity}"
             )
         if self.bandwidth < self.min_bandwidth:
-            raise LedgerError(
-                f"bandwidth {self.bandwidth} below minimum {self.min_bandwidth}"
-            )
+            raise LedgerError(f"bandwidth {self.bandwidth} below minimum {self.min_bandwidth}")
         if not 0 <= self.interface < (1 << 16):
             raise LedgerError(f"interface out of range: {self.interface}")
 
@@ -197,14 +212,14 @@ class BandwidthAsset(_Stored):
 _ASSET_INTS = attrgetter(*(f.name for f in fields(BandwidthAsset) if f.type == "int"))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AuthToken(_Stored):
     token_id: int
     as_id: int
     account: str
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Listing(_Stored):
     listing_id: int
     asset_id: int
@@ -212,7 +227,7 @@ class Listing(_Stored):
     seller: str
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RedeemRequest(_Stored):
     """Snapshot of a destroyed asset pair, awaiting credential delivery."""
 
@@ -346,8 +361,7 @@ class ASControlService:
     def build_credentials(self, request: RedeemRequest) -> bytes:
         if request.as_id != self.as_id:
             raise LedgerError(
-                f"request {request.request_id} addressed to AS {request.as_id}, "
-                f"not {self.as_id}"
+                f"request {request.request_id} addressed to AS {request.as_id}, not {self.as_id}"
             )
         handle = f"req-{request.request_id}"
         res_id = self.allocator.assign(
@@ -632,9 +646,7 @@ class Ledger:
     ) -> BandwidthAsset:
         token = self._resolve_token(account, token)
         if as_id is not None and as_id != token.as_id:
-            raise LedgerError(
-                f"token for AS {token.as_id} cannot issue assets for AS {as_id}"
-            )
+            raise LedgerError(f"token for AS {token.as_id} cannot issue assets for AS {as_id}")
         asset = BandwidthAsset(
             asset_id=0,  # placeholder for the id _replace_assets gives it
             as_id=token.as_id,
@@ -672,9 +684,7 @@ class Ledger:
     def fuse_time(self, account: str, a, b) -> BandwidthAsset:
         a, b = self._fuse_pair(account, a, b)
         if a.bandwidth != b.bandwidth:
-            raise LedgerError(
-                f"bandwidth differs: {a.bandwidth} vs {b.bandwidth}"
-            )
+            raise LedgerError(f"bandwidth differs: {a.bandwidth} vs {b.bandwidth}")
         if a.expiration_time != b.start_time:
             raise LedgerError(
                 f"assets not adjacent in time: {a.expiration_time} vs {b.start_time}"
@@ -698,9 +708,7 @@ class Ledger:
             raise LedgerError("fuse needs two distinct assets")
         for name in ("as_id", "interface", "direction", "time_granularity", "min_bandwidth"):
             if getattr(a, name) != getattr(b, name):
-                raise LedgerError(
-                    f"{name} differs: {getattr(a, name)} vs {getattr(b, name)}"
-                )
+                raise LedgerError(f"{name} differs: {getattr(a, name)} vs {getattr(b, name)}")
         return a, b
 
     def _fuse(self, op: str, account: str, a, b, **change) -> BandwidthAsset:
@@ -724,7 +732,7 @@ class Ledger:
             raise LedgerError(f"unit price must be a non-negative int, got {unit_price!r}")
         asset = self._owned_asset(account, asset)
         # Escrow: the market holds the asset while it is listed.
-        self._state.assets.put(replace(asset, owner=MARKET_ACCOUNT))
+        self._state.assets.put(asset._with(owner=MARKET_ACCOUNT))
         listing = Listing(
             listing_id=self._fresh_id(),
             asset_id=asset.asset_id,
@@ -770,18 +778,13 @@ class Ledger:
                     f"{asset.time_granularity} from {asset.start_time}"
                 )
         if bandwidth > asset.bandwidth:
-            raise LedgerError(
-                f"wanted bandwidth {bandwidth} exceeds listed {asset.bandwidth}"
-            )
+            raise LedgerError(f"wanted bandwidth {bandwidth} exceeds listed {asset.bandwidth}")
         if bandwidth < asset.min_bandwidth:
-            raise LedgerError(
-                f"wanted bandwidth {bandwidth} below minimum {asset.min_bandwidth}"
-            )
+            raise LedgerError(f"wanted bandwidth {bandwidth} below minimum {asset.min_bandwidth}")
         leftover_bw = asset.bandwidth - bandwidth
         if 0 < leftover_bw < asset.min_bandwidth:
             raise LedgerError(
-                f"purchase would strand {leftover_bw} bit/s below minimum "
-                f"{asset.min_bandwidth}"
+                f"purchase would strand {leftover_bw} bit/s below minimum {asset.min_bandwidth}"
             )
         price = listing.unit_price * bandwidth * (expiration_time - start_time)
         if self.balance(account) < price:
@@ -804,7 +807,7 @@ class Ledger:
         self._state.balances[listing.seller] = (
             self._state.balances.get(listing.seller, 0) + price
         )
-        bought = replace(want, owner=account)
+        bought = want._with(owner=account)
         self._state.assets.put(bought)
         relisted = []
         for remainder in remainders:
@@ -845,14 +848,10 @@ class Ledger:
         ):
             raise LedgerError("validity periods differ")
         if ingress.bandwidth != egress.bandwidth:
-            raise LedgerError(
-                f"bandwidth differs: {ingress.bandwidth} vs {egress.bandwidth}"
-            )
+            raise LedgerError(f"bandwidth differs: {ingress.bandwidth} vs {egress.bandwidth}")
         # Wire-format limits, checked here so atomic blocks fail early.
         if ingress.duration >= (1 << 16):
-            raise LedgerError(
-                f"duration {ingress.duration}s does not fit the 16-bit wire field"
-            )
+            raise LedgerError(f"duration {ingress.duration}s does not fit the 16-bit wire field")
         if ingress.expiration_time >= (1 << 32):
             raise LedgerError("expiration beyond 32-bit unix seconds")
         if ingress.bandwidth > MAX_BW_VALUE:
@@ -898,7 +897,7 @@ class Ledger:
         if request.delivered:
             raise LedgerError(f"request {request.request_id} already delivered")
         blob = service.build_credentials(request)
-        self._state.requests.put(replace(request, delivered=True, credentials=blob))
+        self._state.requests.put(request._with(delivered=True, credentials=blob))
         self._record(
             "deliver_reservation",
             (service.as_id, request.request_id),
@@ -1034,9 +1033,7 @@ class Ledger:
         self, asset: BandwidthAsset, cut: int
     ) -> tuple[BandwidthAsset, BandwidthAsset]:
         if not asset.start_time < cut < asset.expiration_time:
-            raise LedgerError(
-                f"cut {cut} outside ({asset.start_time}, {asset.expiration_time})"
-            )
+            raise LedgerError(f"cut {cut} outside ({asset.start_time}, {asset.expiration_time})")
         if (cut - asset.start_time) % asset.time_granularity:
             raise LedgerError(
                 f"cut {cut} not aligned to granularity {asset.time_granularity} "
@@ -1049,13 +1046,10 @@ class Ledger:
     ) -> tuple[BandwidthAsset, BandwidthAsset]:
         rest = asset.bandwidth - part
         if part <= 0 or rest <= 0:
-            raise LedgerError(
-                f"part {part} must split {asset.bandwidth} into two positive pieces"
-            )
+            raise LedgerError(f"part {part} must split {asset.bandwidth} into two positive pieces")
         if part < asset.min_bandwidth or rest < asset.min_bandwidth:
             raise LedgerError(
-                f"split ({rest}, {part}) violates minimum bandwidth "
-                f"{asset.min_bandwidth}"
+                f"split ({rest}, {part}) violates minimum bandwidth {asset.min_bandwidth}"
             )
         return self._replace_assets((asset,), asset, {"bandwidth": rest}, {"bandwidth": part})
 
@@ -1063,7 +1057,7 @@ class Ledger:
         """Swap in for the old assets one new asset per change to base, all
         validated before they take the next free ids."""
         state = self._state
-        new = tuple(replace(base, asset_id=state.next_id + i, **change)
+        new = tuple(base._with(asset_id=state.next_id + i, **change)
                     for i, change in enumerate(changes))
         for asset in new:
             asset.validate()

@@ -118,14 +118,15 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
     """Full per-hop pipeline; returns the decision and the updated packet.
 
     A dropped packet comes back unchanged.  A forwarded one is built
-    once, from the fields that change and the ones that do not.
+    once, from the fields that change and the ones that do not, and
+    takes the input's hop table: its seg_len and hop sizes are the same.
     """
     now = cfg.clock()
     path = packet.path
-    meta = path.meta
-    hops = path.hops
+    meta, infos, hops = path.meta, path.infos, path.hops
+    base, millis, counter = meta.base_timestamp, meta.millis_timestamp, meta.counter
     try:
-        starts, segments = path.hop_table()
+        table = starts, segments = path.layout()
         hop_index = starts.index(meta.curr_hf)
     except (WireError, ValueError):
         return _DROP[Reason.PARSE_ERROR], packet
@@ -147,35 +148,35 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
     first_mac = first.mac
     reason = Reason.PLAIN_HOP
     if first.flyover:
+        ingress, egress, res_id, bw = first.cons_ingress, first.cons_egress, first.res_id, first.bw
+        start_offset, duration = first.res_start_offset, first.res_duration
         # PktLen: prefix and meta header (6 words), 2 per info field, the hops.
-        pkt_len = packet.payload_len + 4 * (6 + 2 * len(path.infos) + starts[-1])
+        pkt_len = packet.payload_len + 4 * (6 + 2 * len(infos) + starts[-1])
         if pkt_len >= 1 << 16:
             return _DROP[Reason.PKT_LEN_OVERFLOW], packet
-        res_start = (meta.base_timestamp - first.res_start_offset) % (1 << 32)
+        res_start = (base - start_offset) % (1 << 32)
         # The packet's own A_K, from the hop's fields: the one cipher a hop builds.
         a_key = crypto.Prf(crypto.prf_block(cfg.sv_prf, pack_resinfo(
-            first.cons_ingress, first.cons_egress, first.res_id, first.bw, res_start,
-            first.res_duration,
+            ingress, egress, res_id, bw, res_start, duration,
         )))
         tag = crypto.prf_block(a_key, mac_input_block(
-            packet.dst_isd, packet.dst_as, pkt_len, first.res_start_offset,
-            meta.millis_timestamp, meta.counter,
+            packet.dst_isd, packet.dst_as, pkt_len, start_offset, millis, counter,
         ))
         # The candidate hop MAC is what the header carries on, so a stale
         # but authentic packet still verifies (and travels) as a plain hop.
-        first_mac = crypto.aggregate_mac(first.mac, tag[:cfg.tag_len])
-        age = now - (meta.base_timestamp * 1000 + meta.millis_timestamp) * NS_PER_MS
+        first_mac = crypto.aggregate_mac(first_mac, tag[:cfg.tag_len])
+        age = now - (base * 1000 + millis) * NS_PER_MS
         if age < -cfg.delta_ns:
             reason = Reason.FUTURE_TIMESTAMP
         elif age > cfg.big_delta_ns + cfg.delta_ns:
             reason = Reason.STALE_TIMESTAMP
-        elif not res_start * NS_PER_S <= now <= (res_start + first.res_duration) * NS_PER_S:
+        elif not res_start * NS_PER_S <= now <= (res_start + duration) * NS_PER_S:
             reason = Reason.RESERVATION_INACTIVE
         else:
             reason = Reason.PRIORITY
 
     # Each owned hop field verifies against its own segment's info field.
-    infos = list(path.infos)
+    infos = list(infos)
     for info_index, index in enumerate(range(hop_index, next_index), seg_index):
         hop, info = hops[index], infos[info_index]
         if now > info.timestamp * NS_PER_S + (hop.exp_time + 1) * EXP_TIME_UNIT_NS:
@@ -189,23 +190,19 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
     if first.flyover:
         hops = list(hops)
         hops[hop_index] = FlyoverHopField(
-            first.ingress_alert, first.egress_alert, first.exp_time, first.cons_ingress,
-            first.cons_egress, first_mac, first.res_id, first.bw, first.res_start_offset,
-            first.res_duration,
+            first.ingress_alert, first.egress_alert, first.exp_time, ingress, egress,
+            first_mac, res_id, bw, start_offset, duration,
         )
     # Past the last hop, CurrINF stays on the last hop's segment.
     curr_inf = segments[min(next_index, len(segments) - 1)]
-    meta = PathMetaHdr(
-        curr_inf, starts[next_index], meta.seg_len,
-        meta.base_timestamp, meta.millis_timestamp, meta.counter,
-    )
-    path = HummingbirdPath(meta, tuple(infos), tuple(hops))
+    meta = PathMetaHdr(curr_inf, starts[next_index], meta.seg_len, base, millis, counter)
+    path = HummingbirdPath.laid_out(meta, tuple(infos), tuple(hops), table)
     packet = Packet(packet.dst_isd, packet.dst_as, packet.payload_len, path)
 
     if reason is not Reason.PRIORITY:
         return _BEST_EFFORT[reason], packet
     # BW code 0 reserves no bandwidth, so there is no budget to charge.
-    if first.bw and monitor_code(cfg.policer, first.res_id, first.bw, pkt_len, now):
+    if bw and monitor_code(cfg.policer, res_id, bw, pkt_len, now):
         return _PRIORITY, packet
     return _BEST_EFFORT[Reason.OVER_BUDGET], packet
 

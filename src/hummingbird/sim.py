@@ -315,6 +315,7 @@ _BOUNDS = {
     "below 2**64": lambda v: 0 <= v < 1 << 64,  # the ledger signs an AS id as 8 bytes
 }
 REQUIRED = object()
+MAX_MULTIPLICITY, MAX_PACKETS = 1000, 10**7  # copies of a packet; packets in a run: runs end
 
 # Every scenario field.  A type is a key of _IS, a record (a JSON object),
 # or a one-item list of either (a JSON list); a default that is a function
@@ -370,13 +371,14 @@ _RECORDS = {kind: [row[1:] for row in _FIELDS if row[0] == kind] for kind, *_ in
 _RECORDS["share"] = []  # AS ids to earlier flows' names, checked with the flows
 
 
-def _checked(kind, value, at: str, scenario: dict):
-    """`value`, found at `at`, checked as type `kind`; lists and records are filled-in copies."""
+def _checked(kind, value, at, scenario: dict):
+    """`value`, found at `at`, checked as type `kind`; lists and records are filled-in
+    copies.  `at` is a name or a (parent, key) pair, spelled out only for an error."""
     what = "a list" if isinstance(kind, list) else "an object" if kind in _RECORDS else kind
     if not _IS[what](value):
-        raise ScenarioError(f"{at} must be {what}, got {value!r}")
+        raise ScenarioError(f"{_dotted(at)} must be {what}, got {value!r}")
     if isinstance(kind, list):
-        return [_checked(kind[0], item, f"{at}.{i}", scenario) for i, item in enumerate(value)]
+        return [_checked(kind[0], item, (at, i), scenario) for i, item in enumerate(value)]
     if kind not in _RECORDS:
         return value
     out = dict(value)
@@ -384,13 +386,17 @@ def _checked(kind, value, at: str, scenario: dict):
         if key in value:
             field = value[key]
         elif default is REQUIRED:
-            raise ScenarioError(f"{at} is missing {key!r}")
+            raise ScenarioError(f"{_dotted(at)} is missing {key!r}")
         else:
             field = default(out, scenario) if callable(default) else default
-        out[key] = field = _checked(field_kind, field, f"{at}.{key}", scenario)
+        out[key] = field = _checked(field_kind, field, (at, key), scenario)
         if bound and not _BOUNDS[bound](field):
-            raise ScenarioError(f"{at}.{key} must be {bound}, got {field!r}")
+            raise ScenarioError(f"{_dotted((at, key))} must be {bound}, got {field!r}")
     return out
+
+
+def _dotted(at) -> str:
+    return at if isinstance(at, str) else f"{_dotted(at[0])}.{at[1]}"
 
 
 def _reserves(spec: dict) -> bool:
@@ -413,7 +419,7 @@ def validate_scenario(scenario: dict) -> dict:
         if link in links:
             raise ScenarioError(f"duplicate link {src}->{dst}")
         links.add(link)
-    names = set()
+    names, packets = set(), {}  # a flow's name -> at most how many packets it sends
     for i, spec in enumerate(out["flows"]):
         name, kind, path = spec["name"], spec["kind"], spec["path"]
         if name in names:
@@ -424,9 +430,9 @@ def validate_scenario(scenario: dict) -> dict:
         if spec["class"] == "adversary" and kind not in ADVERSARY_KINDS:
             raise ScenarioError(f"flow {name}: unknown adversary kind {kind!r}")
         extra = "replayer" if kind == "replay_on_reservation_set" else "sender"
-        spec.update(_checked(extra, spec, f"scenario.flows.{i}", out))
+        spec.update(_checked(extra, spec, ("scenario.flows", i), out))
         if _reserves(spec):
-            spec.update(_checked("reservation", spec, f"scenario.flows.{i}", out))
+            spec.update(_checked("reservation", spec, ("scenario.flows", i), out))
         for hop in path:
             if hop not in as_ids:
                 raise ScenarioError(f"flow {name}: path AS {hop} not declared")
@@ -440,13 +446,23 @@ def validate_scenario(scenario: dict) -> dict:
                 raise ScenarioError(
                     f"flow {name}: replays_flow {spec['replays_flow']!r} must be declared earlier"
                 )
-        elif spec["packet_bytes"] * 8 * NS_PER_S // round(spec["rate_mbps"] * 1_000_000) < 1:
-            raise ScenarioError(f"flow {name}: sends packets less than 1 ns apart")
+            if spec["multiplicity"] > MAX_MULTIPLICITY:
+                raise ScenarioError(f"flow {name}: multiplicity above {MAX_MULTIPLICITY}")
+            packets[name] = spec["multiplicity"] * packets.get(spec["replays_flow"], 0)
+        else:
+            interval = spec["packet_bytes"] * 8 * NS_PER_S // round(spec["rate_mbps"] * 1_000_000)
+            if interval < 1:
+                raise ScenarioError(f"flow {name}: sends packets less than 1 ns apart")
+            # as Network._schedule_flow ticks: from start_s, while before stop_s
+            span = round(spec["stop_s"] * NS_PER_S) - round(spec["start_s"] * NS_PER_S)
+            packets[name] = max(0, -(-span // interval))
         for shared_as, source in spec["share"].items():
             if not (str(shared_as).isdecimal() and int(shared_as) in path):
                 raise ScenarioError(f"flow {name}: shared AS {shared_as} not on path")
             if type(source) is not str or source not in names - {name}:
                 raise ScenarioError(f"flow {name}: share source {source!r} is no earlier flow")
+    if sum(packets.values()) > MAX_PACKETS:
+        raise ScenarioError(f"flows send up to {sum(packets.values())} packets, max {MAX_PACKETS}")
     for entry in out["buyouts"]:
         if entry["as"] not in as_ids:
             raise ScenarioError(f"buyout AS {entry['as']} is not a declared AS")

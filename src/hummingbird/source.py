@@ -85,7 +85,7 @@ class PathPlan:
     def fixed_part(self) -> tuple:
         """What every packet built from this plan shares: the info fields,
         each hop's fixed record (a plain hop's field, or a reserved hop's
-        plan and the cipher of its delivered key), seg_len and hdr_len.
+        plan and its delivered key's cipher), seg_len, hdr_len and the hop table.
 
         Runs the plan checks, then encodes a template packet, which checks
         every field's range, and only then builds the ciphers.  A failed
@@ -128,11 +128,12 @@ class PathPlan:
         infos, seg_len = tuple(infos), tuple(seg_len)
         path = HummingbirdPath(PathMetaHdr(0, 0, seg_len, 0, 0, 0), infos, tuple(template))
         encode_packet(Packet(self.dst_isd, self.dst_as, 0, path))
+        table = path.hop_table()
         fixed_hops = tuple(
             (hop, crypto.Prf(hop.reservation[1])) if isinstance(hop, HopPlan) else hop
             for hop in hops
         )
-        return infos, fixed_hops, seg_len, hdr_len
+        return infos, fixed_hops, seg_len, hdr_len, table
 
 
 @dataclass
@@ -189,7 +190,7 @@ def build_packet(
     millis = now % NS_PER_S // NS_PER_MS
     counter = counter_state.next(base, millis)
 
-    infos, fixed_hops, seg_len, hdr_len = plan.fixed_part
+    infos, fixed_hops, seg_len, hdr_len, table = plan.fixed_part
     pkt_len = pkt_len_for_mac(payload_len, hdr_len)
     if payload_len < 0:  # the template checked every other prefix field
         raise WireError(f"payload_len out of range for 16-bit field: {payload_len}")
@@ -221,5 +222,6 @@ def build_packet(
             )
         hops.append(hop)
     meta = PathMetaHdr(0, 0, seg_len, base, millis, counter)
-    return Packet(plan.dst_isd, plan.dst_as, payload_len, HummingbirdPath(meta, infos, tuple(hops)))
+    path = HummingbirdPath.laid_out(meta, infos, tuple(hops), table)
+    return Packet(plan.dst_isd, plan.dst_as, payload_len, path)
 

@@ -8,21 +8,23 @@ and rides behind a small fixed packet prefix standing in for the SCION
 common and address headers (only the fields the data plane actually
 reads are modeled: destination ISD/AS, payload length, header length).
 
-All codec types are immutable; encode and decode validate the same
-invariants, so decode(encode(p)) == p and encode(decode(b)) == b on the
-valid domain; encoding is the one check of a whole packet.  Each
-record's layout is one precompiled `struct.Struct`, which range-checks
-every byte-aligned field on encode; decode checks only what field
-widths do not already guarantee.  Which word each hop starts at and
-which segment it belongs to is derived in one place,
-`HummingbirdPath.hop_table`.
+All codec types are frozen dataclasses built in one write (`frozen_record`);
+encode and decode validate the same invariants, so decode(encode(p)) == p
+and encode(decode(b)) == b on the valid domain; encoding is the one check
+of a whole packet.  Each record's layout is one precompiled `struct.Struct`,
+which range-checks every byte-aligned field on encode; decode checks only
+what field widths do not already guarantee.  Which word each hop starts at
+and which segment it belongs to is derived in one place, once per path,
+`HummingbirdPath.hop_table`: the source hands its plan's table to every
+packet it builds and the router its input's table to the path it forwards;
+decode and encode walk it afresh, as their layout checks.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import accumulate
 
 META_LEN = 12
@@ -59,6 +61,22 @@ def _pack(record, *values) -> bytes:
         raise
 
 
+def frozen_record(cls):
+    """cls as a `@dataclass(frozen=True)` whose `__init__` fills `__dict__` in
+    one call, not one `object.__setattr__` per field: same parameters, defaults and
+    TypeErrors; all else is the dataclass's own.  Plain fields only."""
+    cls = dataclass(frozen=True)(cls)
+    if hasattr(cls, "__post_init__") or any(f.default_factory is not MISSING for f in fields(cls)):
+        raise TypeError(f"{cls.__name__} has fields frozen_record cannot fill")
+    names, namespace = [f.name for f in fields(cls)], {}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         f"    self.__dict__.update({', '.join(f'{name}={name}' for name in names)})", namespace)
+    init = cls.__init__ = namespace["__init__"]
+    init.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
 class _Record:
     """A fixed-size wire record: `_struct` is its one layout, `_what` its name."""
 
@@ -69,7 +87,7 @@ class _Record:
         return cls.unpack_from(raw, 0)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PathMetaHdr(_Record):
     """Path meta header.
 
@@ -155,7 +173,7 @@ class PathMetaHdr(_Record):
         return meta
 
 
-@dataclass(frozen=True)
+@frozen_record
 class InfoField(_Record):
     """Segment info field.
 
@@ -196,7 +214,7 @@ class InfoField(_Record):
         return cls(bool(flags & 0x02), bool(flags & 0x01), seg_id, timestamp)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HopField(_Record):
     """Plain hop field.
 
@@ -254,7 +272,7 @@ def _alerts(flags: int) -> tuple[bool, bool]:
     return bool(flags & 0x02), bool(flags & 0x01)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class FlyoverHopField(HopField):
     """Hop field extended with an attached reservation.
 
@@ -309,7 +327,7 @@ class FlyoverHopField(HopField):
         )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HummingbirdPath:
     """Full path header: meta, info fields, and the flat hop sequence.
 
@@ -317,12 +335,25 @@ class HummingbirdPath:
     membership; hops must tile the declared word counts exactly.
     `hop_table` is the one walk that derives the hop layout from them;
     the layout check, the current hop and the router's cursor all read
-    its table.
+    its table, or the table `laid_out` handed the path.
     """
 
     meta: PathMetaHdr
     infos: tuple[InfoField, ...]
     hops: tuple[HopField, ...]
+
+    _table = None  # not a field: set only by laid_out
+
+    @classmethod
+    def laid_out(cls, meta, infos, hops, table: tuple[list[int], list[int]]) -> HummingbirdPath:
+        """A path laid out as `table`: a path's of the same seg_len and hop sizes."""
+        path = cls(meta, infos, hops)
+        path.__dict__["_table"] = table
+        return path
+
+    def layout(self) -> tuple[list[int], list[int]]:
+        """The table this path object was handed, or else hop_table's walk."""
+        return self._table or self.hop_table()
 
     def byte_length(self) -> int:
         return META_LEN + INFO_LEN * len(self.infos) + _WORD * sum(h.words for h in self.hops)
@@ -455,7 +486,7 @@ def quantize_bw(raw_bps: int) -> int:
 # ---------------------------------------------------------------------------
 # Reservations and the two fixed PRF input blocks
 
-@dataclass(frozen=True)
+@frozen_record
 class ReservationInfo:
     """Attributes binding a reservation key to one AS hop.
 
@@ -546,7 +577,7 @@ def _check_each(values: tuple, widths: tuple) -> None:
 # ---------------------------------------------------------------------------
 # Packet: pseudo common/address prefix + path header
 
-@dataclass(frozen=True)
+@frozen_record
 class Packet:
     """One data-plane packet header.
 

@@ -97,6 +97,8 @@ CORRUPTED_FIELDS = [
             (("expect", 0, "value"), []),
             # About 10^-14 ns between packets: the event loop would never advance.
             (("flows", 1, "rate_mbps"), 10**30),
+            # Packets for 10^15 s: more than MAX_PACKETS, a run that would never end.
+            (("flows", 0, "stop_s"), 10**15),
         ),
         "replay_shared": (
             (("flows", 1, "share"), {"x": "bait"}),
@@ -104,6 +106,10 @@ CORRUPTED_FIELDS = [
             (("flows", 2, "multiplicity"), 2.5),
             (("flows", 2, "multiplicity"), -1),
             (("flows", 2, "at_as"), True),
+            # 10^30 copies of each forwarded packet; 1001 copies stay below
+            # MAX_PACKETS, so only the cap on multiplicity refuses them.
+            (("flows", 2, "multiplicity"), 10**30),
+            (("flows", 2, "multiplicity"), 1001),
         ),
         "starvation": (
             (("buyouts",), {"account": "hoarder", "as": 2}),
@@ -166,6 +172,28 @@ class TestRun:
         assert code == 2
         assert stderr.startswith("scenario error: ")
         assert "Traceback" not in stderr
+
+    def test_endless_duration_is_a_scenario_error(self, capsys, tmp_path):
+        """A 10^15 s run under a market window that covers it sends more
+        than MAX_PACKETS packets; it is refused, not run."""
+        scenario = {
+            "name": "endless",
+            "duration_s": 10**15,
+            "market": {"window_s": 60 * 10**14},
+            "topology": {
+                "ases": [{"id": 1}, {"id": 2}],
+                "links": [{"from": 1, "to": 2, "capacity_mbps": 10}],
+            },
+            "flows": [
+                {"name": "f", "class": "best_effort", "path": [1, 2], "rate_mbps": 1,
+                 "packet_bytes": 1000}
+            ],
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario))
+        code, _, stderr = run_cli(capsys, "run", "--scenario", str(bad))
+        assert code == 2
+        assert stderr.startswith("scenario error: flows send up to ")
 
     def test_unknown_bundled_name(self, capsys):
         code, _, stderr = run_cli(capsys, "run", "--scenario", "nope")

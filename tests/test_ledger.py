@@ -1635,3 +1635,58 @@ class TestRenderer:
         as it is, anything else through its encoder."""
         text = "%s" % value if type(value) is int else ledger_mod._ENCODERS[type(value)](value)
         assert text == json.dumps(value, default=stored_json)
+
+
+class TestChangedCopies:
+    """A value the ledger copies with changes (`_Stored._with`) renders its
+    own entry: it never carries its source's cached `_fragment`, and it
+    renders only when read."""
+
+    @staticmethod
+    def assert_entries_fresh(led):
+        state = led._state
+        for table in (state.assets, state.listings, state.requests, state.tokens):
+            for value in table.values():
+                assert value._fragment == ledger_mod._Stored._fragment.func(value), value
+
+    def test_copy_renders_only_when_read(self):
+        led, token, _, _ = fresh_ledger()
+        asset = hour_asset(led, token)
+        asset._fragment  # cached on the source
+        copy = asset._with(owner="bob")
+        assert "_fragment" not in vars(copy)
+        assert dataclasses.asdict(copy) == {**dataclasses.asdict(asset), "owner": "bob"}
+        assert copy._fragment == asset._fragment.replace('"asops"', '"bob"')
+
+    def test_every_op_that_copies_renders_the_copies_afresh(self):
+        led, token, _, rng = fresh_ledger()
+        led.register_seller("asops")
+        steps = {
+            "split_time": lambda: led.split_time("asops", hour_asset(led, token), H9 + MIN10),
+            "split_bandwidth": lambda: led.split_bandwidth(
+                "asops", hour_asset(led, token), 20 * MBPS
+            ),
+            "fuse_time": lambda: led.fuse_time(
+                "asops", *led.split_time("asops", hour_asset(led, token), H9 + MIN10)
+            ),
+            "fuse_bandwidth": lambda: led.fuse_bandwidth(
+                "asops", *led.split_bandwidth("asops", hour_asset(led, token), 20 * MBPS)
+            ),
+            "create_listing": lambda: led.create_listing("asops", hour_asset(led, token), 2),
+            "buy": lambda: led.buy(
+                "alice", led.create_listing("asops", hour_asset(led, token), 1),
+                start_time=H9 + MIN10, expiration_time=H10 - MIN10, bandwidth=20 * MBPS,
+            ),
+        }
+        for step in steps.values():
+            led.state_hash()  # every stored entry rendered and cached
+            step()
+            self.assert_entries_fresh(led)
+        ingress, egress = redeemable_pair(led, token)
+        request = led.redeem("asops", ingress, egress, sealing_keypair(rng)[1])
+        led.state_hash()
+        assert "_fragment" in vars(led.request(request.request_id))
+        led.deliver_reservation(ASControlService(AS_ID, SV, rng), request)
+        delivered = led.request(request.request_id)
+        assert delivered.delivered and '"delivered":true' in delivered._fragment
+        self.assert_entries_fresh(led)

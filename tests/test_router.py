@@ -670,6 +670,38 @@ class TestFlatDecoder:
         assert len(walks) <= 3
 
 
+class TestHandedLayout:
+    """A built packet's path carries its plan's hop table, and a forwarded
+    one its input's; a path built any other way walks its own."""
+
+    def test_built_and_forwarded_paths_walk_nothing(self, monkeypatch):
+        packet = build(make_plan(pre=1, post=1))
+        assert packet.path.layout() == packet.path.hop_table()
+        walks = []
+        hop_table = HummingbirdPath.hop_table
+        monkeypatch.setattr(HummingbirdPath, "hop_table", lambda path: walks.append(path))
+        cfg = make_cfg()
+        for _ in range(3):
+            decision, packet = process_packet(cfg, packet)
+        assert decision.verdict is not Verdict.DROP
+        assert packet.path.meta.curr_hf == packet.path.layout()[0][-1]
+        assert walks == []
+        monkeypatch.setattr(HummingbirdPath, "hop_table", hop_table)
+        assert packet.path.layout() == packet.path.hop_table()
+
+    def test_path_rebuilt_with_replace_walks_its_own_layout(self):
+        packet = build(make_plan(pre=1, post=1))
+        path = packet.path
+        hops = path.hops[:-1]
+        meta = replace(path.meta, seg_len=(sum(hop.words for hop in hops), 0, 0))
+        shorter = replace(path, meta=meta, hops=hops)
+        assert shorter.layout() == shorter.hop_table() != path.layout()
+        # Hops that no longer tile seg_len: refused, not read by the plan's table.
+        untiled = replace(packet, path=replace(path, hops=hops))
+        decision, out = process_packet(make_cfg(), untiled)
+        assert (decision.reason, out) == (Reason.PARSE_ERROR, untiled)
+
+
 class TestZeroBandwidthCode:
     def test_authentic_flyover_forwards_uncharged(self):
         """BW code 0 reserves nothing: the packet travels best effort and

@@ -8,8 +8,9 @@ seeded sample of the accepted ones the network is built, and set-up may
 raise only what `hummingbird run` reports with exit 2.
 
 No corrupted scenario is run: the schema bounds what set-up sizes (the
-policer by MAX_IDS, every number within 1e15), not how long a run takes,
-so an accepted corruption may still ask for a long run.
+policer by MAX_IDS, every number within 1e15) and how many packets a run
+sends (MAX_PACKETS), but an accepted corruption may still ask for a run
+of minutes.
 """
 
 import json

@@ -3,11 +3,14 @@
 import copy
 import hashlib
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from hummingbird import cli, sim
+from hummingbird.router import Reason, RouterConfig, process_packet
+from hummingbird.source import build_packet
 from hummingbird.sim import (
     Network,
     ScenarioError,
@@ -18,6 +21,9 @@ from hummingbird.sim import (
     run_scenario,
     validate_scenario,
 )
+
+import router_oracle
+import source_oracle
 
 
 def mini_topology():
@@ -481,6 +487,45 @@ class TestBundledScenarios:
     def test_unknown_scenario_name(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
             load_scenario("no_such_scenario")
+
+
+class TestAgainstOracles:
+    """A whole scenario run with every router step checked against
+    `router_oracle` and every packet build against `source_oracle`."""
+
+    @pytest.mark.parametrize("name", ["replay_shared", "forgery"])
+    def test_every_hop_and_build_matches_the_oracles(self, monkeypatch, name):
+        calls = Counter()
+
+        def checked_process(cfg, packet):
+            reference = RouterConfig(cfg.sv, cfg.forwarding_key, copy.deepcopy(cfg.policer),
+                                     cfg.clock, cfg.delta_ns, cfg.big_delta_ns, cfg.tag_len)
+            expected = router_oracle.process_packet(reference, packet)
+            decision, out = process_packet(cfg, packet)
+            assert (decision, out) == expected
+            assert cfg.policer.ts == reference.policer.ts
+            assert out.path.layout() == out.path.hop_table()
+            calls[decision.reason] += 1
+            return decision, out
+
+        def checked_build(plan, payload_len, clock, counter_state):
+            expected = source_oracle.build_packet(
+                plan, payload_len, clock, copy.copy(counter_state)
+            )
+            packet = build_packet(plan, payload_len, clock, counter_state)
+            assert packet == expected
+            assert packet.path.layout() == packet.path.hop_table()
+            calls["build"] += 1
+            return packet
+
+        monkeypatch.setattr(sim, "process_packet", checked_process)
+        monkeypatch.setattr(sim, "build_packet", checked_build)
+        scenario = load_scenario(name)
+        report = run_scenario(scenario, 1)
+        assert check_expectations(report, scenario) == []
+        # replay_shared: priority and over-budget hops; forgery: forged tags
+        # on paths rebuilt with `replace`, all refused at the first hop.
+        assert calls["build"] >= 500 and sum(calls.values()) >= 2 * calls["build"]
 
 
 class TestClockSkew:

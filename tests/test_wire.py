@@ -1,10 +1,11 @@
+import inspect
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, MISSING, field, fields, replace
 
 import pytest
 
-from hummingbird import vectors, wire
+from hummingbird import ledger, vectors, wire
 from hummingbird.wire import (
     FlyoverHopField,
     HopField,
@@ -610,3 +611,109 @@ class TestValidateOnce:
         ):
             with pytest.raises(WireError):
                 wire.encode_packet(bad)
+
+
+def frozen_record_samples():
+    """(class, field values in order) for every class built by `frozen_record`."""
+    meta = simple_meta()
+    info = InfoField(peering=False, cons_dir=True, seg_id=9, timestamp=1_700_000_000)
+    path = one_segment_path([plain_hop()])
+    return [
+        (PathMetaHdr, vars(meta)),
+        (InfoField, vars(info)),
+        (HopField, vars(plain_hop())),
+        (FlyoverHopField, vars(fly_hop())),
+        (HummingbirdPath, dict(meta=meta, infos=(info,), hops=(plain_hop(),))),
+        (Packet, dict(dst_isd=1, dst_as=2, payload_len=100, path=path)),
+        (ReservationInfo, dict(ingress=1, egress=2, res_id=3, bw_code=4, res_start=5, duration=6)),
+        (ledger.BandwidthAsset, dict(
+            asset_id=1, as_id=2, bandwidth=3_000_000, start_time=0, expiration_time=600,
+            interface=3, direction=ledger.Direction.EGRESS, time_granularity=60,
+            min_bandwidth=1_000_000, owner="alice",
+        )),
+        (ledger.AuthToken, dict(token_id=1, as_id=2, account="asops")),
+        (ledger.Listing, dict(listing_id=1, asset_id=2, unit_price=3, seller="bob")),
+        (ledger.RedeemRequest, dict(
+            request_id=1, as_id=2, owner="alice", ingress_interface=3, egress_interface=4,
+            bandwidth=5, start_time=6, expiration_time=7, ephemeral_pubkey=bytes(32),
+            delivered=True, credentials=b"sealed",
+        )),
+    ]
+
+
+FROZEN_RECORDS = [
+    pytest.param(cls, values, id=cls.__name__) for cls, values in frozen_record_samples()
+]
+
+
+def field_by_field(cls, values: dict):
+    """What the dataclass `__init__` builds: one object.__setattr__ per field."""
+    built = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(built, name, value)
+    return built
+
+
+class TestFrozenRecord:
+    """A record's `__init__` fills its `__dict__` in one call, and the
+    record behaves as the dataclass it still is."""
+
+    @pytest.mark.parametrize("cls, values", FROZEN_RECORDS)
+    def test_same_as_built_field_by_field(self, cls, values):
+        assert [f.name for f in fields(cls)] == list(values)
+        for built in (cls(*values.values()), cls(**values)):
+            reference = field_by_field(cls, values)
+            assert vars(built) == vars(reference)
+            assert built == reference and reference == built
+            assert hash(built) == hash(reference)
+            assert repr(built) == repr(reference)
+            assert replace(built) == built
+
+    @pytest.mark.parametrize("cls, values", FROZEN_RECORDS)
+    def test_same_signature_as_the_fields(self, cls, values):
+        parameters = list(inspect.signature(cls).parameters.values())
+        assert [(p.name, p.default) for p in parameters] == [
+            (f.name, inspect.Parameter.empty if f.default is MISSING else f.default)
+            for f in fields(cls)
+        ]
+
+    @pytest.mark.parametrize("cls, values", FROZEN_RECORDS)
+    def test_assignment_refused(self, cls, values):
+        built = cls(**values)
+        for name in values:
+            with pytest.raises(FrozenInstanceError):
+                setattr(built, name, values[name])
+            with pytest.raises(FrozenInstanceError):
+                delattr(built, name)
+        assert vars(built) == values
+
+    @pytest.mark.parametrize("cls, values", FROZEN_RECORDS)
+    def test_wrong_arguments_refused(self, cls, values):
+        args = list(values.values())
+        required = sum(f.default is MISSING for f in fields(cls))
+        with pytest.raises(TypeError):
+            cls(*args[: required - 1])  # one required argument missing
+        with pytest.raises(TypeError):
+            cls(*args, args[0])  # one too many
+        with pytest.raises(TypeError):
+            cls(*args, colour=1)  # unknown
+        with pytest.raises(TypeError):
+            cls(*args, **{next(iter(values)): args[0]})  # given twice
+
+    def test_defaults_fill_what_is_left_out(self):
+        values = dict(frozen_record_samples())[ledger.RedeemRequest]
+        required = {k: v for k, v in values.items() if k not in ("delivered", "credentials")}
+        request = ledger.RedeemRequest(*required.values())
+        assert (request.delivered, request.credentials) == (False, b"")
+        assert vars(request) == {**required, "delivered": False, "credentials": b""}
+        with pytest.raises(TypeError):
+            ledger.RedeemRequest(*list(required.values())[:-1], delivered=True)
+
+    def test_fields_it_cannot_fill_refused(self):
+        """Its `__init__` would run no `__post_init__` and no default factory."""
+        with pytest.raises(TypeError, match="cannot fill"):
+            wire.frozen_record(type("Later", (), {"__post_init__": lambda self: None}))
+        with pytest.raises(TypeError, match="cannot fill"):
+            wire.frozen_record(type("Listed", (), {
+                "__annotations__": {"items": "list"}, "items": field(default_factory=list),
+            }))
