@@ -8,7 +8,9 @@ atomic block, the AS control service delivers sealed credentials, and
 the flow decrypts them into the hop plan its packets are built from.
 
 Determinism rules:
-  - one event heap ordered by (time, insertion sequence);
+  - every event goes through `Simulator.schedule` onto one heap, ordered
+    by (time, insertion sequence); an event carries its function and that
+    function's arguments, so no two events ever compare beyond the sequence;
   - every random draw comes from a PRNG namespaced per entity
     (f"{seed}:{entity}"), so adding a flow never perturbs another
     flow's stream;
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -49,7 +51,7 @@ from .ledger import (
 )
 from .policing import TokenBucketArray, size_array
 from .residalloc import MAX_IDS
-from .router import ForwardDecision, RouterConfig, Verdict, process_packet
+from .router import RouterConfig, Verdict, process_packet
 from .source import (
     CounterState,
     HopPlan,
@@ -58,7 +60,7 @@ from .source import (
     build_packet,
     header_bytes,
 )
-from .wire import HopField, InfoField, Packet, ReservationInfo, quantize_bw
+from .wire import HopField, HummingbirdPath, InfoField, Packet, ReservationInfo, quantize_bw
 
 NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
@@ -84,19 +86,21 @@ class ScenarioError(ValueError):
 class Simulator:
     def __init__(self):
         self.now = 0  # ns since scenario start
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
 
-    def schedule(self, at_ns: int, fn: Callable[[], None]) -> None:
+    def schedule(self, at_ns: int, fn: Callable[..., None], *args) -> None:
+        """Call fn(*args) at at_ns, after every event already due then."""
         if at_ns < self.now:
             raise RuntimeError(f"event scheduled in the past: {at_ns} < {self.now}")
-        heapq.heappush(self._heap, (at_ns, self._seq, fn))
+        heapq.heappush(self._heap, (at_ns, self._seq, fn, args))
         self._seq += 1
 
     def run(self) -> None:
-        while self._heap:
-            self.now, _, fn = heapq.heappop(self._heap)
-            fn()
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            self.now, _, fn, args = pop(heap)
+            fn(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +121,7 @@ class FlowStats:
     dropped_bytes: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Transit:
     """One packet in flight, with its end-to-end bookkeeping."""
 
@@ -184,13 +188,10 @@ class Link:
             return
         self._busy = True
         tx_ns = transit.wire_bytes * 8 * NS_PER_S // self.capacity_bps
-        self.sim.schedule(self.sim.now + tx_ns, lambda: self._sent(transit))
+        self.sim.schedule(self.sim.now + tx_ns, self._sent, transit)
 
     def _sent(self, transit: _Transit) -> None:
-        self.sim.schedule(
-            self.sim.now + self.delay_ns,
-            lambda: self.dst.receive(transit, self.dst_iface),
-        )
+        self.sim.schedule(self.sim.now + self.delay_ns, self.dst.receive, transit, self.dst_iface)
         self._serve()
 
 
@@ -226,23 +227,25 @@ class BorderAS:
         )
 
     def receive(self, transit: _Transit, iface: int) -> None:
-        decision, packet = process_packet(self.routers[iface], transit.packet)
-        transit.packet = packet
-        self.network.count_hop(transit.flow, self.as_id, decision)
-        if decision.verdict is Verdict.DROP:
-            transit.flow.stats.dropped_packets += 1
-            transit.flow.stats.dropped_bytes += transit.wire_bytes
+        decision, transit.packet = process_packet(self.routers[iface], transit.packet)
+        flow = transit.flow
+        counts = flow.hop_counts[self.as_id]
+        counts[decision.label] = counts.get(decision.label, 0) + 1
+        verdict = decision.verdict
+        if verdict is Verdict.DROP:
+            flow.stats.dropped_packets += 1
+            flow.stats.dropped_bytes += transit.wire_bytes
             return
-        transit.clean = transit.clean and decision.verdict is Verdict.PRIORITY
+        priority = verdict is Verdict.PRIORITY
+        transit.clean = transit.clean and priority
         if self.replay is not None:
             self._maybe_replay(transit)
-        transit.hop += 1
-        path = transit.flow.path
-        if transit.hop == len(path):
+        transit.hop = hop = transit.hop + 1
+        path = flow.path
+        if hop == len(path):
             self.network.delivered(transit)
             return
-        link = self.links[path[transit.hop]]
-        link.enqueue(transit, priority=decision.verdict is Verdict.PRIORITY)
+        self.links[path[hop]].enqueue(transit, priority)
 
     def _maybe_replay(self, transit: _Transit) -> None:
         """On-path adversary: re-emit copies of a forwarded packet."""
@@ -254,13 +257,8 @@ class BorderAS:
             return  # nothing downstream to replay into
         link = self.links[path[transit.hop + 1]]
         for _ in range(replayer.spec["multiplicity"]):
-            clone = _Transit(
-                flow=replayer,
-                packet=transit.packet,  # identical header, same tags
-                sent_ns=self.sim.now,
-                wire_bytes=transit.wire_bytes,
-                hop=transit.hop + 1,
-            )
+            # identical header, same tags
+            clone = _Transit(replayer, transit.packet, self.sim.now, transit.wire_bytes, transit.hop + 1)
             replayer.stats.offered_packets += 1
             replayer.stats.offered_bytes += clone.wire_bytes
             # The adversary owns its egress scheduling and marks the
@@ -282,6 +280,8 @@ class Flow:
         self.kind = spec["kind"]
         self.stats = FlowStats()
         self.latencies_ns: list[int] = []  # of each delivered packet
+        # AS id -> "verdict:reason" -> hops; an AS appears once a hop is counted there
+        self.hop_counts: defaultdict[int, dict[str, int]] = defaultdict(dict)
         self.counter = CounterState()
         self.plan: PathPlan | None = None
         self.payload_len = 0
@@ -554,9 +554,7 @@ class Network:
             flow = Flow(spec, self._rng(f"flow:{spec['name']}"))
             self.flows[flow.name] = flow
 
-        self.hop_counts: dict[str, dict[int, dict[str, int]]] = {
-            name: {} for name in self.flows
-        }
+        self.hop_counts = {name: flow.hop_counts for name, flow in self.flows.items()}
         self._setup_ledger()
         self._setup_plans()
 
@@ -785,10 +783,6 @@ class Network:
             ),
         )
 
-    def count_hop(self, flow: Flow, as_id: int, decision: ForwardDecision) -> None:
-        per_as = self.hop_counts[flow.name].setdefault(as_id, {})
-        per_as[decision.label] = per_as.get(decision.label, 0) + 1
-
     def delivered(self, transit: _Transit) -> None:
         stats = transit.flow.stats
         if transit.clean:
@@ -799,25 +793,21 @@ class Network:
             stats.best_effort_bytes += transit.wire_bytes
         transit.flow.latencies_ns.append(self.sim.now - transit.sent_ns)
 
+    def host_clock(self) -> int:
+        """What a sending host reads: unix ns, with no skew."""
+        return EPOCH_NS + self.sim.now
+
     def _emit(self, flow: Flow) -> None:
-        packet = build_packet(
-            flow.plan,
-            flow.payload_len,
-            lambda: EPOCH_NS + self.sim.now,
-            flow.counter,
-        )
+        packet = build_packet(flow.plan, flow.payload_len, self.host_clock, flow.counter)
         if flow.kind == "tag_forgery":
+            path = packet.path
             hops = tuple(
                 replace(h, mac=flow.rng.randbytes(6)) if h.flyover else h
-                for h in packet.path.hops
+                for h in path.hops
             )
-            packet = replace(packet, path=replace(packet.path, hops=hops))
-        transit = _Transit(
-            flow=flow,
-            packet=packet,
-            sent_ns=self.sim.now,
-            wire_bytes=flow.wire_bytes,
-        )
+            path = HummingbirdPath.laid_out(path.meta, path.infos, hops, path.layout())
+            packet = replace(packet, path=path)
+        transit = _Transit(flow, packet, self.sim.now, flow.wire_bytes)
         flow.stats.offered_packets += 1
         flow.stats.offered_bytes += transit.wire_bytes
         self.ases[flow.path[0]].receive(transit, 0)
@@ -826,14 +816,15 @@ class Network:
         start_ns = round(flow.spec["start_s"] * NS_PER_S)
         stop_ns = round(flow.spec["stop_s"] * NS_PER_S)
         interval_ns = flow.wire_bytes * 8 * NS_PER_S // flow.rate_bps
+        self.sim.schedule(start_ns, self._tick, flow, start_ns, interval_ns, stop_ns)
 
-        def tick(at_ns: int) -> None:
-            if at_ns >= stop_ns:
-                return
-            self._emit(flow)
-            self.sim.schedule(at_ns + interval_ns, lambda: tick(at_ns + interval_ns))
-
-        self.sim.schedule(start_ns, lambda: tick(start_ns))
+    def _tick(self, flow: Flow, at_ns: int, interval_ns: int, stop_ns: int) -> None:
+        """Send one packet at at_ns, and come back after interval_ns while before stop_ns."""
+        if at_ns >= stop_ns:
+            return
+        self._emit(flow)
+        at_ns += interval_ns
+        self.sim.schedule(at_ns, self._tick, flow, at_ns, interval_ns, stop_ns)
 
     def run(self) -> dict:
         for flow in self.flows.values():

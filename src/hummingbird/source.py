@@ -84,8 +84,10 @@ class PathPlan:
     @cached_property
     def fixed_part(self) -> tuple:
         """What every packet built from this plan shares: the info fields,
-        each hop's fixed record (a plain hop's field, or a reserved hop's
-        plan and its delivered key's cipher), seg_len, hdr_len and the hop table.
+        each hop's fixed part, seg_len, hdr_len and the hop table.  A hop's
+        fixed part is (hop field, None, None, None) for a plain hop and
+        (hop plan, ReservationInfo, delivered key's cipher, hop MAC as an
+        int) for a reserved one.
 
         Runs the plan checks, then encodes a template packet, which checks
         every field's range, and only then builds the ciphers.  A failed
@@ -130,7 +132,9 @@ class PathPlan:
         encode_packet(Packet(self.dst_isd, self.dst_as, 0, path))
         table = path.hop_table()
         fixed_hops = tuple(
-            (hop, crypto.Prf(hop.reservation[1])) if isinstance(hop, HopPlan) else hop
+            (hop, hop.reservation[0], crypto.Prf(hop.reservation[1]),
+             int.from_bytes(hop.hop_mac, "big"))
+            if isinstance(hop, HopPlan) else (hop, None, None, None)
             for hop in hops
         )
         return infos, fixed_hops, seg_len, hdr_len, table
@@ -199,10 +203,8 @@ def build_packet(
     shared = None
     shift = 8 * (crypto.TAG_LEN - tag_len)
     hops = []
-    for hop in fixed_hops:
-        if isinstance(hop, tuple):
-            hop, a_key_prf = hop
-            res = hop.reservation[0]
+    for hop, res, a_key_prf, hop_mac in fixed_hops:
+        if res is not None:
             active = res.res_start * NS_PER_S <= now <= (res.res_start + res.duration) * NS_PER_S
             if not active and not allow_inactive:
                 raise ReservationInactive(
@@ -214,7 +216,7 @@ def build_packet(
                 block = mac_input_block(plan.dst_isd, plan.dst_as, pkt_len, 0, millis, counter)
                 shared = int.from_bytes(block, "big")
             tag = crypto.prf_block(a_key_prf, (shared | offset << 32).to_bytes(16, "big"))
-            mac = int.from_bytes(hop.hop_mac, "big") ^ int.from_bytes(tag[:tag_len], "big") << shift
+            mac = hop_mac ^ int.from_bytes(tag[:tag_len], "big") << shift
             hop = FlyoverHopField(
                 False, False, hop.exp_time, hop.cons_ingress, hop.cons_egress,
                 mac.to_bytes(crypto.TAG_LEN, "big"), res.res_id, res.bw_code, offset,

@@ -347,8 +347,8 @@ class HummingbirdPath:
     @classmethod
     def laid_out(cls, meta, infos, hops, table: tuple[list[int], list[int]]) -> HummingbirdPath:
         """A path laid out as `table`: a path's of the same seg_len and hop sizes."""
-        path = cls(meta, infos, hops)
-        path.__dict__["_table"] = table
+        path = object.__new__(cls)
+        path.__dict__.update(meta=meta, infos=infos, hops=hops, _table=table)
         return path
 
     def layout(self) -> tuple[list[int], list[int]]:

@@ -66,6 +66,45 @@ def mini_scenario(**overrides):
     return scenario
 
 
+class TestSimulator:
+    """The event loop alone: order, arguments, and events in the past."""
+
+    def test_equal_times_run_in_insertion_order_with_or_without_arguments(self):
+        loop, ran = sim.Simulator(), []
+        loop.schedule(20, ran.append, "late")
+        loop.schedule(10, lambda: ran.append("first"))
+        loop.schedule(10, ran.append, "second")
+        loop.schedule(10, lambda *args: ran.append(args), "third", 3)
+        loop.schedule(10, lambda: ran.append("fourth"))
+        loop.run()
+        assert ran == ["first", "second", ("third", 3), "fourth", "late"]
+        assert loop.now == 20
+
+    def test_an_event_without_arguments_runs_and_can_schedule_more(self):
+        loop, seen = sim.Simulator(), []
+
+        def mark() -> None:
+            seen.append(loop.now)
+            if loop.now < 30:
+                loop.schedule(loop.now + 10, mark)
+
+        loop.schedule(0, mark)
+        loop.run()
+        assert seen == [0, 10, 20, 30]
+
+    def test_an_event_in_the_past_raises_and_pushes_nothing(self):
+        loop, ran = sim.Simulator(), []
+        loop.schedule(5, ran.append, 5)
+        loop.run()
+        with pytest.raises(RuntimeError, match="in the past"):
+            loop.schedule(4, ran.append, 4)
+        loop.run()
+        assert ran == [5] and loop.now == 5
+        loop.schedule(5, ran.append, "now")  # the present is not the past
+        loop.run()
+        assert ran == [5, "now"]
+
+
 class TestDeterminism:
     def test_same_inputs_byte_identical_report(self):
         scenario = mini_scenario()
@@ -456,18 +495,23 @@ class TestBundledScenarios:
         for name in names:
             load_scenario(name)  # parses and validates
 
-    # sha256 of report_json at seed 1729.  A report that changes by one
-    # byte fails here; re-pin only for a change that means to alter it.
+    # sha256 of report_json at seed 1729, for every bundled scenario.  A
+    # report that changes by one byte fails here; re-pin only for a change
+    # that means to alter it.
     PINNED_REPORTS = {
         "exact_rate": "3809745f3963f703d86daad552e9514103e312bfb35ad928e6ed664ac236e7d1",
         "forgery": "893ba104d24c58f60d6b253669982e2912ea570d101e8a73173bec3eb53982da",
         "starvation": "d65a6346d686f87cbb9b63f40dddfa6f3531b9fbd4aebed5c52320c28844ce9a",
         "clock_skew": "26a53c9184e9fa4f92522c2a8cd2a84df2f0746069160b4e99cc7af55f9fb11f",
         "silent_reservation": "fe792e8eb7d36f9588555486e08e21f887c63d4d90836d415e92c676e9e2d705",
+        "qos_flood": "aa8ebce0686af3dbd6a2ce6abe7a7bb30266df416438c5a9dda2825e47265225",
+        "overuse": "2d36ebd86b89b92d393b38f68432b32bff7a3fbe054748f61b655bdc305d699c",
+        "replay_shared": "5ff48f7917288bb6b17719f22bc8be75658a699675676d7a9c96a5cac260bbda",
+        "replay_separate": "6782b1f66fdda61e138fb3cc0c400844d09c32bf04494787f66be3c0ca617349",
     }
 
     @pytest.mark.parametrize("name", list(PINNED_REPORTS))
-    def test_fast_scenarios_meet_their_assertions(self, name):
+    def test_bundled_scenarios_meet_their_assertions(self, name):
         scenario = load_scenario(name)
         report = run_scenario(scenario, 1729)
         assert check_expectations(report, scenario) == []
@@ -524,7 +568,8 @@ class TestAgainstOracles:
         report = run_scenario(scenario, 1)
         assert check_expectations(report, scenario) == []
         # replay_shared: priority and over-budget hops; forgery: forged tags
-        # on paths rebuilt with `replace`, all refused at the first hop.
+        # on paths rebuilt with their plan's hop table, all refused at the
+        # first hop.
         assert calls["build"] >= 500 and sum(calls.values()) >= 2 * calls["build"]
 
 
