@@ -4,22 +4,3 @@ Data-plane packet formats and border-router pipeline, the marketplace
 ledger that trades and redeems bandwidth assets, and a deterministic
 simulator tying them together.
 """
-
-__version__ = "0.1.0"
-
-from .wire import (  # noqa: F401
-    FlyoverHopField,
-    HopField,
-    HummingbirdPath,
-    InfoField,
-    Packet,
-    PathMetaHdr,
-    ReservationInfo,
-    WireError,
-    decode_packet,
-    decode_path,
-    encode_packet,
-    encode_path,
-    quantize_bw,
-)
-from .router import ForwardDecision, Reason, RouterConfig, Verdict, process_packet  # noqa: F401

@@ -36,12 +36,12 @@ from .ledger import (
 from .policing import PolicingError, TokenBucketArray
 from .router import RouterConfig, process_packet_bytes
 from .sim import (
+    Network,
     ScenarioError,
     bundled_scenarios,
     check_expectations,
     load_scenario,
     report_json,
-    run_scenario,
 )
 from .wire import WireError, decode_packet, encode_packet
 
@@ -117,13 +117,14 @@ def _hop_rows(report: dict) -> list[list[str]]:
 
 
 def cmd_run(args) -> int:
+    seed = _seed_from(args)
     try:
-        scenario = load_scenario(args.scenario)
+        network = Network(load_scenario(args.scenario), seed)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    seed = _seed_from(args)
-    report = run_scenario(scenario, seed)
+    scenario = network.scenario
+    report = network.run()
     if args.out:
         _emit(report_json(report), args.out)
     if args.format == "records":

@@ -493,6 +493,10 @@ def validate_scenario(scenario: dict) -> dict:
 
 
 class Network:
+    """A scenario set up for one seed, and the one place a scenario is checked:
+    `self.scenario` is what `validate_scenario` returned.  A scenario that
+    fails the check or the set-up raises `ScenarioError`."""
+
     def __init__(self, scenario: dict, seed: int):
         self.scenario = scenario = validate_scenario(scenario)
         self.seed = seed
@@ -920,7 +924,7 @@ def bundled_scenarios() -> dict[str, str]:
 
 
 def load_scenario(ref: str) -> dict:
-    """Load a scenario from a file path or a bundled scenario name."""
+    """Read and parse a scenario from a file path or a bundled name; `Network` checks it."""
     path = Path(ref)
     if path.suffix == ".json" or path.exists():
         try:
@@ -935,10 +939,9 @@ def load_scenario(ref: str) -> dict:
             )
         text = bundled[ref]
     try:
-        scenario = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {ref!r} is not valid JSON: {exc}") from exc
-    return validate_scenario(scenario)
 
 
 def run_scenario(scenario: dict, seed: int) -> dict:

@@ -77,18 +77,8 @@ def frozen_record(cls):
     return cls
 
 
-class _Record:
-    """A fixed-size wire record: `_struct` is its one layout, `_what` its name."""
-
-    @classmethod
-    def unpack(cls, raw: bytes):
-        if len(raw) != cls._struct.size:
-            raise WireError(f"{cls._what} needs {cls._struct.size} bytes, got {len(raw)}")
-        return cls.unpack_from(raw, 0)
-
-
 @frozen_record
-class PathMetaHdr(_Record):
+class PathMetaHdr:
     """Path meta header.
 
         0                   1                   2                   3
@@ -115,7 +105,6 @@ class PathMetaHdr(_Record):
     counter: int
 
     _struct = struct.Struct("!III")
-    _what = "meta header"
 
     @property
     def num_inf(self) -> int:
@@ -174,7 +163,7 @@ class PathMetaHdr(_Record):
 
 
 @frozen_record
-class InfoField(_Record):
+class InfoField:
     """Segment info field.
 
         0                   1                   2                   3
@@ -196,7 +185,6 @@ class InfoField(_Record):
     timestamp: int
 
     _struct = struct.Struct("!BBHI")
-    _what = "info field"
 
     def validate(self) -> None:
         _check(self.seg_id, 16, "seg_id")
@@ -215,7 +203,7 @@ class InfoField(_Record):
 
 
 @frozen_record
-class HopField(_Record):
+class HopField:
     """Plain hop field.
 
         0                   1                   2                   3
@@ -380,9 +368,6 @@ class HummingbirdPath:
         if seg != len(seg_ends):
             raise WireError(f"hop fields do not tile segment {seg}")
         return starts, segments
-
-    def current_hop_index(self) -> int:
-        return _hop_at(self.hop_table()[0], self.meta.curr_hf)
 
     def _validate_layout(self) -> None:
         """The checks across fields; assumes each field is valid on its own."""
@@ -606,9 +591,6 @@ class Packet:
     def wire_length(self) -> int:
         """Total bytes this packet occupies on a link."""
         return self.hdr_len * _WORD + self.payload_len
-
-    def pkt_len_for_mac(self) -> int:
-        return pkt_len_for_mac(self.payload_len, self.hdr_len)
 
     def _validate_prefix(self) -> None:
         _check(self.dst_isd, 16, "dst_isd")

@@ -125,7 +125,7 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
         # The packet's own A_K: the one cipher a hop builds.
         a_key = crypto.Prf(crypto.derive_key(cfg.sv_prf, res))
         try:
-            pkt_len = packet.pkt_len_for_mac()
+            pkt_len = wire.pkt_len_for_mac(packet.payload_len, packet.hdr_len)
         except PktLenOverflow:
             return ForwardDecision(Verdict.DROP, Reason.PKT_LEN_OVERFLOW), packet
         tag = crypto.flyover_mac(

@@ -74,6 +74,8 @@ from hummingbird.wire import (
     resinfo_block,
 )
 
+from alloc_oracle import active_intervals, optimal_coloring
+
 NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
 BASE_S = 1_700_000_000
@@ -232,7 +234,7 @@ def test_01_codec_random_round_trips_and_fixed_layout():
         hop_off = hop_field_offset(meta)
         assert hop_off == META_LEN + INFO_LEN * meta.num_inf + 4 * meta.curr_hf
         if meta.curr_hf < meta.total_hop_words:
-            hop = path.hops[path.current_hop_index()]
+            hop = path.hops[path.hop_table()[0].index(meta.curr_hf)]
             assert raw[hop_off : hop_off + 4 * hop.words] == hop.pack()
 
         packet = Packet(
@@ -431,18 +433,6 @@ def test_04_policer_array_sizing_examples():
 # 5. ResID assignment
 
 
-def _max_overlap(intervals):
-    """Independent sweep-line optimum: deepest stack of live intervals."""
-    events = sorted(
-        [(s, 1) for s, _ in intervals] + [(e, -1) for _, e in intervals]
-    )
-    depth = best = 0
-    for _, delta in events:
-        depth += delta
-        best = max(best, depth)
-    return best
-
-
 def test_05_first_fit_stays_within_bound_and_never_duplicates():
     """1000 random instances (up to 200 intervals each, a third with
     interleaved releases): the largest assigned id stays below 8x the
@@ -455,15 +445,16 @@ def test_05_first_fit_stays_within_bound_and_never_duplicates():
         n = rng.randint(1, 200)
         with_releases = instance % 3 == 0
         intervals = []
+        res_ids = []
         live = []
         for k in range(n):
             start = rng.randrange(10_000)
             end = start + rng.randint(1, 500)
             handle = k
-            allocator.assign(0, start, end, handle)
+            res_ids.append(allocator.assign(0, start, end, handle))
             intervals.append((start, end))
             live.append(handle)
-            stored = allocator.active_intervals(0)
+            stored = active_intervals(allocator, 0)
             by_id = {}
             for res_id, s, e in stored:
                 for s2, e2 in by_id.get(res_id, ()):
@@ -472,8 +463,8 @@ def test_05_first_fit_stays_within_bound_and_never_duplicates():
             if with_releases and live and rng.random() < 0.3:
                 victim = live.pop(rng.randrange(len(live)))
                 allocator.release(victim)
-        high = allocator.high_water(0)
-        omega = _max_overlap(intervals)
+        high = max(res_ids) + 1
+        omega = optimal_coloring(intervals)
         assert high <= 8 * omega, (instance, high, omega)
     assert time.perf_counter() - started < 60.0
 
@@ -703,7 +694,8 @@ def _forgery_setup(tag_len: int):
     )
     hop = packet.path.hops[0]
     true_tag = crypto.flyover_mac(
-        crypto.Prf(a_key), plan.dst_isd, plan.dst_as, packet.pkt_len_for_mac(),
+        crypto.Prf(a_key), plan.dst_isd, plan.dst_as,
+        wire.pkt_len_for_mac(packet.payload_len, packet.hdr_len),
         hop.res_start_offset, packet.path.meta.millis_timestamp,
         packet.path.meta.counter, tag_len,
     )

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from hummingbird import cli, vectors
-from hummingbird.sim import bundled_scenarios
+from hummingbird import cli, sim, vectors
+from hummingbird.sim import bundled_scenarios, validate_scenario
 from hummingbird.wire import FlyoverHopField, InfoField, Packet, PathMetaHdr
 
 
@@ -42,7 +42,8 @@ WRONG_TYPED = [
 
 # One-field corruptions of a bundled scenario, each of which once crashed
 # the run with a traceback, ran on a float where the ledger keeps integer
-# amounts and times, or silently did nothing, instead of a scenario error.
+# amounts and times, silently did nothing, or failed at set-up with a plain
+# `error:`, instead of a scenario error.
 CORRUPTED_FIELDS = [
     pytest.param(scenario, where, value, id=f"{'.'.join(map(str, where))}={value!r}")
     for scenario, cases in {
@@ -99,9 +100,15 @@ CORRUPTED_FIELDS = [
             (("flows", 1, "rate_mbps"), 10**30),
             # Packets for 10^15 s: more than MAX_PACKETS, a run that would never end.
             (("flows", 0, "stop_s"), 10**15),
+            # Valid fields that fail at set-up: a reserved packet smaller
+            # than its header, and a reservation no listing covers.
+            (("flows", 0, "packet_bytes"), 40),
+            (("flows", 0, "reserve_mbps"), 10**6),
         ),
         "replay_shared": (
             (("flows", 1, "share"), {"x": "bait"}),
+            # Fails at set-up: the donor holds no credential at AS 2.
+            (("flows", 1, "share"), {"2": "bait"}),
             (("flows", 2, "multiplicity"), "3"),
             (("flows", 2, "multiplicity"), 2.5),
             (("flows", 2, "multiplicity"), -1),
@@ -194,6 +201,18 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", "--scenario", str(bad))
         assert code == 2
         assert stderr.startswith("scenario error: flows send up to ")
+
+    def test_scenario_is_validated_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(scenario):
+            calls.append(scenario["name"])
+            return validate_scenario(scenario)
+
+        monkeypatch.setattr(sim, "validate_scenario", counted)
+        code, _, _ = run_cli(capsys, "run", "--scenario", "exact_rate")
+        assert code == 0
+        assert calls == ["exact_rate"]
 
     def test_unknown_bundled_name(self, capsys):
         code, _, stderr = run_cli(capsys, "run", "--scenario", "nope")

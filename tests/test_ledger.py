@@ -29,7 +29,10 @@ from hummingbird.ledger import (
     sealing_keypair,
     unseal_credentials,
 )
+from hummingbird.residalloc import MAX_IDS
 from hummingbird.wire import quantize_bw
+
+from alloc_oracle import active_intervals
 
 AS_ID = 7
 SV = bytes(range(16))
@@ -613,7 +616,7 @@ class TestRedeem:
             led.deliver_reservation(service, request)
         assert led.state_hash() == before
         assert {a: led.balance(a) for a in balances} == balances
-        assert service.allocator.active_intervals(ingress.interface) == []
+        assert active_intervals(service.allocator, ingress.interface) == []
 
     @pytest.mark.parametrize("key", LOW_ORDER_KEYS, ids=("zero", "one"))
     def test_low_order_key_fails_whole_block(self, key):
@@ -637,7 +640,7 @@ class TestRedeem:
             led.deliver_reservation(service, request)
         assert led.state_hash() == before
         assert {a: led.balance(a) for a in balances} == balances
-        assert service.allocator.active_intervals(ing.interface) == []
+        assert active_intervals(service.allocator, ing.interface) == []
 
 
 class TestDelivery:
@@ -677,9 +680,9 @@ class TestDelivery:
         with pytest.raises(ValueError, match="sealing failed"):
             led.deliver_reservation(service, request)
         assert led.state_hash() == before
-        assert service.allocator.active_intervals(ingress.interface) == []
+        assert active_intervals(service.allocator, ingress.interface) == []
         res, _ = unseal_credentials(priv, led.deliver_reservation(service, request))
-        assert service.allocator.active_intervals(ingress.interface) == [
+        assert active_intervals(service.allocator, ingress.interface) == [
             (res.res_id, H9, H10)
         ]
         assert led.request(request.request_id).delivered
@@ -1127,8 +1130,8 @@ class MarketWalk:
         requests = led._state.requests.values()
         for as_id, ingress in {(r.as_id, r.ingress_interface) for r in requests}:
             allocator = self.services[as_id].allocator
-            intervals = allocator.active_intervals(ingress)
-            assert all(0 <= res_id < allocator.max_ids for res_id, _, _ in intervals)
+            intervals = active_intervals(allocator, ingress)
+            assert all(0 <= res_id < MAX_IDS for res_id, _, _ in intervals)
             for (a_id, a_start, a_end), (b_id, b_start, b_end) in combinations(intervals, 2):
                 assert a_id != b_id or a_end <= b_start or b_end <= a_start, (as_id, ingress)
 
@@ -1306,7 +1309,7 @@ class MarketWalk:
             return self.buy_and_redeem()
         request = self.rng.choice(waiting)
         allocator = self.services[request.as_id].allocator
-        before = self.led.state_hash(), allocator.active_intervals(request.ingress_interface)
+        before = self.led.state_hash(), active_intervals(allocator, request.ingress_interface)
 
         def seal_failing(*args):
             raise ValueError("sealing failed")
@@ -1315,7 +1318,7 @@ class MarketWalk:
             patch.setattr(ledger_mod, "seal_credentials", seal_failing)
             with pytest.raises(ValueError, match="sealing failed"):
                 self.led.deliver_reservation(self.services[request.as_id], request)
-        assert (self.led.state_hash(), allocator.active_intervals(request.ingress_interface)) == before
+        assert (self.led.state_hash(), active_intervals(allocator, request.ingress_interface)) == before
         self.failed_seals += 1
         self.delivered(request)
 

@@ -2,12 +2,10 @@ import random
 
 import pytest
 
-from hummingbird.residalloc import (
-    AllocatorError,
-    IdSpaceExhausted,
-    ResIdAllocator,
-    optimal_coloring,
-)
+from hummingbird import residalloc
+from hummingbird.residalloc import AllocatorError, IdSpaceExhausted, ResIdAllocator
+
+from alloc_oracle import active_intervals, optimal_coloring
 
 
 class TestAssign:
@@ -51,8 +49,9 @@ class TestAssign:
         with pytest.raises(AllocatorError, match="empty"):
             alloc.assign(1, 10, 10, "a")
 
-    def test_exhaustion(self):
-        alloc = ResIdAllocator(max_ids=4)
+    def test_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(residalloc, "MAX_IDS", 4)
+        alloc = ResIdAllocator()
         for i in range(4):
             alloc.assign(1, 0, 10, i)
         with pytest.raises(IdSpaceExhausted):
@@ -92,7 +91,7 @@ class TestProperties:
                     assert not brute_force_clash(oracle, rid, s, e)
                     active.append((rid, s, e, op))
                 # Allocator bookkeeping matches the oracle's view.
-                assert alloc.active_intervals(1) == sorted(
+                assert active_intervals(alloc, 1) == sorted(
                     (r, a, b) for r, a, b, _ in active
                 )
 
@@ -100,11 +99,11 @@ class TestProperties:
         rng = random.Random(43)
         for _ in range(100):
             alloc = ResIdAllocator()
-            intervals = []
+            intervals, res_ids = [], []
             for i in range(rng.randrange(1, 120)):
                 s = rng.randrange(1000)
                 length = rng.choice([rng.randrange(1, 10), rng.randrange(10, 300)])
                 intervals.append((s, s + length))
-                alloc.assign(7, s, s + length, i)
+                res_ids.append(alloc.assign(7, s, s + length, i))
             omega = optimal_coloring(intervals)
-            assert alloc.high_water(7) <= 8 * omega
+            assert max(res_ids) + 1 <= 8 * omega

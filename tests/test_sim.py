@@ -444,7 +444,7 @@ class TestFilledScenario:
             "buyouts": [],
             "expect": [],
         }
-        # Network validates again what load_scenario returns.
+        # A checked scenario checks again unchanged, so Network may be handed one.
         assert validate_scenario(filled) == filled
         # The copy shares no list or object with the argument.
         filled["topology"]["ases"][0]["id"] = 7
@@ -493,7 +493,7 @@ class TestBundledScenarios:
             "starvation",
         }
         for name in names:
-            load_scenario(name)  # parses and validates
+            validate_scenario(load_scenario(name))
 
     # sha256 of report_json at seed 1729, for every bundled scenario.  A
     # report that changes by one byte fails here; re-pin only for a change

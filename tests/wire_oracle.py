@@ -26,13 +26,13 @@ _WORD = 4
 def decode_path(raw: bytes) -> HummingbirdPath:
     if len(raw) < META_LEN:
         raise WireError(f"truncated path: {len(raw)} bytes")
-    meta = PathMetaHdr.unpack(raw[:META_LEN])
+    meta = PathMetaHdr.unpack_from(raw, 0)
     pos = META_LEN
     infos = []
     for _ in range(meta.num_inf):
         if pos + INFO_LEN > len(raw):
             raise WireError("truncated path: info field cut short")
-        infos.append(InfoField.unpack(raw[pos : pos + INFO_LEN]))
+        infos.append(InfoField.unpack_from(raw, pos))
         pos += INFO_LEN
     hops: list[HopField] = []
     segment_at = {}  # hop start word -> segment
@@ -48,7 +48,7 @@ def decode_path(raw: bytes) -> HummingbirdPath:
             size = _WORD * cls.words
             if pos + size > len(raw):
                 raise WireError("truncated path: hop field cut short")
-            hops.append(cls.unpack(raw[pos : pos + size]))
+            hops.append(cls.unpack_from(raw, pos))
             segment_at[word] = i
             pos += size
             word += cls.words
