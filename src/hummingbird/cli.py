@@ -34,6 +34,7 @@ from .ledger import (
     unseal_credentials,
 )
 from .policing import PolicingError, TokenBucketArray
+from .residalloc import MAX_IDS
 from .router import RouterConfig, process_packet_bytes
 from .sim import (
     Network,
@@ -310,6 +311,8 @@ def cmd_packet_decode(args) -> int:
 
 def cmd_packet_verify(args) -> int:
     raw = _read_packet_hex(args.hex)
+    if not 1 <= args.policer_entries <= MAX_IDS:  # one entry per 22-bit ResID at most
+        raise UsageError(f"--policer-entries must be 1 to {MAX_IDS}, got {args.policer_entries}")
     cfg = RouterConfig(
         sv=_read_key(args.sv, "sv"),
         forwarding_key=_read_key(args.forwarding_key, "forwarding-key"),
@@ -345,7 +348,11 @@ def cmd_vectors(args) -> int:
         if not problems:
             print(f"fixtures in {args.out} match regeneration")
         return 1 if problems else 0
-    for path in vectors_mod.write(args.out):
+    try:
+        written = vectors_mod.write(args.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror}")
+    for path in written:
         print(f"wrote {path}")
     return 0
 

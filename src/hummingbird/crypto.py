@@ -26,13 +26,7 @@ import struct
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .wire import (
-    HopField,
-    InfoField,
-    ReservationInfo,
-    mac_input_block,
-    resinfo_block,
-)
+from .wire import ReservationInfo, mac_input_block, resinfo_block
 
 KEY_LEN = 16
 TAG_LEN = 6  # default flyover tag width; test profiles may shrink it
@@ -122,21 +116,38 @@ def aggregate_mac(hop_mac: bytes, fly_tag: bytes) -> bytes:
     return (int.from_bytes(hop_mac, "big") ^ tag).to_bytes(TAG_LEN, "big")
 
 
-def hop_field_mac(forwarding_key: Prf, info: InfoField, hop: HopField) -> bytes:
+def hop_field_mac(
+    forwarding_key: Prf,
+    seg_id: int,
+    timestamp: int,
+    exp_time: int,
+    cons_ingress: int,
+    cons_egress: int,
+) -> bytes:
     """Stand-in for the SCION hop field MAC.
 
-    Covers the current SegID and the static hop fields in a fixed
-    16-byte packing, truncated to 6 bytes:
+    Covers the current SegID, the info field's timestamp and the static
+    hop fields in a fixed 16-byte packing, truncated to 6 bytes:
 
         SegID (2) | InfoTimestamp (4) | ExpTime (1) | ConsIngress (2) |
         ConsEgress (2) | zero (5)
     """
-    block = _HOP_MAC_INPUT.pack(
-        info.seg_id, info.timestamp, hop.exp_time, hop.cons_ingress, hop.cons_egress
-    )
+    block = _HOP_MAC_INPUT.pack(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
     return prf_block(forwarding_key, block)[:TAG_LEN]
 
 
 def update_seg_id(seg_id: int, hop_mac: bytes) -> int:
     """SegID chaining step, isolated so the real beaconing rule could slot in."""
     return seg_id ^ int.from_bytes(hop_mac[:2], "big")
+
+
+def segment_hop_macs(seg_id: int, timestamp: int, hops) -> list[bytes]:
+    """One segment's hop MACs as beaconing issues them.  `hops` holds a
+    (forwarding `Prf`, exp_time, cons_ingress, cons_egress) per hop; each
+    MAC covers the SegID that the hops before it leave."""
+    macs = []
+    for forwarding_key, exp_time, cons_ingress, cons_egress in hops:
+        mac = hop_field_mac(forwarding_key, seg_id, timestamp, exp_time, cons_ingress, cons_egress)
+        seg_id = update_seg_id(seg_id, mac)
+        macs.append(mac)
+    return macs

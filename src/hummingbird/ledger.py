@@ -511,9 +511,6 @@ class _Table:
     def get(self, key: int):
         return self._values.get(key)
 
-    def __contains__(self, key) -> bool:
-        return key in self._values
-
     def __iter__(self):
         return iter(self._values)
 
@@ -642,11 +639,8 @@ class Ledger:
         direction: Direction,
         time_granularity: int,
         min_bandwidth: int,
-        as_id: int | None = None,
     ) -> BandwidthAsset:
         token = self._resolve_token(account, token)
-        if as_id is not None and as_id != token.as_id:
-            raise LedgerError(f"token for AS {token.as_id} cannot issue assets for AS {as_id}")
         asset = BandwidthAsset(
             asset_id=0,  # placeholder for the id _replace_assets gives it
             as_id=token.as_id,

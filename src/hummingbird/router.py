@@ -181,7 +181,10 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
         hop, info = hops[index], infos[info_index]
         if now > info.timestamp * NS_PER_S + (hop.exp_time + 1) * EXP_TIME_UNIT_NS:
             return _DROP[Reason.HOP_EXPIRED], packet
-        expected = crypto.hop_field_mac(cfg.forwarding_prf, info, hop)
+        expected = crypto.hop_field_mac(
+            cfg.forwarding_prf, info.seg_id, info.timestamp,
+            hop.exp_time, hop.cons_ingress, hop.cons_egress,
+        )
         if expected != (first_mac if index == hop_index else hop.mac):
             return _DROP[Reason.MAC_MISMATCH], packet
         seg_id = crypto.update_seg_id(info.seg_id, expected)

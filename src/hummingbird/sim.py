@@ -57,10 +57,11 @@ from .source import (
     HopPlan,
     PathPlan,
     SegmentPlan,
+    SourceError,
     build_packet,
     header_bytes,
 )
-from .wire import HopField, HummingbirdPath, InfoField, Packet, ReservationInfo, quantize_bw
+from .wire import HummingbirdPath, Packet, ReservationInfo, WireError, quantize_bw
 
 NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
@@ -288,10 +289,6 @@ class Flow:
         self.wire_bytes = 0
         self.credentials: dict[int, tuple] = {}  # as_id -> (ResInfo, key)
 
-    @property
-    def rate_bps(self) -> int:
-        return round(self.spec["rate_mbps"] * 1_000_000)
-
 
 # ---------------------------------------------------------------------------
 # The network: scenario realization
@@ -399,6 +396,13 @@ def _dotted(at) -> str:
     return at if isinstance(at, str) else f"{_dotted(at[0])}.{at[1]}"
 
 
+def _schedule(spec: dict) -> tuple[int, int, int]:
+    """A sender's (start_ns, interval_ns, stop_ns): it ticks from start_ns,
+    every interval_ns, while before stop_ns."""
+    interval_ns = spec["packet_bytes"] * 8 * NS_PER_S // round(spec["rate_mbps"] * 1_000_000)
+    return round(spec["start_s"] * NS_PER_S), interval_ns, round(spec["stop_s"] * NS_PER_S)
+
+
 def _reserves(spec: dict) -> bool:
     """Whether a flow buys its reservations through the market."""
     return spec["class"] == "reserved" or spec["kind"] == "overuse"
@@ -420,6 +424,7 @@ def validate_scenario(scenario: dict) -> dict:
             raise ScenarioError(f"duplicate link {src}->{dst}")
         links.add(link)
     names, packets = set(), {}  # a flow's name -> at most how many packets it sends
+    replayers = {}  # AS id -> the name of the one replayer there
     for i, spec in enumerate(out["flows"]):
         name, kind, path = spec["name"], spec["kind"], spec["path"]
         if name in names:
@@ -446,16 +451,19 @@ def validate_scenario(scenario: dict) -> dict:
                 raise ScenarioError(
                     f"flow {name}: replays_flow {spec['replays_flow']!r} must be declared earlier"
                 )
+            if spec["at_as"] in replayers:
+                raise ScenarioError(
+                    f"flow {name}: AS {spec['at_as']} already has replayer {replayers[spec['at_as']]}"
+                )
+            replayers[spec["at_as"]] = name
             if spec["multiplicity"] > MAX_MULTIPLICITY:
                 raise ScenarioError(f"flow {name}: multiplicity above {MAX_MULTIPLICITY}")
             packets[name] = spec["multiplicity"] * packets.get(spec["replays_flow"], 0)
         else:
-            interval = spec["packet_bytes"] * 8 * NS_PER_S // round(spec["rate_mbps"] * 1_000_000)
-            if interval < 1:
+            start_ns, interval_ns, stop_ns = _schedule(spec)
+            if interval_ns < 1:
                 raise ScenarioError(f"flow {name}: sends packets less than 1 ns apart")
-            # as Network._schedule_flow ticks: from start_s, while before stop_s
-            span = round(spec["stop_s"] * NS_PER_S) - round(spec["start_s"] * NS_PER_S)
-            packets[name] = max(0, -(-span // interval))
+            packets[name] = max(0, -(-(stop_ns - start_ns) // interval_ns))
         for shared_as, source in spec["share"].items():
             if not (str(shared_as).isdecimal() and int(shared_as) in path):
                 raise ScenarioError(f"flow {name}: shared AS {shared_as} not on path")
@@ -713,6 +721,9 @@ class Network:
     # -- data plane ------------------------------------------------------------
 
     def _setup_plans(self) -> None:
+        """Each sender's plan and payload, and its last packet built: the source
+        refuses at set-up any packet it would refuse during the run.  Every
+        reservation starts by instant zero, so the last tick fails first."""
         for flow in self.flows.values():
             if flow.kind == "replay_on_reservation_set":
                 continue
@@ -725,60 +736,39 @@ class Network:
                     f"smaller than the {overhead} byte header"
                 )
             flow.wire_bytes = flow.spec["packet_bytes"]
+            start_ns, interval_ns, stop_ns = _schedule(flow.spec)
+            if start_ns < stop_ns:
+                last_ns = stop_ns - 1 - (stop_ns - 1 - start_ns) % interval_ns
+                try:
+                    build_packet(flow.plan, flow.payload_len, lambda: EPOCH_NS + last_ns,
+                                 CounterState())
+                except (SourceError, WireError) as exc:
+                    raise ScenarioError(f"flow {flow.name}: {exc}") from exc
 
     def _build_plan(self, flow: Flow) -> PathPlan:
         seg_id = flow.rng.randrange(1 << 16)
         info_ts = EPOCH_S - 3600
-        info = InfoField(peering=False, cons_dir=True, seg_id=seg_id, timestamp=info_ts)
+        interfaces = [self._hop_interfaces(flow.path, i) for i in range(len(flow.path))]
+        macs = crypto.segment_hop_macs(seg_id, info_ts, [
+            (self.ases[as_id].forwarding_prf, 255, *ifaces)
+            for as_id, ifaces in zip(flow.path, interfaces)
+        ])
         hops = []
-        current = info
-        for index, as_id in enumerate(flow.path):
-            ingress, egress = self._hop_interfaces(flow.path, index)
-            probe = HopField(
-                ingress_alert=False,
-                egress_alert=False,
-                exp_time=255,
-                cons_ingress=ingress,
-                cons_egress=egress,
-                mac=bytes(6),
-            )
-            mac = crypto.hop_field_mac(
-                self.ases[as_id].forwarding_prf, current, probe
-            )
-            current = replace(
-                current, seg_id=crypto.update_seg_id(current.seg_id, mac)
-            )
-            reservation = None
-            if as_id in flow.credentials:
-                res, key = flow.credentials[as_id]
-                if (res.ingress, res.egress) != (ingress, egress):
-                    raise ScenarioError(
-                        f"flow {flow.name}: credential at AS {as_id} covers "
-                        f"({res.ingress}, {res.egress}), path needs "
-                        f"({ingress}, {egress})"
-                    )
-                reservation = (res, key)
-            elif flow.kind == "tag_forgery":
+        for as_id, (ingress, egress), mac in zip(flow.path, interfaces, macs):
+            reservation = flow.credentials.get(as_id)
+            if reservation is None and flow.kind == "tag_forgery":
                 # Plausible-looking reservation nobody ever bought; the
                 # key is junk, so the tags are effectively random.
                 res = ReservationInfo(
                     ingress=ingress,
                     egress=egress,
                     res_id=0,
-                    bw_code=quantize_bw(flow.rate_bps),
+                    bw_code=quantize_bw(round(flow.spec["rate_mbps"] * 1_000_000)),
                     res_start=self.window[0],
                     duration=self.market["window_s"],
                 )
                 reservation = (res, flow.rng.randbytes(16))
-            hops.append(
-                HopPlan(
-                    cons_ingress=ingress,
-                    cons_egress=egress,
-                    hop_mac=mac,
-                    exp_time=255,
-                    reservation=reservation,
-                )
-            )
+            hops.append(HopPlan(ingress, egress, mac, 255, reservation))
         return PathPlan(
             dst_isd=1,
             dst_as=flow.rng.randrange(1 << 32),
@@ -817,9 +807,7 @@ class Network:
         self.ases[flow.path[0]].receive(transit, 0)
 
     def _schedule_flow(self, flow: Flow) -> None:
-        start_ns = round(flow.spec["start_s"] * NS_PER_S)
-        stop_ns = round(flow.spec["stop_s"] * NS_PER_S)
-        interval_ns = flow.wire_bytes * 8 * NS_PER_S // flow.rate_bps
+        start_ns, interval_ns, stop_ns = _schedule(flow.spec)
         self.sim.schedule(start_ns, self._tick, flow, start_ns, interval_ns, stop_ns)
 
     def _tick(self, flow: Flow, at_ns: int, interval_ns: int, stop_ns: int) -> None:

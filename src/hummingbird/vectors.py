@@ -242,16 +242,7 @@ def _decisions() -> dict:
         duration=300,
     )
     key = crypto.derive_key(crypto.Prf(sv), res)
-    info = InfoField(peering=False, cons_dir=True, seg_id=0x2222, timestamp=base_s - 100)
-    probe = HopField(
-        ingress_alert=False,
-        egress_alert=False,
-        exp_time=255,
-        cons_ingress=3,
-        cons_egress=7,
-        mac=bytes(6),
-    )
-    hop_mac = crypto.hop_field_mac(crypto.Prf(fk), info, probe)
+    (hop_mac,) = crypto.segment_hop_macs(0x2222, base_s - 100, [(crypto.Prf(fk), 255, 3, 7)])
 
     def plan(reservation):
         return PathPlan(

@@ -157,7 +157,10 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
         hop, info = hops[index], infos[info_index]
         if now > info.timestamp * NS_PER_S + (hop.exp_time + 1) * EXP_TIME_UNIT_NS:
             return ForwardDecision(Verdict.DROP, Reason.HOP_EXPIRED), packet
-        expected = crypto.hop_field_mac(cfg.forwarding_prf, info, hop)
+        expected = crypto.hop_field_mac(
+            cfg.forwarding_prf, info.seg_id, info.timestamp,
+            hop.exp_time, hop.cons_ingress, hop.cons_egress,
+        )
         if expected != hop.mac:
             return ForwardDecision(Verdict.DROP, Reason.MAC_MISMATCH), packet
         infos[info_index] = replace(info, seg_id=crypto.update_seg_id(info.seg_id, expected))

@@ -160,28 +160,18 @@ def _chained_plan(ases, anchor_s, credentials=None):
     """
     seg_id0 = 0x1234
     info_ts = anchor_s - 3600
-    seg_id = seg_id0
-    hop_plans = []
-    for index, (fk, ingress, egress) in enumerate(ases):
-        probe = HopField(
-            ingress_alert=False,
-            egress_alert=False,
-            exp_time=255,
+    macs = crypto.segment_hop_macs(seg_id0, info_ts, [
+        (crypto.Prf(fk), 255, ingress, egress) for fk, ingress, egress in ases
+    ])
+    hop_plans = [
+        source.HopPlan(
             cons_ingress=ingress,
             cons_egress=egress,
-            mac=bytes(6),
+            hop_mac=mac,
+            reservation=None if credentials is None else credentials[index],
         )
-        info = InfoField(peering=False, cons_dir=True, seg_id=seg_id, timestamp=info_ts)
-        mac = crypto.hop_field_mac(crypto.Prf(fk), info, probe)
-        seg_id = crypto.update_seg_id(seg_id, mac)
-        hop_plans.append(
-            source.HopPlan(
-                cons_ingress=ingress,
-                cons_egress=egress,
-                hop_mac=mac,
-                reservation=None if credentials is None else credentials[index],
-            )
-        )
+        for index, ((_, ingress, egress), mac) in enumerate(zip(ases, macs))
+    ]
     segment = source.SegmentPlan(seg_id=seg_id0, timestamp=info_ts, hops=tuple(hop_plans))
     return source.PathPlan(dst_isd=1, dst_as=0xFF00000222, segments=(segment,))
 
@@ -308,7 +298,7 @@ def _decision_case(flyover, tag_valid, fresh, active, hf_valid, budget):
             cons_ingress=3, cons_egress=7, mac=bytes(6),
             res_id=5, bw=bw_code, res_start_offset=offset, res_duration=duration,
         )
-        hop_mac = crypto.hop_field_mac(crypto.Prf(fk), info, probe)
+        hop_mac = crypto.hop_field_mac(crypto.Prf(fk), info.seg_id, info.timestamp, 255, 3, 7)
         pkt_len = 100 + 12 + META_LEN + INFO_LEN + FLYOVER_HOP_LEN
         tag = crypto.flyover_mac(
             crypto.Prf(crypto.derive_key(crypto.Prf(sv), res)), 1, 0xFF00000222, pkt_len, offset, 0, 0
@@ -324,7 +314,7 @@ def _decision_case(flyover, tag_valid, fresh, active, hf_valid, budget):
             ingress_alert=False, egress_alert=False, exp_time=255,
             cons_ingress=3, cons_egress=7, mac=bytes(6),
         )
-        hop_mac = crypto.hop_field_mac(crypto.Prf(fk), info, probe)
+        hop_mac = crypto.hop_field_mac(crypto.Prf(fk), info.seg_id, info.timestamp, 255, 3, 7)
         if not hf_valid:
             hop_mac = bytes([hop_mac[0] ^ 0x01]) + hop_mac[1:]
         hop = replace(probe, mac=hop_mac)

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from hummingbird import cli, sim, vectors
+from hummingbird.policing import TokenBucketArray
+from hummingbird.residalloc import MAX_IDS
 from hummingbird.sim import bundled_scenarios, validate_scenario
 from hummingbird.wire import FlyoverHopField, InfoField, Packet, PathMetaHdr
 
@@ -201,6 +203,19 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", "--scenario", str(bad))
         assert code == 2
         assert stderr.startswith("scenario error: flows send up to ")
+
+    def test_packet_the_source_refuses_is_a_scenario_error(self, capsys, tmp_path):
+        """A sender whose last packet would carry a clock past 2^32 unix seconds."""
+        scenario = json.loads(bundled_scenarios()["exact_rate"])
+        scenario["duration_s"] = 2.7e9
+        scenario["market"]["window_s"] = 2_700_000_000
+        scenario["flows"][0].update({"class": "best_effort", "start_s": 2.6e9, "stop_s": 2.6e9 + 1})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario))
+        code, _, stderr = run_cli(capsys, "run", "--scenario", str(bad))
+        assert code == 2
+        assert stderr.startswith("scenario error: flow victim: clock beyond 32-bit unix seconds")
+        assert "Traceback" not in stderr
 
     def test_scenario_is_validated_once(self, capsys, monkeypatch):
         calls = []
@@ -460,6 +475,25 @@ class TestPacket:
         )
         assert code == 2 and stderr.startswith("error: ")
 
+    def test_verify_refuses_more_policer_entries_than_res_ids(
+        self, capsys, monkeypatch, decision_case
+    ):
+        def policer(entries, *args):  # nothing that large is allocated
+            if entries > MAX_IDS:
+                raise MemoryError(f"{entries} policer entries")
+            return TokenBucketArray(entries, *args)
+
+        monkeypatch.setattr(cli, "TokenBucketArray", policer)
+        code, _, stderr = run_cli(
+            capsys,
+            "packet", "verify", decision_case["packets"][0],
+            "--sv", decision_case["sv"],
+            "--forwarding-key", decision_case["forwarding_key"],
+            "--now-ns", str(decision_case["now_ns"]),
+            "--policer-entries", str(MAX_IDS + 1),
+        )
+        assert code == 2 and stderr.startswith("error: --policer-entries must be 1 to ")
+
     @pytest.mark.parametrize("tag_len", ["0", "7", "17"])
     def test_verify_rejects_unusable_tag_len(self, capsys, decision_case, tag_len):
         # The golden packet carries a flyover hop, so the tag is computed.
@@ -487,6 +521,12 @@ class TestVectors:
             fresh = (tmp_path / name).read_bytes()
             committed = open(f"tests/vectors/{name}", "rb").read()
             assert fresh == committed, name
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        parent = tmp_path / "file"
+        parent.write_text("")
+        code, _, stderr = run_cli(capsys, "vectors", "--out", str(parent / "vectors"))
+        assert code == 2 and stderr.startswith(f"error: cannot write {parent / 'vectors'}: ")
 
     def test_check_detects_tampering(self, capsys, tmp_path):
         run_cli(capsys, "vectors", "--out", str(tmp_path))

@@ -4,9 +4,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from hummingbird import crypto
-from hummingbird.wire import InfoField, ReservationInfo, mac_input_block, resinfo_block
-
-from test_wire import fly_hop, plain_hop
+from hummingbird.wire import ReservationInfo, mac_input_block, resinfo_block
 
 # FIPS-197 appendix C.1 example vector.
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -124,33 +122,36 @@ class TestAggregateMac:
 
 
 class TestHopFieldMac:
-    def info(self, **overrides):
-        fields = dict(peering=False, cons_dir=True, seg_id=7, timestamp=1_700_000_000)
-        fields.update(overrides)
-        return InfoField(**fields)
+    FIELDS = dict(seg_id=7, timestamp=1_700_000_000, exp_time=63, cons_ingress=1, cons_egress=2)
+
+    def mac(self, key, **overrides):
+        return crypto.hop_field_mac(key, **dict(self.FIELDS, **overrides))
 
     def test_width_and_determinism(self):
         key = crypto.Prf(bytes(16))
-        mac = crypto.hop_field_mac(key, self.info(), plain_hop())
+        mac = self.mac(key)
         assert len(mac) == 6
-        assert mac == crypto.hop_field_mac(key, self.info(), plain_hop())
+        assert mac == self.mac(key)
 
     def test_covers_seg_id_and_static_fields(self):
         key = crypto.Prf(bytes(16))
-        base = crypto.hop_field_mac(key, self.info(), plain_hop())
-        assert crypto.hop_field_mac(key, self.info(seg_id=8), plain_hop()) != base
-        assert crypto.hop_field_mac(key, self.info(timestamp=1), plain_hop()) != base
-        assert crypto.hop_field_mac(key, self.info(), plain_hop(exp_time=64)) != base
-        assert crypto.hop_field_mac(key, self.info(), plain_hop(cons_ingress=9)) != base
-        assert crypto.hop_field_mac(key, self.info(), plain_hop(cons_egress=9)) != base
+        base = self.mac(key)
+        assert self.mac(key, seg_id=8) != base
+        assert self.mac(key, timestamp=1) != base
+        assert self.mac(key, exp_time=64) != base
+        assert self.mac(key, cons_ingress=9) != base
+        assert self.mac(key, cons_egress=9) != base
 
-    def test_flyover_and_plain_hop_share_mac(self):
-        # The MAC covers only the plain hop fields, so a flyover hop
-        # with the same statics has the same hop MAC.
-        key = crypto.Prf(bytes(16))
-        assert crypto.hop_field_mac(key, self.info(), plain_hop()) == crypto.hop_field_mac(
-            key, self.info(), fly_hop()
-        )
+    def test_segment_chain_covers_the_seg_id_each_hop_sees(self):
+        keys = [crypto.Prf(bytes([i]) * 16) for i in range(3)]
+        hops = [(key, 255, i, i + 1) for i, key in enumerate(keys)]
+        macs = crypto.segment_hop_macs(0x1234, 1_700_000_000, hops)
+        seg_id = 0x1234
+        for (key, exp_time, ingress, egress), mac in zip(hops, macs):
+            assert mac == crypto.hop_field_mac(key, seg_id, 1_700_000_000, exp_time, ingress, egress)
+            seg_id = crypto.update_seg_id(seg_id, mac)
+        assert len(macs) == 3
+        assert crypto.segment_hop_macs(0x1234, 1_700_000_000, []) == []
 
 
 class TestSegIdChain:

@@ -115,11 +115,6 @@ class TestIssue:
         assert asset.duration == 3600
         assert led.asset(asset.asset_id) == asset
 
-    def test_as_id_mismatch_rejected(self):
-        led, token, _, _ = fresh_ledger()
-        with pytest.raises(LedgerError, match="cannot issue"):
-            hour_asset(led, token, as_id=AS_ID + 1)
-
     def test_granularity_violation_rejected(self):
         led, token, _, _ = fresh_ledger()
         with pytest.raises(LedgerError, match="granularity"):

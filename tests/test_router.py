@@ -57,22 +57,11 @@ def make_reservation(**overrides) -> ReservationInfo:
 
 def chain_hops(hop_plans, seg_id, info_ts, fk=FK):
     """Fill in hop MACs the way beaconing would: chained over SegID."""
-    filled = []
-    seg = seg_id
-    for plan in hop_plans:
-        info = InfoField(peering=False, cons_dir=True, seg_id=seg, timestamp=info_ts)
-        probe = HopField(
-            ingress_alert=False,
-            egress_alert=False,
-            exp_time=plan.exp_time,
-            cons_ingress=plan.cons_ingress,
-            cons_egress=plan.cons_egress,
-            mac=bytes(6),
-        )
-        mac = crypto.hop_field_mac(crypto.Prf(fk), info, probe)
-        filled.append(replace(plan, hop_mac=mac))
-        seg = crypto.update_seg_id(seg, mac)
-    return tuple(filled)
+    macs = crypto.segment_hop_macs(seg_id, info_ts, [
+        (crypto.Prf(fk), plan.exp_time, plan.cons_ingress, plan.cons_egress)
+        for plan in hop_plans
+    ])
+    return tuple(replace(plan, hop_mac=mac) for plan, mac in zip(hop_plans, macs))
 
 
 def make_plan(
@@ -153,7 +142,10 @@ class TestHappyPath:
         info = InfoField(peering=False, cons_dir=True, seg_id=0x1111, timestamp=BASE_S - 100)
         fly = out.path.hops[0]
         assert fly.flyover
-        assert fly.mac == crypto.hop_field_mac(crypto.Prf(FK), info, fly)
+        assert fly.mac == crypto.hop_field_mac(
+            crypto.Prf(FK), info.seg_id, info.timestamp, fly.exp_time, fly.cons_ingress,
+            fly.cons_egress,
+        )
         # The rewritten MAC verifies as a plain SCION hop in the same slot.
         plain = HopField(
             ingress_alert=fly.ingress_alert,
@@ -385,7 +377,11 @@ class TestSegmentBoundary:
     def assert_crossed(self, packet, out):
         """Both SegIDs stepped and the pointers past both hop fields."""
         for i, info in enumerate(packet.path.infos):
-            mac = crypto.hop_field_mac(crypto.Prf(FK), info, out.path.hops[i])
+            hop = out.path.hops[i]
+            mac = crypto.hop_field_mac(
+                crypto.Prf(FK), info.seg_id, info.timestamp, hop.exp_time, hop.cons_ingress,
+                hop.cons_egress,
+            )
             assert out.path.hops[i].mac == mac
             assert out.path.infos[i].seg_id == crypto.update_seg_id(info.seg_id, mac)
         assert out.path.meta.curr_hf == packet.path.hops[0].words + 3

@@ -33,6 +33,59 @@ def mini_topology():
     }
 
 
+def chain_scenario(length: int, flow: dict, **overrides):
+    """One flow along a chain of `length` ASes, 1 -> 2 -> ... -> length."""
+    scenario = {
+        "name": "chain",
+        "duration_s": 1,
+        "topology": {
+            "ases": [{"id": i} for i in range(1, length + 1)],
+            "links": [{"from": i, "to": i + 1, "capacity_mbps": 10} for i in range(1, length)],
+        },
+        "market": {},
+        "flows": [{"name": "f", "path": list(range(1, length + 1)), "rate_mbps": 1,
+                   "packet_bytes": 1500, **flow}],
+    }
+    scenario.update(overrides)
+    return scenario
+
+
+def exact_rate(**flow):
+    scenario = load_scenario("exact_rate")
+    scenario["flows"][0].update(flow)
+    return scenario
+
+
+def victim_sharing_at_as_4():
+    """bait enters AS 4 from AS 3, victim from AS 2: one credential cannot serve both."""
+    scenario = load_scenario("replay_shared")
+    scenario["flows"][1]["share"] = {"4": "bait"}
+    return scenario
+
+
+# Scenarios that pass validation but hold a flow whose packets the source
+# refuses to build: set-up builds each sender's last packet, so each is a
+# scenario error that names the flow, raised before any event runs.
+UNBUILDABLE = [
+    pytest.param(chain_scenario(90, {"class": "best_effort"}),
+                 "flow f: path too long: hdr_len 278", id="best-effort-90-ases"),
+    pytest.param(chain_scenario(26, {"class": "reserved", "reserve_mbps": 1}),
+                 "flow f: seg0_len out of range for 7-bit field: 130", id="reserved-26-ases"),
+    pytest.param(exact_rate(packet_bytes=70_000),
+                 "flow victim: pkt_len 70000 does not fit 16 bits", id="packet-70000-bytes"),
+    pytest.param(exact_rate(stop_s=700),
+                 r"flow victim: reservation \[\d+, \d+\] not active", id="sends-past-window"),
+    pytest.param(exact_rate(start_s=650, stop_s=651),
+                 r"flow victim: reservation \[\d+, \d+\] not active", id="starts-past-window"),
+    pytest.param(chain_scenario(2, {"class": "best_effort", "start_s": 2.6e9, "stop_s": 2.6e9 + 1},
+                                duration_s=2.7e9, market={"window_s": 2_700_000_000}),
+                 "flow f: clock beyond 32-bit unix seconds", id="clock-past-2106"),
+    pytest.param(victim_sharing_at_as_4(),
+                 r"flow victim: reservation interfaces \(\d+, \d+\) do not match hop",
+                 id="credential-for-other-interfaces"),
+]
+
+
 def mini_scenario(**overrides):
     scenario = {
         "name": "mini",
@@ -353,6 +406,11 @@ class TestSchemaRejections:
         )
         self.run_invalid(scenario, "replays_flow")
 
+    def test_one_replayer_per_as(self):
+        scenario = load_scenario("replay_shared")
+        scenario["flows"].append(dict(scenario["flows"][2], name="copycat"))
+        self.run_invalid(scenario, "^flow copycat: AS 3 already has replayer replayer$")
+
     def test_bad_expect_op(self):
         scenario = mini_scenario()
         scenario["expect"] = [{"metric": "flows.res.offered_packets", "op": "~", "value": 1}]
@@ -378,6 +436,12 @@ class TestSchemaRejections:
         scenario = mini_scenario()
         scenario["flows"][0]["packet_bytes"] = 40
         with pytest.raises(ScenarioError, match="header"):
+            Network(scenario, 1)
+
+    @pytest.mark.parametrize("scenario, match", UNBUILDABLE)
+    def test_packet_the_source_refuses(self, scenario, match):
+        validate_scenario(scenario)
+        with pytest.raises(ScenarioError, match=f"^{match}"):
             Network(scenario, 1)
 
 
@@ -565,7 +629,9 @@ class TestAgainstOracles:
         monkeypatch.setattr(sim, "process_packet", checked_process)
         monkeypatch.setattr(sim, "build_packet", checked_build)
         scenario = load_scenario(name)
-        report = run_scenario(scenario, 1)
+        network = Network(scenario, 1)
+        calls.clear()  # set-up builds each sender's last packet; count the run's
+        report = network.run()
         assert check_expectations(report, scenario) == []
         # replay_shared: priority and over-budget hops; forgery: forged tags
         # on paths rebuilt with their plan's hop table, all refused at the
