@@ -38,11 +38,14 @@ from .wire import (
     InfoField,
     Packet,
     PathMetaHdr,
+    PktLenOverflow,
     WireError,
     decode_packet,
     encode_packet,
+    header_words,
     mac_input_block,
     pack_resinfo,
+    pkt_len_for_mac,
 )
 
 NS_PER_S = 1_000_000_000
@@ -126,7 +129,7 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
     meta, infos, hops = path.meta, path.infos, path.hops
     base, millis, counter = meta.base_timestamp, meta.millis_timestamp, meta.counter
     try:
-        table = starts, segments = path.layout()
+        table = starts, segments = path.hop_table()
         hop_index = starts.index(meta.curr_hf)
     except (WireError, ValueError):
         return _DROP[Reason.PARSE_ERROR], packet
@@ -150,9 +153,9 @@ def process_packet(cfg: RouterConfig, packet: Packet) -> tuple[ForwardDecision, 
     if first.flyover:
         ingress, egress, res_id, bw = first.cons_ingress, first.cons_egress, first.res_id, first.bw
         start_offset, duration = first.res_start_offset, first.res_duration
-        # PktLen: prefix and meta header (6 words), 2 per info field, the hops.
-        pkt_len = packet.payload_len + 4 * (6 + 2 * len(infos) + starts[-1])
-        if pkt_len >= 1 << 16:
+        try:
+            pkt_len = pkt_len_for_mac(packet.payload_len, header_words(len(infos), starts[-1]))
+        except PktLenOverflow:
             return _DROP[Reason.PKT_LEN_OVERFLOW], packet
         res_start = (base - start_offset) % (1 << 32)
         # The packet's own A_K, from the hop's fields: the one cipher a hop builds.

@@ -420,6 +420,8 @@ def validate_scenario(scenario: dict) -> dict:
         src, dst = link = entry["from"], entry["to"]
         if not as_ids.issuperset(link):
             raise ScenarioError(f"link {src}->{dst} has an end that is not a declared AS")
+        if src == dst:
+            raise ScenarioError(f"link {src}->{dst} connects AS {src} to itself")
         if link in links:
             raise ScenarioError(f"duplicate link {src}->{dst}")
         links.add(link)
@@ -438,6 +440,9 @@ def validate_scenario(scenario: dict) -> dict:
         spec.update(_checked(extra, spec, ("scenario.flows", i), out))
         if _reserves(spec):
             spec.update(_checked("reservation", spec, ("scenario.flows", i), out))
+            if len(set(path)) < len(path):  # a flow holds one credential per AS
+                twice = next(hop for j, hop in enumerate(path) if hop in path[:j])
+                raise ScenarioError(f"flow {name}: path visits AS {twice} twice")
         for hop in path:
             if hop not in as_ids:
                 raise ScenarioError(f"flow {name}: path AS {hop} not declared")
@@ -799,7 +804,7 @@ class Network:
                 replace(h, mac=flow.rng.randbytes(6)) if h.flyover else h
                 for h in path.hops
             )
-            path = HummingbirdPath.laid_out(path.meta, path.infos, hops, path.layout())
+            path = HummingbirdPath.laid_out(path.meta, path.infos, hops, path.hop_table())
             packet = replace(packet, path=path)
         transit = _Transit(flow, packet, self.sim.now, flow.wire_bytes)
         flow.stats.offered_packets += 1

@@ -21,11 +21,6 @@ from typing import Callable
 
 from . import crypto
 from .wire import (
-    FLYOVER_HOP_LEN,
-    HOP_LEN,
-    INFO_LEN,
-    META_LEN,
-    PACKET_PREFIX_LEN,
     FlyoverHopField,
     HopField,
     HummingbirdPath,
@@ -35,6 +30,7 @@ from .wire import (
     ReservationInfo,
     WireError,
     encode_packet,
+    header_words,
     mac_input_block,
     pkt_len_for_mac,
 )
@@ -161,12 +157,12 @@ class CounterState:
 
 def header_bytes(plan: PathPlan) -> int:
     """Header size, prefix and path, of every packet built from plan."""
-    hop_bytes = sum(
-        FLYOVER_HOP_LEN if hop_plan.reservation else HOP_LEN
+    hop_words = sum(
+        FlyoverHopField.words if hop_plan.reservation else HopField.words
         for segment in plan.segments
         for hop_plan in segment.hops
     )
-    return PACKET_PREFIX_LEN + META_LEN + INFO_LEN * len(plan.segments) + hop_bytes
+    return 4 * header_words(len(plan.segments), hop_words)
 
 
 def build_packet(

@@ -14,10 +14,10 @@ and encode(decode(b)) == b on the valid domain; encoding is the one check
 of a whole packet.  Each record's layout is one precompiled `struct.Struct`,
 which range-checks every byte-aligned field on encode; decode checks only
 what field widths do not already guarantee.  Which word each hop starts at
-and which segment it belongs to is derived in one place, once per path,
-`HummingbirdPath.hop_table`: the source hands its plan's table to every
-packet it builds and the router its input's table to the path it forwards;
-decode and encode walk it afresh, as their layout checks.
+and which segment it belongs to is walked at most once per path object, by
+`HummingbirdPath.hop_table`.  A path built from one of the same seg_len and
+hop classes (a forwarded packet's input, a built packet's plan template) is
+handed its table, so encode's layout check reads what decode's walked.
 """
 
 from __future__ import annotations
@@ -321,36 +321,31 @@ class HummingbirdPath:
 
     The meta header's seg_len entries are authoritative for segment
     membership; hops must tile the declared word counts exactly.
-    `hop_table` is the one walk that derives the hop layout from them;
-    the layout check, the current hop and the router's cursor all read
-    its table, or the table `laid_out` handed the path.
+    `hop_table` derives the hop layout from them at most once per path
+    object, or returns the table `laid_out` handed it from a path of the
+    same seg_len and hop classes; `replace` or any other build walks anew.
     """
 
     meta: PathMetaHdr
     infos: tuple[InfoField, ...]
     hops: tuple[HopField, ...]
 
-    _table = None  # not a field: set only by laid_out
+    _table = None  # not a field, so eq, repr and replace ignore the kept table
 
     @classmethod
     def laid_out(cls, meta, infos, hops, table: tuple[list[int], list[int]]) -> HummingbirdPath:
-        """A path laid out as `table`: a path's of the same seg_len and hop sizes."""
+        """A path laid out as `table`, the walk of a path of the same seg_len and
+        hop classes (the router's input, a plan's template, a forged packet's own)."""
         path = object.__new__(cls)
         path.__dict__.update(meta=meta, infos=infos, hops=hops, _table=table)
         return path
 
-    def layout(self) -> tuple[list[int], list[int]]:
-        """The table this path object was handed, or else hop_table's walk."""
-        return self._table or self.hop_table()
-
-    def byte_length(self) -> int:
-        return META_LEN + INFO_LEN * len(self.infos) + _WORD * sum(h.words for h in self.hops)
-
     def hop_table(self) -> tuple[list[int], list[int]]:
-        """Each hop's start word plus the total, and each hop's segment.
-
-        Raises WireError unless the hops tile the seg_len word counts.
+        """Each hop's start word plus the total, and each hop's segment,
+        walked once and kept.  Raises WireError unless the hops tile seg_len.
         """
+        if self._table is not None:
+            return self._table
         seg_ends = list(accumulate(self.meta.seg_len[: self.meta.num_inf]))
         starts, segments, seg, word = [0], [], 0, 0
         end = seg_ends[0] if seg_ends else 0  # past the last segment: its end
@@ -367,7 +362,8 @@ class HummingbirdPath:
                 end = seg_ends[seg] if seg < len(seg_ends) else word
         if seg != len(seg_ends):
             raise WireError(f"hop fields do not tile segment {seg}")
-        return starts, segments
+        self.__dict__["_table"] = table = starts, segments
+        return table
 
     def _validate_layout(self) -> None:
         """The checks across fields; assumes each field is valid on its own."""
@@ -585,7 +581,7 @@ class Packet:
 
     @property
     def hdr_len(self) -> int:
-        return (PACKET_PREFIX_LEN + self.path.byte_length()) // _WORD
+        return header_words(len(self.path.infos), sum(hop.words for hop in self.path.hops))
 
     @property
     def wire_length(self) -> int:
@@ -598,6 +594,11 @@ class Packet:
         _check(self.payload_len, 16, "payload_len")
         if self.hdr_len > 0xFF:
             raise WireError(f"hdr_len {self.hdr_len} does not fit 8 bits")
+
+
+def header_words(num_inf: int, hop_words: int) -> int:
+    """HdrLen: the prefix and the meta header (3 words each), 2 per info field, the hops."""
+    return (PACKET_PREFIX_LEN + META_LEN + INFO_LEN * num_inf) // _WORD + hop_words
 
 
 def pkt_len_for_mac(payload_len: int, hdr_len: int) -> int:

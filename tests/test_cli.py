@@ -217,6 +217,35 @@ class TestRun:
         assert stderr.startswith("scenario error: flow victim: clock beyond 32-bit unix seconds")
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("links, path, message", [
+        ([(1, 1)], [1], "link 1->1 connects AS 1 to itself"),
+        ([(1, 2), (2, 1), (2, 3)], [1, 2, 1, 2, 3], "flow f: path visits AS 1 twice"),
+    ], ids=["self-link", "reserved-path-visits-an-as-twice"])
+    def test_link_or_path_set_up_cannot_serve_is_a_scenario_error(
+        self, capsys, tmp_path, links, path, message
+    ):
+        """A link whose ends are one AS, and a reserving flow that would need
+        two credentials from one AS: refused, not a set-up crash."""
+        scenario = {
+            "name": "revisits",
+            "duration_s": 1,
+            "market": {},
+            "topology": {
+                "ases": [{"id": i} for i in set(path)],
+                "links": [{"from": a, "to": b, "capacity_mbps": 10} for a, b in links],
+            },
+            "flows": [
+                {"name": "f", "class": "reserved", "path": path, "reserve_mbps": 1,
+                 "rate_mbps": 1, "packet_bytes": 1000}
+            ],
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario))
+        code, _, stderr = run_cli(capsys, "run", "--scenario", str(bad))
+        assert code == 2
+        assert stderr == f"scenario error: {message}\n"
+        assert "Traceback" not in stderr
+
     def test_scenario_is_validated_once(self, capsys, monkeypatch):
         calls = []
 

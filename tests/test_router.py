@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from hummingbird import crypto, router, source
+from hummingbird import crypto, router, source, wire
 from hummingbird.policing import TokenBucketArray
 from hummingbird.router import Reason, RouterConfig, Verdict, process_packet
 from hummingbird.wire import (
@@ -650,48 +650,60 @@ class TestFlatDecoder:
         [make_plan(pre=1, post=1), make_plan(reservation=None), boundary_plan(True)],
         ids=["flyover", "plain", "crossing"],
     )
-    def test_one_hop_table_walk_per_stage(self, monkeypatch, plan):
-        """Decode, router and encode each derive the hop layout once."""
-        walks = []
-        hop_table = HummingbirdPath.hop_table
-
-        def counted(self):
-            walks.append(self)
-            return hop_table(self)
-
+    def test_one_hop_table_walk_per_stage(self, walks, plan):
+        """Decode walks the hop layout; the router and encode read that walk."""
         raw = encode_packet(build(plan))
-        monkeypatch.setattr(HummingbirdPath, "hop_table", counted)
+        walks.clear()
         decision, out = router.process_packet_bytes(make_cfg(), raw)
         assert out is not None, decision
-        assert len(walks) <= 3
+        assert len(walks) == 1
+
+
+@pytest.fixture()
+def walks(monkeypatch):
+    """One entry per walk of a path's hops: each walk sums the declared
+    segment lengths once, with the wire module's `accumulate`."""
+    walked, accumulate = [], wire.accumulate
+
+    def counted(seg_len):
+        walked.append(seg_len)
+        return accumulate(seg_len)
+
+    monkeypatch.setattr(wire, "accumulate", counted)
+    return walked
 
 
 class TestHandedLayout:
     """A built packet's path carries its plan's hop table, and a forwarded
-    one its input's; a path built any other way walks its own."""
+    one its input's; a path built any other way walks its own, once."""
 
-    def test_built_and_forwarded_paths_walk_nothing(self, monkeypatch):
-        packet = build(make_plan(pre=1, post=1))
-        assert packet.path.layout() == packet.path.hop_table()
-        walks = []
-        hop_table = HummingbirdPath.hop_table
-        monkeypatch.setattr(HummingbirdPath, "hop_table", lambda path: walks.append(path))
+    def test_built_and_forwarded_paths_walk_nothing(self, walks):
+        """Flyover, plain and crossing hops, forwarded until no hop is left."""
         cfg = make_cfg()
-        for _ in range(3):
-            decision, packet = process_packet(cfg, packet)
-        assert decision.verdict is not Verdict.DROP
-        assert packet.path.meta.curr_hf == packet.path.layout()[0][-1]
-        assert walks == []
-        monkeypatch.setattr(HummingbirdPath, "hop_table", hop_table)
-        assert packet.path.layout() == packet.path.hop_table()
+        for plan in (make_plan(pre=1, post=1), make_plan(reservation=None), boundary_plan(True)):
+            packet = build(plan)
+            table = plan.fixed_part[-1]
+            walks.clear()
+            paths = [packet.path]
+            while True:
+                decision, packet = process_packet(cfg, packet)
+                if decision.verdict is Verdict.DROP:
+                    break
+                paths.append(packet.path)
+            assert decision.reason is Reason.NO_HOP
+            assert all(path.hop_table() is table for path in paths)
+            assert walks == []
+            assert all(path.hop_table() == replace(path).hop_table() for path in paths)
 
-    def test_path_rebuilt_with_replace_walks_its_own_layout(self):
+    def test_path_rebuilt_with_replace_walks_its_own_layout(self, walks):
         packet = build(make_plan(pre=1, post=1))
         path = packet.path
         hops = path.hops[:-1]
         meta = replace(path.meta, seg_len=(sum(hop.words for hop in hops), 0, 0))
         shorter = replace(path, meta=meta, hops=hops)
-        assert shorter.layout() == shorter.hop_table() != path.layout()
+        walks.clear()
+        assert shorter.hop_table() is shorter.hop_table() != path.hop_table()
+        assert len(walks) == 1
         # Hops that no longer tile seg_len: refused, not read by the plan's table.
         untiled = replace(packet, path=replace(path, hops=hops))
         decision, out = process_packet(make_cfg(), untiled)
