@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import defaultdict, deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from random import Random
@@ -43,6 +43,7 @@ from .ledger import (
     Call,
     Direction,
     Ledger,
+    LedgerError,
     Listing,
     PkiRoot,
     Result,
@@ -61,7 +62,7 @@ from .source import (
     build_packet,
     header_bytes,
 )
-from .wire import HummingbirdPath, Packet, ReservationInfo, WireError, quantize_bw
+from .wire import Packet, ReservationInfo, WireError, quantize_bw
 
 NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
@@ -200,32 +201,37 @@ class BorderAS:
     """One AS: a router per ingress interface plus shared keys and clock."""
 
     def __init__(self, as_id: int, sim: Simulator, rng: Random,
-                 clock_offset_ns: int, burst_ns: int):
+                 clock_offset_ns: int, burst_ns: int, min_bandwidth: int):
         self.as_id = as_id
         self.sim = sim
         self.clock_offset_ns = clock_offset_ns
         self.burst_ns = burst_ns
+        self.min_bandwidth = min_bandwidth
         self.sv = rng.randbytes(16)
         self.forwarding_key = rng.randbytes(16)
         self.forwarding_prf = crypto.Prf(self.forwarding_key)
         self.control = ASControlService(as_id, self.sv, rng)
-        self.routers: dict[int, RouterConfig] = {}
+        # Indexed by interface id: each interface's bit/s and its router.
+        self.capacities: list[int] = []
+        self.routers: list[RouterConfig] = []
         self.links: dict[int, Link] = {}  # next-hop AS id -> link
         self.egress_iface: dict[int, int] = {}  # next-hop AS id -> iface
         self.ingress_iface: dict[int, int] = {}  # previous AS id -> iface
-        self.network: "Network | None" = None
         self.replay: "Flow | None" = None  # the replayer at this AS
 
     def clock(self) -> int:
         return EPOCH_NS + self.sim.now + self.clock_offset_ns
 
-    def add_router(self, iface: int, policer_entries: int) -> None:
-        self.routers[iface] = RouterConfig(
+    def add_interface(self, capacity_bps: int) -> int:
+        """The id of a new interface, whose router polices capacity_bps."""
+        self.capacities.append(capacity_bps)
+        self.routers.append(RouterConfig(
             sv=self.sv,
             forwarding_key=self.forwarding_key,
-            policer=TokenBucketArray(policer_entries, self.burst_ns),
+            policer=TokenBucketArray(size_array(capacity_bps, self.min_bandwidth), self.burst_ns),
             clock=self.clock,
-        )
+        ))
+        return len(self.routers) - 1
 
     def receive(self, transit: _Transit, iface: int) -> None:
         decision, transit.packet = process_packet(self.routers[iface], transit.packet)
@@ -244,7 +250,14 @@ class BorderAS:
         transit.hop = hop = transit.hop + 1
         path = flow.path
         if hop == len(path):
-            self.network.delivered(transit)
+            stats = flow.stats
+            if transit.clean:
+                stats.priority_packets += 1
+                stats.priority_bytes += transit.wire_bytes
+            else:
+                stats.best_effort_packets += 1
+                stats.best_effort_bytes += transit.wire_bytes
+            flow.latencies_ns.append(self.sim.now - transit.sent_ns)
             return
         self.links[path[hop]].enqueue(transit, priority)
 
@@ -436,6 +449,8 @@ def validate_scenario(scenario: dict) -> dict:
             raise ScenarioError(f"flow {name}: unknown class {spec['class']!r}")
         if spec["class"] == "adversary" and kind not in ADVERSARY_KINDS:
             raise ScenarioError(f"flow {name}: unknown adversary kind {kind!r}")
+        if kind in ADVERSARY_KINDS and spec["class"] != "adversary":
+            raise ScenarioError(f"flow {name}: kind {kind!r} needs class adversary")
         extra = "replayer" if kind == "replay_on_reservation_set" else "sender"
         spec.update(_checked(extra, spec, ("scenario.flows", i), out))
         if _reserves(spec):
@@ -517,6 +532,8 @@ class Network:
         self.market = scenario["market"]
         self.host_capacity_bps = round(scenario["host_capacity_mbps"] * 1_000_000)
 
+        # Interface numbering: 0 is the host side; link endpoints count up
+        # from 1 in scenario order, one id per directed link end.
         self.ases: dict[int, BorderAS] = {}
         for entry in scenario["topology"]["ases"]:
             as_id = entry["id"]
@@ -526,28 +543,18 @@ class Network:
                 self._rng(f"as{as_id}"),
                 clock_offset_ns=round(entry["clock_offset_ms"] * NS_PER_MS),
                 burst_ns=round(scenario["burst_ms"] * NS_PER_MS),
+                min_bandwidth=self.market["min_bandwidth"],
             )
-            self.ases[as_id].network = self
+            self.ases[as_id].add_interface(self.host_capacity_bps)
 
-        # Interface numbering: 0 is the host side; link endpoints count up
-        # from 1 in scenario order, one id per directed link end.
-        iface_counter = {as_id: 0 for as_id in self.ases}
-        self.iface_capacity: dict[tuple[int, int], int] = {
-            (as_id, 0): self.host_capacity_bps for as_id in self.ases
-        }
-        links = []
+        self.links: dict[tuple[int, int], Link] = {}
         for entry in scenario["topology"]["links"]:
             src, dst = entry["from"], entry["to"]
             capacity = round(entry["capacity_mbps"] * 1_000_000)
-            iface_counter[src] += 1
-            iface_counter[dst] += 1
-            src_iface, dst_iface = iface_counter[src], iface_counter[dst]
-            self.ases[src].egress_iface[dst] = src_iface
-            self.ases[dst].ingress_iface[src] = dst_iface
-            self.iface_capacity[(src, src_iface)] = capacity
-            self.iface_capacity[(dst, dst_iface)] = capacity
+            self.ases[src].egress_iface[dst] = self.ases[src].add_interface(capacity)
+            self.ases[dst].ingress_iface[src] = dst_iface = self.ases[dst].add_interface(capacity)
             buffer_bytes = round(entry["be_buffer_ms"] * NS_PER_MS * capacity / (8 * NS_PER_S))
-            link = Link(
+            self.links[src, dst] = self.ases[src].links[dst] = Link(
                 self.sim,
                 self.ases[dst],
                 dst_iface,
@@ -555,23 +562,12 @@ class Network:
                 round(entry["delay_ms"] * NS_PER_MS),
                 buffer_bytes,
             )
-            self.ases[src].links[dst] = link
-            links.append(((src, dst), link))
-        self.links = dict(links)
-
-        entries_for = lambda as_id, iface: size_array(
-            self.iface_capacity[(as_id, iface)], self.market["min_bandwidth"]
-        )
-        for as_id, border in self.ases.items():
-            for iface in range(iface_counter[as_id] + 1):
-                border.add_router(iface, entries_for(as_id, iface))
 
         self.flows: dict[str, Flow] = {}
         for spec in scenario["flows"]:
             flow = Flow(spec, self._rng(f"flow:{spec['name']}"))
             self.flows[flow.name] = flow
 
-        self.hop_counts = {name: flow.hop_counts for name, flow in self.flows.items()}
         self._setup_ledger()
         self._setup_plans()
 
@@ -604,15 +600,14 @@ class Network:
             cert = root.issue_cert(as_id, ident.public_key)
             token = self.ledger.register_as(account, cert, ident.proof_of_key(account))
             self.ledger.register_seller(account)
-            ifaces = sorted(
-                iface for (a, iface) in self.iface_capacity if a == as_id
-            )
-            for iface in ifaces:
+            for iface, capacity in enumerate(self.ases[as_id].capacities):
+                if capacity < self.market["min_bandwidth"]:
+                    continue  # too slow to sell: its traffic runs best effort
                 for direction in (Direction.INGRESS, Direction.EGRESS):
                     asset = self.ledger.issue(
                         account,
                         token,
-                        bandwidth=self.iface_capacity[(as_id, iface)],
+                        bandwidth=capacity,
                         start_time=start,
                         expiration_time=end,
                         interface=iface,
@@ -625,38 +620,39 @@ class Network:
                     )
 
         for entry in self.scenario["buyouts"]:
-            self._buy_out_as(entry["account"], entry["as"])
+            account, as_id = entry["account"], entry["as"]
+            try:
+                self._buy_out_as(account, as_id)
+            except LedgerError as exc:
+                raise ScenarioError(f"buyout of AS {as_id} by {account!r}: {exc}") from exc
 
         for flow in self.flows.values():
             if _reserves(flow.spec):
-                self._reserve_for_flow(flow)
+                try:
+                    self._reserve_for_flow(flow)
+                except LedgerError as exc:
+                    raise ScenarioError(f"flow {flow.name}: {exc}") from exc
 
-    def _covering_listings(self) -> dict[tuple, list[tuple[Listing, int]]]:
-        """Each open listing whose asset spans the market window, with the
-        asset's bandwidth, by (AS, interface, direction)."""
-        start, end = self.window
-        covering = {}
+    def _listings(self) -> dict[tuple, tuple[Listing, int]]:
+        """Each open listing, with its asset's bandwidth, by (AS, interface,
+        direction).  Every purchase here spans the market window, so a
+        resource has at most one open listing, and it spans the window."""
+        listings = {}
         for listing in self.ledger.open_listings():
             asset = self.ledger.asset(listing.asset_id)
-            if asset.start_time <= start and asset.expiration_time >= end:
-                key = (asset.as_id, asset.interface, asset.direction)
-                covering.setdefault(key, []).append((listing, asset.bandwidth))
-        return covering
+            listings[asset.as_id, asset.interface, asset.direction] = (listing, asset.bandwidth)
+        return listings
 
-    def _find_listing(self, covering: dict, as_id: int, iface: int,
+    def _find_listing(self, listings: dict, as_id: int, iface: int,
                       direction: Direction, bandwidth: int) -> Listing:
-        """The covering listing with the lowest id that has bandwidth."""
-        candidates = [
-            listing
-            for listing, available in covering.get((as_id, iface, direction), ())
-            if available >= bandwidth
-        ]
-        if not candidates:
+        """The resource's open listing, if it has bandwidth."""
+        listing, available = listings.get((as_id, iface, direction), (None, 0))
+        if available < bandwidth:
             raise ScenarioError(
                 f"no listing covers AS {as_id} iface {iface} {direction.value} "
                 f"{bandwidth} bit/s over {self.window}"
             )
-        return min(candidates, key=lambda l: l.listing_id)
+        return listing
 
     def _hop_interfaces(self, path: list[int], index: int) -> tuple[int, int]:
         as_id = path[index]
@@ -676,15 +672,15 @@ class Network:
         priv, pub = sealing_keypair(flow.rng)
 
         # Nothing changes the listings before the block below runs.
-        covering = self._covering_listings()
+        listings = self._listings()
         calls = []
         own_hops = []
         for index, as_id in enumerate(flow.path):
             if as_id in share:
                 continue
             ingress, egress = self._hop_interfaces(flow.path, index)
-            l_in = self._find_listing(covering, as_id, ingress, Direction.INGRESS, bandwidth)
-            l_eg = self._find_listing(covering, as_id, egress, Direction.EGRESS, bandwidth)
+            l_in = self._find_listing(listings, as_id, ingress, Direction.INGRESS, bandwidth)
+            l_eg = self._find_listing(listings, as_id, egress, Direction.EGRESS, bandwidth)
             want = dict(start_time=start, expiration_time=end, bandwidth=bandwidth)
             base = len(calls)
             calls.append(Call("buy", (flow.account, l_in.listing_id), dict(want)))
@@ -782,30 +778,12 @@ class Network:
             ),
         )
 
-    def delivered(self, transit: _Transit) -> None:
-        stats = transit.flow.stats
-        if transit.clean:
-            stats.priority_packets += 1
-            stats.priority_bytes += transit.wire_bytes
-        else:
-            stats.best_effort_packets += 1
-            stats.best_effort_bytes += transit.wire_bytes
-        transit.flow.latencies_ns.append(self.sim.now - transit.sent_ns)
-
     def host_clock(self) -> int:
         """What a sending host reads: unix ns, with no skew."""
         return EPOCH_NS + self.sim.now
 
     def _emit(self, flow: Flow) -> None:
         packet = build_packet(flow.plan, flow.payload_len, self.host_clock, flow.counter)
-        if flow.kind == "tag_forgery":
-            path = packet.path
-            hops = tuple(
-                replace(h, mac=flow.rng.randbytes(6)) if h.flyover else h
-                for h in path.hops
-            )
-            path = HummingbirdPath.laid_out(path.meta, path.infos, hops, path.hop_table())
-            packet = replace(packet, path=path)
         transit = _Transit(flow, packet, self.sim.now, flow.wire_bytes)
         flow.stats.offered_packets += 1
         flow.stats.offered_bytes += transit.wire_bytes
@@ -870,9 +848,9 @@ class Network:
                 ),
             }
         hops = {
-            flow: {str(as_id): dict(sorted(counts.items()))
-                   for as_id, counts in sorted(per_flow.items())}
-            for flow, per_flow in sorted(self.hop_counts.items())
+            name: {str(as_id): dict(sorted(counts.items()))
+                   for as_id, counts in sorted(flow.hop_counts.items())}
+            for name, flow in sorted(self.flows.items())
         }
         links = {
             f"{src}->{dst}": asdict(link.stats) for (src, dst), link in sorted(self.links.items())

@@ -20,6 +20,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def corrupted_file(tmp_path, name, where, value):
+    """Bundled scenario `name` with the field at key path `where` set to
+    `value`, written to a file."""
+    scenario = json.loads(bundled_scenarios()[name])
+    *parents, key = where
+    record = scenario
+    for step in parents:
+        record = record[step]
+    record[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scenario))
+    return bad
+
+
 @pytest.fixture()
 def decision_case():
     return json.loads(vectors.generate()["decisions.json"])["cases"][0]
@@ -169,14 +183,7 @@ class TestRun:
     def test_corrupted_field_is_a_scenario_error(
         self, capsys, tmp_path, bounded_policer, name, where, value
     ):
-        scenario = json.loads(bundled_scenarios()[name])
-        *parents, key = where
-        record = scenario
-        for step in parents:
-            record = record[step]
-        record[key] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(scenario))
+        bad = corrupted_file(tmp_path, name, where, value)
         code, _, stderr = run_cli(capsys, "run", "--scenario", str(bad))
         assert code == 2
         assert stderr.startswith("scenario error: ")
@@ -245,6 +252,42 @@ class TestRun:
         assert code == 2
         assert stderr == f"scenario error: {message}\n"
         assert "Traceback" not in stderr
+
+    def test_best_effort_over_an_interface_too_slow_to_sell_runs(self, capsys, tmp_path):
+        """A link below the market's min_bandwidth gets no listing, and
+        nothing that runs best effort over it needs one."""
+        scenario = {
+            "name": "slow",
+            "duration_s": 0.1,
+            "topology": {
+                "ases": [{"id": 1}, {"id": 2}],
+                "links": [{"from": 1, "to": 2, "capacity_mbps": 0.5}],
+            },
+            "flows": [
+                {"name": "f", "class": "best_effort", "path": [1, 2], "rate_mbps": 0.1,
+                 "packet_bytes": 500}
+            ],
+        }
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(scenario))
+        code, stdout, stderr = run_cli(capsys, "run", "--scenario", str(path))
+        assert (code, stderr) == (0, "")
+        assert "all assertions passed" in stdout
+
+    @pytest.mark.parametrize("name, where, value, message", [
+        ("exact_rate", ("flows", 0, "reserve_mbps"), 99.5,
+         "flow victim: purchase would strand 500000 bit/s below minimum 1000000"),
+        ("exact_rate", ("funding",), 10, "flow victim: 'victim' has 10, needs 3000000000"),
+        ("starvation", ("funding",), 5,
+         "buyout of AS 2 by 'hoarder': 'hoarder' has 5, needs 6000000000000"),
+    ], ids=["stranding-reservation", "flow-cannot-pay", "buyout-cannot-pay"])
+    def test_market_refusal_at_set_up_is_a_scenario_error(
+        self, capsys, tmp_path, name, where, value, message
+    ):
+        bad = corrupted_file(tmp_path, name, where, value)
+        code, _, stderr = run_cli(capsys, "run", "--scenario", str(bad))
+        assert code == 2
+        assert stderr == f"scenario error: {message}\n"
 
     def test_scenario_is_validated_once(self, capsys, monkeypatch):
         calls = []

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from hummingbird import cli, sim
+from hummingbird.ledger import Direction
+from hummingbird.policing import size_array
 from hummingbird.router import Reason, RouterConfig, process_packet
 from hummingbird.source import build_packet
 from hummingbird.sim import (
@@ -280,44 +282,49 @@ class TestReservationUse:
         ):
             Network(scenario, 3)
 
-    @pytest.mark.parametrize("name", ["exact_rate", "starvation"])
-    def test_listing_search_picks_the_lowest_covering_id(self, name):
-        """Against a scan of every open listing, as set-up did per hop
-        before it indexed them once per flow."""
+    def test_reservation_across_an_interface_too_slow_to_sell_is_refused(self):
+        scenario = mini_scenario()
+        scenario["topology"]["links"][0]["capacity_mbps"] = 0.5  # below min_bandwidth
+        with pytest.raises(ScenarioError, match=r"^no listing covers AS 1 iface 1 egress "):
+            Network(scenario, 3)
+
+    @pytest.mark.parametrize("name", list(bundled_scenarios()))
+    def test_each_resource_has_at_most_one_open_listing_over_the_window(self, name):
+        """Every purchase at set-up spans the market window, so the open
+        listings map one-to-one onto (AS, interface, direction): the fact
+        that lets set-up find a resource's listing by its key alone."""
         net = Network(load_scenario(name), 1)
-        start, end = net.window
-        # Resell half of each listing that spans the window, so that some
-        # keys have two covering listings.
-        led, buyer = net.ledger, sorted(f.account for f in net.flows.values())[0]
-        led.register_seller(buyer)
-        for listing in led.open_listings():
-            asset = led.asset(listing.asset_id)
-            if asset.start_time <= start and asset.expiration_time >= end:
-                half = led.buy(buyer, listing, start_time=asset.start_time,
-                               expiration_time=asset.expiration_time, bandwidth=asset.bandwidth // 2)
-                led.create_listing(buyer, half, 1)
-        covering = net._covering_listings()
-        listed = [(l.listing_id, net.ledger.asset(l.asset_id)) for l in net.ledger.open_listings()]
-        found = several = 0
-        for as_id, iface, direction in {(a.as_id, a.interface, a.direction) for _, a in listed}:
-            for bandwidth in {a.bandwidth for _, a in listed} | {1, 10**15}:
-                scanned = [
-                    listing_id
-                    for listing_id, a in listed
-                    if (a.as_id, a.interface, a.direction) == (as_id, iface, direction)
-                    and a.start_time <= start
-                    and a.expiration_time >= end
-                    and a.bandwidth >= bandwidth
-                ]
-                if scanned:
-                    found += 1
-                    several += len(scanned) > 1
-                    listing = net._find_listing(covering, as_id, iface, direction, bandwidth)
-                    assert listing.listing_id == min(scanned)
-                else:
-                    with pytest.raises(ScenarioError, match="no listing covers"):
-                        net._find_listing(covering, as_id, iface, direction, bandwidth)
-        assert found >= 6 and several >= 3
+        listed = [(l, net.ledger.asset(l.asset_id)) for l in net.ledger.open_listings()]
+        keys = {(a.as_id, a.interface, a.direction) for _, a in listed}
+        assert len(keys) == len(listed)
+        assert all((a.start_time, a.expiration_time) == net.window for _, a in listed)
+        listings = net._listings()
+        for listing, asset in listed:
+            key = (asset.as_id, asset.interface, asset.direction)
+            for bandwidth in (1, asset.bandwidth // 2, asset.bandwidth):
+                assert net._find_listing(listings, *key, bandwidth) == listing
+            with pytest.raises(ScenarioError, match="no listing covers"):
+                net._find_listing(listings, *key, asset.bandwidth + 1)
+        unlisted = {
+            (as_id, iface, direction)
+            for as_id, border in net.ases.items()
+            for iface in range(len(border.capacities))
+            for direction in Direction
+        } - keys
+        for key in unlisted:
+            with pytest.raises(ScenarioError, match="no listing covers"):
+                net._find_listing(listings, *key, 1)
+        # Only starvation's bought-out AS has resources without a listing.
+        assert {as_id for as_id, *_ in unlisted} == ({2} if name == "starvation" else set())
+
+    @pytest.mark.parametrize("name", list(bundled_scenarios()))
+    def test_one_interface_list_sizes_each_router(self, name):
+        net = Network(load_scenario(name), 1)
+        for border in net.ases.values():
+            assert len(border.routers) == len(border.capacities)
+            assert border.capacities[0] == net.host_capacity_bps
+            for router, capacity in zip(border.routers, border.capacities):
+                assert len(router.policer) == size_array(capacity, net.market["min_bandwidth"])
 
 
 class TestSchemaRejections:
@@ -343,6 +350,17 @@ class TestSchemaRejections:
         scenario["flows"][1]["class"] = "adversary"
         scenario["flows"][1]["kind"] = "ddos"
         self.run_invalid(scenario, "unknown adversary kind")
+
+    @pytest.mark.parametrize("kind", sim.ADVERSARY_KINDS)
+    def test_adversary_kind_needs_class_adversary(self, kind):
+        scenario = mini_scenario()
+        scenario["flows"][1]["kind"] = kind
+        self.run_invalid(scenario, f"^flow be: kind '{kind}' needs class adversary$")
+
+    def test_other_kind_on_a_non_adversary_flow_is_a_label(self):
+        scenario = mini_scenario()
+        scenario["flows"][1]["kind"] = "bulk"
+        assert validate_scenario(scenario)["flows"][1]["kind"] == "bulk"
 
     def test_path_without_link(self):
         scenario = mini_scenario()
@@ -597,6 +615,21 @@ class TestBundledScenarios:
         assert check_expectations(report, scenario) == []
         digest = hashlib.sha256(report_json(report).encode()).hexdigest()
         assert digest == self.PINNED_REPORTS[name]
+
+    # sha256 of report_json for the benchmark's sim_contended scenario
+    # (perfbench/sim_contended.py), by seed.
+    PINNED_BENCHMARK_REPORTS = {
+        1: "af9d934b3c15cb5c6bec4b0c969241a77417b5550c3c49b6e1d87d7ad9df534d",
+        5: "ab27c33097c54ca2829f63b6be5af44ff49b46417a63bcc39e22167b64347a44",
+    }
+
+    @pytest.mark.parametrize("seed", list(PINNED_BENCHMARK_REPORTS))
+    def test_benchmark_scenario_reports_are_pinned(self, seed, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        scenario = importlib.import_module("sim_contended").make_scenario(seed)
+        report = Network(scenario, seed).run()
+        digest = hashlib.sha256(report_json(report).encode()).hexdigest()
+        assert digest == self.PINNED_BENCHMARK_REPORTS[seed]
 
     # sha256 of `hummingbird ledger-demo --format records` at seed 1729.
     # Every line carries its op's state hash, so this pins the digest of
