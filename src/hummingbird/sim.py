@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import defaultdict, deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -60,7 +61,6 @@ from .source import (
     SegmentPlan,
     SourceError,
     build_packet,
-    header_bytes,
 )
 from .wire import Packet, ReservationInfo, WireError, quantize_bw
 
@@ -290,6 +290,7 @@ class Flow:
         self.spec = spec
         self.rng = rng
         self.path: list[int] = list(spec["path"])
+        self.route: list[tuple[int, int, int]] = []  # each hop's (AS, ingress, egress)
         self.account = spec["account"]
         self.kind = spec["kind"]
         self.stats = FlowStats()
@@ -438,13 +439,13 @@ def validate_scenario(scenario: dict) -> dict:
         if link in links:
             raise ScenarioError(f"duplicate link {src}->{dst}")
         links.add(link)
-    names, packets = set(), {}  # a flow's name -> at most how many packets it sends
+    paths = {}  # an earlier flow's name -> its path
+    packets = {}  # a flow's name -> at most how many packets it sends
     replayers = {}  # AS id -> the name of the one replayer there
     for i, spec in enumerate(out["flows"]):
         name, kind, path = spec["name"], spec["kind"], spec["path"]
-        if name in names:
+        if name in paths:
             raise ScenarioError(f"duplicate flow name {name!r}")
-        names.add(name)
         if spec["class"] not in ("reserved", "best_effort", "adversary"):
             raise ScenarioError(f"flow {name}: unknown class {spec['class']!r}")
         if spec["class"] == "adversary" and kind not in ADVERSARY_KINDS:
@@ -467,10 +468,13 @@ def validate_scenario(scenario: dict) -> dict:
         if kind == "replay_on_reservation_set":
             if spec["at_as"] not in path:
                 raise ScenarioError(f"flow {name}: at_as {spec['at_as']} not on path")
-            if spec["replays_flow"] not in names:
+            replayed = spec["replays_flow"]
+            if replayed not in paths:
                 raise ScenarioError(
-                    f"flow {name}: replays_flow {spec['replays_flow']!r} must be declared earlier"
+                    f"flow {name}: replays_flow {replayed!r} must be declared earlier"
                 )
+            if path != paths[replayed]:  # its copies go on along the replayed flow's path
+                raise ScenarioError(f"flow {name}: path {path} is not the path of {replayed!r}")
             if spec["at_as"] in replayers:
                 raise ScenarioError(
                     f"flow {name}: AS {spec['at_as']} already has replayer {replayers[spec['at_as']]}"
@@ -478,7 +482,7 @@ def validate_scenario(scenario: dict) -> dict:
             replayers[spec["at_as"]] = name
             if spec["multiplicity"] > MAX_MULTIPLICITY:
                 raise ScenarioError(f"flow {name}: multiplicity above {MAX_MULTIPLICITY}")
-            packets[name] = spec["multiplicity"] * packets.get(spec["replays_flow"], 0)
+            packets[name] = spec["multiplicity"] * packets[replayed]
         else:
             start_ns, interval_ns, stop_ns = _schedule(spec)
             if interval_ns < 1:
@@ -487,8 +491,9 @@ def validate_scenario(scenario: dict) -> dict:
         for shared_as, source in spec["share"].items():
             if not (str(shared_as).isdecimal() and int(shared_as) in path):
                 raise ScenarioError(f"flow {name}: shared AS {shared_as} not on path")
-            if type(source) is not str or source not in names - {name}:
+            if type(source) is not str or source not in paths:
                 raise ScenarioError(f"flow {name}: share source {source!r} is no earlier flow")
+        paths[name] = path
     if sum(packets.values()) > MAX_PACKETS:
         raise ScenarioError(f"flows send up to {sum(packets.values())} packets, max {MAX_PACKETS}")
     for entry in out["buyouts"]:
@@ -518,6 +523,16 @@ def validate_scenario(scenario: dict) -> dict:
         if expect["op"] not in _OPS:
             raise ScenarioError(f"unknown expect op {expect['op']!r}")
     return out
+
+
+@contextmanager
+def _refused_at(where: str):
+    """Set-up of `where` (an AS, a buyout or a flow): what the ledger, the
+    source, the codec or the scenario refuses there is a scenario error."""
+    try:
+        yield
+    except (LedgerError, SourceError, WireError, ScenarioError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 class Network:
@@ -563,9 +578,14 @@ class Network:
                 buffer_bytes,
             )
 
+        # Interface 0 is the host side at either end of a flow's route.
         self.flows: dict[str, Flow] = {}
         for spec in scenario["flows"]:
             flow = Flow(spec, self._rng(f"flow:{spec['name']}"))
+            links = list(zip(flow.path, flow.path[1:]))
+            ingress = [0, *(self.ases[b].ingress_iface[a] for a, b in links)]
+            egress = [*(self.ases[a].egress_iface[b] for a, b in links), 0]
+            flow.route = list(zip(flow.path, ingress, egress))
             self.flows[flow.name] = flow
 
         self._setup_ledger()
@@ -595,43 +615,38 @@ class Network:
         end = start + window
         self.window = (start, end)
         for as_id in sorted(self.ases):
-            account = f"as{as_id}-ops"
-            ident = AsIdentity(as_id, self._rng(f"as{as_id}:ident"))
-            cert = root.issue_cert(as_id, ident.public_key)
-            token = self.ledger.register_as(account, cert, ident.proof_of_key(account))
-            self.ledger.register_seller(account)
-            for iface, capacity in enumerate(self.ases[as_id].capacities):
-                if capacity < self.market["min_bandwidth"]:
-                    continue  # too slow to sell: its traffic runs best effort
-                for direction in (Direction.INGRESS, Direction.EGRESS):
-                    asset = self.ledger.issue(
-                        account,
-                        token,
-                        bandwidth=capacity,
-                        start_time=start,
-                        expiration_time=end,
-                        interface=iface,
-                        direction=direction,
-                        time_granularity=self.market["granularity_s"],
-                        min_bandwidth=self.market["min_bandwidth"],
-                    )
-                    self.ledger.create_listing(
-                        account, asset, self.market["unit_price"]
-                    )
+            with _refused_at(f"AS {as_id}"):
+                account = f"as{as_id}-ops"
+                ident = AsIdentity(as_id, self._rng(f"as{as_id}:ident"))
+                cert = root.issue_cert(as_id, ident.public_key)
+                token = self.ledger.register_as(account, cert, ident.proof_of_key(account))
+                self.ledger.register_seller(account)
+                for iface, capacity in enumerate(self.ases[as_id].capacities):
+                    if capacity < self.market["min_bandwidth"]:
+                        continue  # too slow to sell: its traffic runs best effort
+                    for direction in (Direction.INGRESS, Direction.EGRESS):
+                        asset = self.ledger.issue(
+                            account,
+                            token,
+                            bandwidth=capacity,
+                            start_time=start,
+                            expiration_time=end,
+                            interface=iface,
+                            direction=direction,
+                            time_granularity=self.market["granularity_s"],
+                            min_bandwidth=self.market["min_bandwidth"],
+                        )
+                        self.ledger.create_listing(account, asset, self.market["unit_price"])
 
         for entry in self.scenario["buyouts"]:
             account, as_id = entry["account"], entry["as"]
-            try:
+            with _refused_at(f"buyout of AS {as_id} by {account!r}"):
                 self._buy_out_as(account, as_id)
-            except LedgerError as exc:
-                raise ScenarioError(f"buyout of AS {as_id} by {account!r}: {exc}") from exc
 
         for flow in self.flows.values():
             if _reserves(flow.spec):
-                try:
+                with _refused_at(f"flow {flow.name}"):
                     self._reserve_for_flow(flow)
-                except LedgerError as exc:
-                    raise ScenarioError(f"flow {flow.name}: {exc}") from exc
 
     def _listings(self) -> dict[tuple, tuple[Listing, int]]:
         """Each open listing, with its asset's bandwidth, by (AS, interface,
@@ -654,16 +669,6 @@ class Network:
             )
         return listing
 
-    def _hop_interfaces(self, path: list[int], index: int) -> tuple[int, int]:
-        as_id = path[index]
-        ingress = 0 if index == 0 else self.ases[as_id].ingress_iface[path[index - 1]]
-        egress = (
-            0
-            if index == len(path) - 1
-            else self.ases[as_id].egress_iface[path[index + 1]]
-        )
-        return ingress, egress
-
     def _reserve_for_flow(self, flow: Flow) -> None:
         """Buy, redeem, and decrypt credentials for every hop of the path."""
         share = {int(k): v for k, v in flow.spec["share"].items()}
@@ -675,10 +680,9 @@ class Network:
         listings = self._listings()
         calls = []
         own_hops = []
-        for index, as_id in enumerate(flow.path):
+        for as_id, ingress, egress in flow.route:
             if as_id in share:
                 continue
-            ingress, egress = self._hop_interfaces(flow.path, index)
             l_in = self._find_listing(listings, as_id, ingress, Direction.INGRESS, bandwidth)
             l_eg = self._find_listing(listings, as_id, egress, Direction.EGRESS, bandwidth)
             want = dict(start_time=start, expiration_time=end, bandwidth=bandwidth)
@@ -698,9 +702,7 @@ class Network:
         for as_id, other in share.items():
             donor = self.flows[other]
             if as_id not in donor.credentials:
-                raise ScenarioError(
-                    f"flow {flow.name}: {other!r} has no credential at AS {as_id}"
-                )
+                raise ScenarioError(f"{other!r} has no credential at AS {as_id}")
             flow.credentials[as_id] = donor.credentials[as_id]
 
     def _buy_out_as(self, account: str, as_id: int) -> None:
@@ -728,34 +730,31 @@ class Network:
         for flow in self.flows.values():
             if flow.kind == "replay_on_reservation_set":
                 continue
-            flow.plan = self._build_plan(flow)
-            overhead = header_bytes(flow.plan)
-            flow.payload_len = flow.spec["packet_bytes"] - overhead
-            if flow.payload_len < 0:
-                raise ScenarioError(
-                    f"flow {flow.name}: packet_bytes {flow.spec['packet_bytes']} "
-                    f"smaller than the {overhead} byte header"
-                )
-            flow.wire_bytes = flow.spec["packet_bytes"]
-            start_ns, interval_ns, stop_ns = _schedule(flow.spec)
-            if start_ns < stop_ns:
-                last_ns = stop_ns - 1 - (stop_ns - 1 - start_ns) % interval_ns
-                try:
+            with _refused_at(f"flow {flow.name}"):
+                flow.plan = self._build_plan(flow)
+                overhead = 4 * flow.plan.fixed_part[1]  # hdr_len counts 4-byte words
+                flow.payload_len = flow.spec["packet_bytes"] - overhead
+                if flow.payload_len < 0:
+                    raise ScenarioError(
+                        f"packet_bytes {flow.spec['packet_bytes']} "
+                        f"smaller than the {overhead} byte header"
+                    )
+                flow.wire_bytes = flow.spec["packet_bytes"]
+                start_ns, interval_ns, stop_ns = _schedule(flow.spec)
+                if start_ns < stop_ns:
+                    last_ns = stop_ns - 1 - (stop_ns - 1 - start_ns) % interval_ns
                     build_packet(flow.plan, flow.payload_len, lambda: EPOCH_NS + last_ns,
                                  CounterState())
-                except (SourceError, WireError) as exc:
-                    raise ScenarioError(f"flow {flow.name}: {exc}") from exc
 
     def _build_plan(self, flow: Flow) -> PathPlan:
         seg_id = flow.rng.randrange(1 << 16)
         info_ts = EPOCH_S - 3600
-        interfaces = [self._hop_interfaces(flow.path, i) for i in range(len(flow.path))]
         macs = crypto.segment_hop_macs(seg_id, info_ts, [
-            (self.ases[as_id].forwarding_prf, 255, *ifaces)
-            for as_id, ifaces in zip(flow.path, interfaces)
+            (self.ases[as_id].forwarding_prf, 255, ingress, egress)
+            for as_id, ingress, egress in flow.route
         ])
         hops = []
-        for as_id, (ingress, egress), mac in zip(flow.path, interfaces, macs):
+        for (as_id, ingress, egress), mac in zip(flow.route, macs):
             reservation = flow.credentials.get(as_id)
             if reservation is None and flow.kind == "tag_forgery":
                 # Plausible-looking reservation nobody ever bought; the
@@ -915,10 +914,6 @@ def load_scenario(ref: str) -> dict:
         raise ScenarioError(f"scenario {ref!r} is not valid JSON: {exc}") from exc
 
 
-def run_scenario(scenario: dict, seed: int) -> dict:
-    return Network(scenario, seed).run()
-
-
 def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -942,16 +937,19 @@ _OPS = {
 }
 
 
+def expectation_failure(report: dict, expect: dict) -> str | None:
+    """Why one of a scenario's embedded assertions fails on report; None if it holds."""
+    metric, op, value = expect["metric"], expect["op"], expect["value"]
+    try:
+        actual = _lookup(report, metric)
+    except KeyError:
+        return f"{metric}: no such metric"
+    if not _OPS[op](actual, value):
+        return f"{metric}: {actual!r} {op} {value!r} is false"
+    return None
+
+
 def check_expectations(report: dict, scenario: dict) -> list[str]:
     """Evaluate the scenario's embedded assertions; returns failures."""
-    failures = []
-    for expect in scenario["expect"]:
-        metric, op, value = expect["metric"], expect["op"], expect["value"]
-        try:
-            actual = _lookup(report, metric)
-        except KeyError:
-            failures.append(f"{metric}: no such metric")
-            continue
-        if not _OPS[op](actual, value):
-            failures.append(f"{metric}: {actual!r} {op} {value!r} is false")
-    return failures
+    failures = (expectation_failure(report, expect) for expect in scenario["expect"])
+    return [failure for failure in failures if failure is not None]

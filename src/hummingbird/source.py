@@ -79,28 +79,22 @@ class PathPlan:
 
     @cached_property
     def fixed_part(self) -> tuple:
-        """What every packet built from this plan shares: the info fields,
-        each hop's fixed part, seg_len, hdr_len and the hop table.  A hop's
-        fixed part is (hop field, None, None, None) for a plain hop and
-        (hop plan, ReservationInfo, delivered key's cipher, hop MAC as an
-        int) for a reserved one.
+        """What every packet built from this plan shares: a template path,
+        its hdr_len, and (hop index, ReservationInfo, delivered key's cipher,
+        hop MAC as an int) for each reserved hop.  The template holds each
+        plain hop as sent, and each reserved hop with offset 0 and the plain
+        hop MAC, which a packet replaces.
 
-        Runs the plan checks, then encodes a template packet, which checks
-        every field's range, and only then builds the ciphers.  A failed
-        check caches nothing, so every build from a bad plan raises.  The
-        cache is exact because a plan and its parts are immutable.
+        Runs the plan checks, then encodes the template, which checks every
+        field's range, and only then builds the ciphers.  A failed check
+        caches nothing, so every build from a bad plan raises.  The cache is
+        exact because a plan and its parts are immutable.
         """
         if not all(segment.hops for segment in self.segments):
             raise SourceError("segment without hop fields")
         if len(self.segments) > 3:
             raise SourceError(f"at most three segments, got {len(self.segments)}")
-        hdr_len = header_bytes(self) // 4
-        if hdr_len > 0xFF:
-            raise SourceError(f"path too long: hdr_len {hdr_len}")
-        infos = []
-        hops: list[HopField | HopPlan] = []
-        template: list[HopField] = []
-        seg_len = [0, 0, 0]
+        infos, hops, reserved, seg_len = [], [], [], [0, 0, 0]
         for index, segment in enumerate(self.segments):
             infos.append(
                 InfoField(segment.peering, segment.cons_dir, segment.seg_id, segment.timestamp)
@@ -114,26 +108,29 @@ class PathPlan:
                     hop = HopField(*plain)
                 else:
                     res = hop_plan.reservation[0]
-                    if (res.ingress, res.egress) != (hop_plan.cons_ingress, hop_plan.cons_egress):
-                        raise SourceError(
-                            f"reservation interfaces ({res.ingress}, {res.egress}) do not match "
-                            f"hop ({hop_plan.cons_ingress}, {hop_plan.cons_egress})"
-                        )
                     hop = FlyoverHopField(*plain, res.res_id, res.bw_code, 0, res.duration)
-                hops.append(hop_plan if hop.flyover else hop)
-                template.append(hop)
+                    reserved.append((len(hops), hop_plan))
+                hops.append(hop)
                 seg_len[index] += hop.words
-        infos, seg_len = tuple(infos), tuple(seg_len)
-        path = HummingbirdPath(PathMetaHdr(0, 0, seg_len, 0, 0, 0), infos, tuple(template))
-        encode_packet(Packet(self.dst_isd, self.dst_as, 0, path))
-        table = path.hop_table()
-        fixed_hops = tuple(
-            (hop, hop.reservation[0], crypto.Prf(hop.reservation[1]),
-             int.from_bytes(hop.hop_mac, "big"))
-            if isinstance(hop, HopPlan) else (hop, None, None, None)
-            for hop in hops
+        hdr_len = header_words(len(infos), sum(seg_len))
+        if hdr_len > 0xFF:
+            raise SourceError(f"path too long: hdr_len {hdr_len}")
+        for _, hop_plan in reserved:
+            res = hop_plan.reservation[0]
+            if (res.ingress, res.egress) != (hop_plan.cons_ingress, hop_plan.cons_egress):
+                raise SourceError(
+                    f"reservation interfaces ({res.ingress}, {res.egress}) do not match "
+                    f"hop ({hop_plan.cons_ingress}, {hop_plan.cons_egress})"
+                )
+        meta = PathMetaHdr(0, 0, tuple(seg_len), 0, 0, 0)
+        template = HummingbirdPath(meta, tuple(infos), tuple(hops))
+        encode_packet(Packet(self.dst_isd, self.dst_as, 0, template))
+        reserved_hops = tuple(
+            (index, hop_plan.reservation[0], crypto.Prf(hop_plan.reservation[1]),
+             int.from_bytes(hop_plan.hop_mac, "big"))
+            for index, hop_plan in reserved
         )
-        return infos, fixed_hops, seg_len, hdr_len, table
+        return template, hdr_len, reserved_hops
 
 
 @dataclass
@@ -153,16 +150,6 @@ class CounterState:
         counter = self.value
         self.value += 1
         return counter
-
-
-def header_bytes(plan: PathPlan) -> int:
-    """Header size, prefix and path, of every packet built from plan."""
-    hop_words = sum(
-        FlyoverHopField.words if hop_plan.reservation else HopField.words
-        for segment in plan.segments
-        for hop_plan in segment.hops
-    )
-    return 4 * header_words(len(plan.segments), hop_words)
 
 
 def build_packet(
@@ -190,36 +177,32 @@ def build_packet(
     millis = now % NS_PER_S // NS_PER_MS
     counter = counter_state.next(base, millis)
 
-    infos, fixed_hops, seg_len, hdr_len, table = plan.fixed_part
+    template, hdr_len, reserved = plan.fixed_part
     pkt_len = pkt_len_for_mac(payload_len, hdr_len)
     if payload_len < 0:  # the template checked every other prefix field
         raise WireError(f"payload_len out of range for 16-bit field: {payload_len}")
     # A reserved hop's MAC input is one block per packet plus the hop's
     # offset; the first tag_len bytes of its tag fold into its hop MAC.
-    shared = None
-    shift = 8 * (crypto.TAG_LEN - tag_len)
-    hops = []
-    for hop, res, a_key_prf, hop_mac in fixed_hops:
-        if res is not None:
-            active = res.res_start * NS_PER_S <= now <= (res.res_start + res.duration) * NS_PER_S
-            if not active and not allow_inactive:
-                raise ReservationInactive(
-                    f"reservation [{res.res_start}, {res.res_start + res.duration}] "
-                    f"not active at build time"
-                )
-            offset = min(max(base - res.res_start, 0), 0xFFFF)
-            if shared is None:
-                block = mac_input_block(plan.dst_isd, plan.dst_as, pkt_len, 0, millis, counter)
-                shared = int.from_bytes(block, "big")
-            tag = crypto.prf_block(a_key_prf, (shared | offset << 32).to_bytes(16, "big"))
-            mac = hop_mac ^ int.from_bytes(tag[:tag_len], "big") << shift
-            hop = FlyoverHopField(
-                False, False, hop.exp_time, hop.cons_ingress, hop.cons_egress,
-                mac.to_bytes(crypto.TAG_LEN, "big"), res.res_id, res.bw_code, offset,
-                res.duration,
+    hops = list(template.hops)
+    if reserved:
+        block = mac_input_block(plan.dst_isd, plan.dst_as, pkt_len, 0, millis, counter)
+        shared = int.from_bytes(block, "big")
+        shift = 8 * (crypto.TAG_LEN - tag_len)
+    for index, res, a_key_prf, hop_mac in reserved:
+        active = res.res_start * NS_PER_S <= now <= (res.res_start + res.duration) * NS_PER_S
+        if not active and not allow_inactive:
+            raise ReservationInactive(
+                f"reservation [{res.res_start}, {res.res_start + res.duration}] "
+                f"not active at build time"
             )
-        hops.append(hop)
-    meta = PathMetaHdr(0, 0, seg_len, base, millis, counter)
-    path = HummingbirdPath.laid_out(meta, infos, tuple(hops), table)
+        offset = min(max(base - res.res_start, 0), 0xFFFF)
+        tag = crypto.prf_block(a_key_prf, (shared | offset << 32).to_bytes(16, "big"))
+        mac = hop_mac ^ int.from_bytes(tag[:tag_len], "big") << shift
+        hop = hops[index]
+        hops[index] = FlyoverHopField(
+            False, False, hop.exp_time, hop.cons_ingress, hop.cons_egress,
+            mac.to_bytes(crypto.TAG_LEN, "big"), res.res_id, res.bw_code, offset, res.duration,
+        )
+    meta = PathMetaHdr(0, 0, template.meta.seg_len, base, millis, counter)
+    path = HummingbirdPath.laid_out(meta, template.infos, tuple(hops), template.hop_table())
     return Packet(plan.dst_isd, plan.dst_as, payload_len, path)
-

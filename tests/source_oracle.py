@@ -20,7 +20,6 @@ from hummingbird.source import (
     PathPlan,
     ReservationInactive,
     SourceError,
-    header_bytes,
 )
 from hummingbird.wire import (
     FlyoverHopField,
@@ -30,8 +29,19 @@ from hummingbird.wire import (
     Packet,
     PathMetaHdr,
     encode_packet,
+    header_words,
     pkt_len_for_mac,
 )
+
+
+def header_bytes(plan: PathPlan) -> int:
+    """Header size, prefix and path, of every packet built from plan."""
+    hop_words = sum(
+        FlyoverHopField.words if hop_plan.reservation else HopField.words
+        for segment in plan.segments
+        for hop_plan in segment.hops
+    )
+    return 4 * header_words(len(plan.segments), hop_words)
 
 
 def build_packet(

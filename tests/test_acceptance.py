@@ -178,7 +178,7 @@ def _chained_plan(ases, anchor_s, credentials=None):
 
 def _run_bundled(name: str) -> dict:
     scenario = sim.load_scenario(name)
-    report = sim.run_scenario(scenario, SEED)
+    report = sim.Network(scenario, SEED).run()
     failures = sim.check_expectations(report, scenario)
     assert failures == [], f"{name}: {failures}"
     return report
@@ -787,7 +787,7 @@ def test_11_buying_out_a_hop_costs_the_sum_of_listed_prices():
         2 * market["unit_price"] * bps * market["window_s"] for bps in capacities
     )
 
-    report = sim.run_scenario(scenario, SEED)
+    report = sim.Network(scenario, SEED).run()
     assert sim.check_expectations(report, scenario) == []
     assert report["ledger"]["spend"]["hoarder"] == expected
     assert report["ledger"]["open_listings_by_as"][str(target)] == 0

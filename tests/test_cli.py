@@ -134,6 +134,10 @@ CORRUPTED_FIELDS = [
             (("flows", 2, "multiplicity"), 10**30),
             (("flows", 2, "multiplicity"), 1001),
         ),
+        "forgery": (
+            # Fails at set-up: the forger's junk reservation cannot encode its rate.
+            (("flows", 0, "rate_mbps"), 100000),
+        ),
         "starvation": (
             (("buyouts",), {"account": "hoarder", "as": 2}),
             (("buyouts", 0), {"as": 2}),
@@ -280,7 +284,12 @@ class TestRun:
         ("exact_rate", ("funding",), 10, "flow victim: 'victim' has 10, needs 3000000000"),
         ("starvation", ("funding",), 5,
          "buyout of AS 2 by 'hoarder': 'hoarder' has 5, needs 6000000000000"),
-    ], ids=["stranding-reservation", "flow-cannot-pay", "buyout-cannot-pay"])
+        # A lead past the epoch: each AS would issue assets that start before unix time 0.
+        ("exact_rate", ("market",), {"lead_s": 1_700_000_040, "window_s": 1_700_000_100},
+         "AS 1: start -40 must precede expiration 1700000060"),
+    ], ids=[
+        "stranding-reservation", "flow-cannot-pay", "buyout-cannot-pay", "asset-before-unix-zero",
+    ])
     def test_market_refusal_at_set_up_is_a_scenario_error(
         self, capsys, tmp_path, name, where, value, message
     ):
@@ -333,6 +342,16 @@ class TestRun:
         assert code == 1
         assert "[FAIL]" in stdout
         assert "assertion(s) failed" in stderr
+
+    def test_each_assertion_gets_its_own_verdict(self, capsys, tmp_path):
+        """qos_flood bounds one metric from both sides; only the broken bound fails."""
+        bad = corrupted_file(tmp_path, "qos_flood", ("expect", 2, "value"), -1.0)
+        code, stdout, stderr = run_cli(capsys, "run", "--scenario", str(bad))
+        assert code == 1
+        fails = [line for line in stdout.splitlines() if "[FAIL]" in line]
+        assert fails == ["  [FAIL] flows.flood.delivered_fraction <= -1.0"]
+        assert "  [ok] flows.flood.delivered_fraction >= 0.05" in stdout.splitlines()
+        assert stderr == "1 assertion(s) failed\n"
 
     def test_records_format_emits_json_lines(self, capsys):
         code, stdout, _ = run_cli(

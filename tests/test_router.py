@@ -682,7 +682,7 @@ class TestHandedLayout:
         cfg = make_cfg()
         for plan in (make_plan(pre=1, post=1), make_plan(reservation=None), boundary_plan(True)):
             packet = build(plan)
-            table = plan.fixed_part[-1]
+            table = plan.fixed_part[0].hop_table()
             walks.clear()
             paths = [packet.path]
             while True:
@@ -839,7 +839,7 @@ class TestPktLenBoundary:
     @pytest.mark.parametrize("pkt_len", [0xFFFF, 0x10000])
     def test_matches_oracle_along_the_path(self, segments, pkt_len):
         plan = flyover_path_plan(segments)
-        header = source.header_bytes(plan)
+        header = 4 * plan.fixed_part[1]
         packet = build(plan, payload_len=0xFFFF - header)
         raw = encode_packet(replace(packet, payload_len=pkt_len - header))
         cfg, ref = make_cfg(), make_cfg()

@@ -21,7 +21,6 @@ from hummingbird.sim import (
     check_expectations,
     load_scenario,
     report_json,
-    run_scenario,
     validate_scenario,
 )
 
@@ -164,14 +163,14 @@ class TestSimulator:
 class TestDeterminism:
     def test_same_inputs_byte_identical_report(self):
         scenario = mini_scenario()
-        a = report_json(run_scenario(scenario, 42))
-        b = report_json(run_scenario(copy.deepcopy(scenario), 42))
+        a = report_json(Network(scenario, 42).run())
+        b = report_json(Network(copy.deepcopy(scenario), 42).run())
         assert a == b
 
     def test_seed_changes_keys_not_validity(self):
         scenario = mini_scenario()
-        a = run_scenario(scenario, 1)
-        b = run_scenario(scenario, 2)
+        a = Network(scenario, 1).run()
+        b = Network(scenario, 2).run()
         assert a["seed"] == 1 and b["seed"] == 2
         # Same deterministic traffic pattern, different entity keys.
         assert a["flows"]["res"]["offered_packets"] == b["flows"]["res"]["offered_packets"]
@@ -192,8 +191,8 @@ class TestDeterminism:
                 "start_s": 0.19,
             }
         ]
-        a = run_scenario(base, 9)
-        b = run_scenario(extra, 9)
+        a = Network(base, 9).run()
+        b = Network(extra, 9).run()
         assert a["flows"]["res"] == b["flows"]["res"]
 
 
@@ -203,7 +202,7 @@ class TestConservation:
         # the event heap drains (no packets are lost by the simulator).
         scenario = mini_scenario()
         scenario["flows"][1]["rate_mbps"] = 30
-        report = run_scenario(scenario, 5)
+        report = Network(scenario, 5).run()
         for stats in report["flows"].values():
             assert (
                 stats["offered_packets"]
@@ -214,7 +213,7 @@ class TestConservation:
     def test_link_cannot_serve_beyond_capacity(self):
         scenario = mini_scenario()
         scenario["flows"][1]["rate_mbps"] = 30
-        report = run_scenario(scenario, 5)
+        report = Network(scenario, 5).run()
         link = report["links"]["1->2"]
         served_bits = (link["priority_bytes"] + link["best_effort_bytes"]) * 8
         # duration plus drained queue (be buffer is 50 ms of capacity)
@@ -227,7 +226,7 @@ class TestConservation:
         scenario = mini_scenario()
         scenario["flows"][0]["stop_s"] = 0.0
         scenario["flows"][1]["rate_mbps"] = 10
-        report = run_scenario(scenario, 5)
+        report = Network(scenario, 5).run()
         assert report["flows"]["res"]["offered_packets"] == 0
         assert report["flows"]["be"]["delivered_fraction"] >= 0.99
         assert report["flows"]["be"]["dropped_packets"] == 0
@@ -247,7 +246,7 @@ class TestConservation:
         }
         scenario["flows"][1]["rate_mbps"] = 20
         scenario["duration_s"] = 0.5
-        report = run_scenario(scenario, 5)
+        report = Network(scenario, 5).run()
         res = report["flows"]["res"]
         assert res["priority_packets"] > 0
         assert res["dropped_packets"] > 0
@@ -260,7 +259,7 @@ class TestConservation:
 
 class TestReservationUse:
     def test_credentials_bought_on_ledger_verify_at_every_hop(self):
-        report = run_scenario(mini_scenario(), 3)
+        report = Network(mini_scenario(), 3).run()
         # 2 Mbit/s in 1000 B packets over 0.2 s -> 50 packets, all priority
         assert report["flows"]["res"]["priority_packets"] == 50
         assert report["hops"]["res"]["1"] == {"priority:priority": 50}
@@ -270,7 +269,7 @@ class TestReservationUse:
         assert report["ledger"]["spend"]["res"] == spend
 
     def test_report_includes_ledger_state_hash(self):
-        report = run_scenario(mini_scenario(), 3)
+        report = Network(mini_scenario(), 3).run()
         assert len(report["ledger"]["state_hash"]) == 64
 
     def test_reservation_beyond_every_listing_is_refused(self):
@@ -278,14 +277,15 @@ class TestReservationUse:
         scenario["flows"][0]["reserve_mbps"] = 11  # the 1->2 link carries 10
         with pytest.raises(
             ScenarioError,
-            match=r"^no listing covers AS 1 iface \d+ egress 11000000 bit/s over \(\d+, \d+\)$",
+            match=(r"^flow res: no listing covers AS 1 iface \d+ egress 11000000 bit/s "
+                   r"over \(\d+, \d+\)$"),
         ):
             Network(scenario, 3)
 
     def test_reservation_across_an_interface_too_slow_to_sell_is_refused(self):
         scenario = mini_scenario()
         scenario["topology"]["links"][0]["capacity_mbps"] = 0.5  # below min_bandwidth
-        with pytest.raises(ScenarioError, match=r"^no listing covers AS 1 iface 1 egress "):
+        with pytest.raises(ScenarioError, match=r"^flow res: no listing covers AS 1 iface 1 egress "):
             Network(scenario, 3)
 
     @pytest.mark.parametrize("name", list(bundled_scenarios()))
@@ -440,6 +440,19 @@ class TestSchemaRejections:
         )
         self.run_invalid(scenario, "replays_flow")
 
+    def test_replayer_path_must_be_the_replayed_flows(self):
+        """Its copies go on along the replayed flow's path, from the hop where it sits."""
+        scenario = load_scenario("replay_separate")
+        scenario["flows"][2]["path"] = [3, 4]
+        self.run_invalid(scenario, r"^flow replayer: path \[3, 4\] is not the path of 'bait'$")
+
+    def test_replayer_cannot_replay_itself(self):
+        scenario = load_scenario("replay_separate")
+        scenario["flows"][2]["replays_flow"] = "replayer"
+        self.run_invalid(
+            scenario, "^flow replayer: replays_flow 'replayer' must be declared earlier$"
+        )
+
     def test_one_replayer_per_as(self):
         scenario = load_scenario("replay_shared")
         scenario["flows"].append(dict(scenario["flows"][2], name="copycat"))
@@ -481,21 +494,21 @@ class TestSchemaRejections:
 
 class TestExpectations:
     def test_missing_metric_is_a_failure_not_a_crash(self):
-        report = run_scenario(mini_scenario(), 1)
+        report = Network(mini_scenario(), 1).run()
         failures = check_expectations(
             report, {"expect": [{"metric": "flows.nobody.offered_packets", "op": "==", "value": 1}]}
         )
         assert failures == ["flows.nobody.offered_packets: no such metric"]
 
     def test_failed_comparison_reports_both_sides(self):
-        report = run_scenario(mini_scenario(), 1)
+        report = Network(mini_scenario(), 1).run()
         failures = check_expectations(
             report, {"expect": [{"metric": "flows.res.offered_packets", "op": "==", "value": 7}]}
         )
         assert failures == ["flows.res.offered_packets: 50 == 7 is false"]
 
     def test_metric_that_is_no_number_is_a_failure_not_a_crash(self):
-        report = run_scenario(mini_scenario(), 1)
+        report = Network(mini_scenario(), 1).run()
         failures = check_expectations(
             report, {"expect": [{"metric": "flows.res", "op": ">=", "value": 1}]}
         )
@@ -611,7 +624,7 @@ class TestBundledScenarios:
     @pytest.mark.parametrize("name", list(PINNED_REPORTS))
     def test_bundled_scenarios_meet_their_assertions(self, name):
         scenario = load_scenario(name)
-        report = run_scenario(scenario, 1729)
+        report = Network(scenario, 1729).run()
         assert check_expectations(report, scenario) == []
         digest = hashlib.sha256(report_json(report).encode()).hexdigest()
         assert digest == self.PINNED_REPORTS[name]
@@ -691,7 +704,7 @@ class TestAgainstOracles:
 class TestClockSkew:
     def test_fresh_traffic_never_demoted_for_freshness_under_skew(self):
         scenario = load_scenario("clock_skew")
-        report = run_scenario(scenario, 11)
+        report = Network(scenario, 11).run()
         victim = report["flows"]["victim"]
         assert victim["priority_fraction"] == 1.0
         for counts in report["hops"]["victim"].values():

@@ -117,13 +117,15 @@ class TestBuild:
             build(plan)
 
     def test_header_bytes_match_built_packets(self):
+        """The oracle's count, the compiled hdr_len and a built packet agree."""
         seg = make_plan(pre=2, post=1).segments[0]
         for plan in (
             make_plan(),
             make_plan(reservation=None, pre=1),
             replace(make_plan(), segments=(seg, seg, seg)),
         ):
-            assert source.header_bytes(plan) == len(encode_packet(build(plan)))
+            header = len(encode_packet(build(plan)))
+            assert source_oracle.header_bytes(plan) == 4 * plan.fixed_part[1] == header
 
     def test_clock_beyond_32_bits_rejected(self):
         with pytest.raises(source.SourceError, match="32-bit"):
