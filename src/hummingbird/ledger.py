@@ -589,16 +589,8 @@ class Ledger:
     def request(self, request) -> RedeemRequest:
         return _get(self._state.requests, RedeemRequest, request, "redeem request")
 
-    def assets_owned_by(self, account: str) -> tuple[BandwidthAsset, ...]:
-        return tuple(
-            a for a in self._state.assets.values() if a.owner == account
-        )
-
     def open_listings(self) -> tuple[Listing, ...]:
         return tuple(self._state.listings.values())
-
-    def total_supply(self) -> int:
-        return sum(self._state.balances.values())
 
     def reserved_area(self, as_id: int, interface: int, direction: Direction) -> int:
         """Conserved bandwidth-time total across split/fuse, per resource."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 
-from .wire import WireError, decode_bw
+from .wire import BW_VALUES, WireError, decode_bw
 
 NS_PER_S = 1_000_000_000
 DEFAULT_BURST_NS = 50_000_000  # absorbs scheduling jitter; see size notes below
@@ -26,17 +26,6 @@ ENTRY_BYTES = 8
 
 class PolicingError(ValueError):
     pass
-
-
-def service_time_ns(bw_code: int, pkt_len: int) -> int:
-    """Nanoseconds a pkt_len-byte packet occupies a bw_code reservation.
-
-    Computes ceil(pkt_len * 8e9 / bw_bits) exactly.
-    """
-    bits = decode_bw(bw_code)
-    if bits == 0:
-        raise PolicingError("bw code 0 carries no bandwidth")
-    return (pkt_len * 8 * NS_PER_S + bits - 1) // bits
 
 
 class TokenBucketArray:
@@ -52,10 +41,6 @@ class TokenBucketArray:
     def __len__(self) -> int:
         return len(self.ts)
 
-    @property
-    def nbytes(self) -> int:
-        return ENTRY_BYTES * len(self.ts)
-
 
 def monitor_code(
     state: TokenBucketArray,
@@ -67,11 +52,17 @@ def monitor_code(
     """Charge one packet against a reservation; True means priority.
 
     bw_code is the packet's 10-bit BW code, pkt_len in bytes, now in ns.
+    The packet occupies the reservation for ceil(pkt_len * 8e9 / bits) ns,
+    computed exactly; code 0 carries no bandwidth and is refused.
     """
-    try:
-        service_ns = service_time_ns(bw_code, pkt_len)
-    except WireError as exc:
-        raise PolicingError(str(exc)) from exc
+    if not 0 < bw_code < 1 << 10:
+        try:
+            decode_bw(bw_code)
+        except WireError as exc:
+            raise PolicingError(str(exc)) from exc
+        raise PolicingError("bw code 0 carries no bandwidth")
+    bits = BW_VALUES[bw_code]
+    service_ns = (pkt_len * 8 * NS_PER_S + bits - 1) // bits
     if not 0 <= res_id < len(state.ts):
         # Unreachable behind MAC verification, but a router must not
         # crash on a junk index: demote and count it.
@@ -89,7 +80,3 @@ def size_array(total_bw: int, min_bw: int) -> int:
     if total_bw <= 0 or min_bw <= 0:
         raise PolicingError("bandwidths must be positive")
     return (OVER_ALLOCATION * total_bw + min_bw - 1) // min_bw
-
-
-def array_bytes(entries: int) -> int:
-    return ENTRY_BYTES * entries

@@ -69,6 +69,10 @@ NS_PER_MS = 1_000_000
 EPOCH_S = 1_700_000_000  # unix time at simulation instant zero
 EPOCH_NS = EPOCH_S * NS_PER_S
 
+# The verdicts receive tests, as module constants: a module global reads in
+# a fraction of the time of an Enum member.
+_DROP, _PRIORITY = Verdict.DROP, Verdict.PRIORITY
+
 ADVERSARY_KINDS = (
     "best_effort_flood",
     "tag_forgery",
@@ -178,23 +182,24 @@ class Link:
             self._serve()
 
     def _serve(self) -> None:
+        """Start sending the head of a queue; one of them holds a packet."""
         if self._priority:
             transit = self._priority.popleft()
             self.stats.priority_bytes += transit.wire_bytes
-        elif self._best_effort:
+        else:
             transit = self._best_effort.popleft()
             self._be_bytes -= transit.wire_bytes
             self.stats.best_effort_bytes += transit.wire_bytes
-        else:
-            self._busy = False
-            return
         self._busy = True
         tx_ns = transit.wire_bytes * 8 * NS_PER_S // self.capacity_bps
         self.sim.schedule(self.sim.now + tx_ns, self._sent, transit)
 
     def _sent(self, transit: _Transit) -> None:
         self.sim.schedule(self.sim.now + self.delay_ns, self.dst.receive, transit, self.dst_iface)
-        self._serve()
+        if self._priority or self._best_effort:
+            self._serve()
+        else:
+            self._busy = False
 
 
 class BorderAS:
@@ -239,11 +244,11 @@ class BorderAS:
         counts = flow.hop_counts[self.as_id]
         counts[decision.label] = counts.get(decision.label, 0) + 1
         verdict = decision.verdict
-        if verdict is Verdict.DROP:
+        if verdict is _DROP:
             flow.stats.dropped_packets += 1
             flow.stats.dropped_bytes += transit.wire_bytes
             return
-        priority = verdict is Verdict.PRIORITY
+        priority = verdict is _PRIORITY
         transit.clean = transit.clean and priority
         if self.replay is not None:
             self._maybe_replay(transit)
@@ -315,8 +320,6 @@ _IS = {
     INTEGER: lambda v: type(v) is int,
     NUMBER: lambda v: type(v) in (int, float) and -1e15 <= v <= 1e15,
     STRING: lambda v: type(v) is str,
-    "a list": lambda v: type(v) is list,
-    "an object": lambda v: type(v) is dict,
 }
 _BOUNDS = {
     "positive": lambda v: v > 0,
@@ -382,17 +385,15 @@ _RECORDS = {kind: [row[1:] for row in _FIELDS if row[0] == kind] for kind, *_ in
 _RECORDS["share"] = []  # AS ids to earlier flows' names, checked with the flows
 
 
-def _checked(kind, value, at, scenario: dict):
-    """`value`, found at `at`, checked as type `kind`; lists and records are filled-in
-    copies.  `at` is a name or a (parent, key) pair, spelled out only for an error."""
-    what = "a list" if isinstance(kind, list) else "an object" if kind in _RECORDS else kind
-    if not _IS[what](value):
-        raise ScenarioError(f"{_dotted(at)} must be {what}, got {value!r}")
-    if isinstance(kind, list):
-        return [_checked(kind[0], item, (at, i), scenario) for i, item in enumerate(value)]
-    if kind not in _RECORDS:
-        return value
-    out = dict(value)
+def _checked(kind: str, value, at, scenario: dict, out: dict | None = None) -> dict:
+    """`value`, found at `at`, checked as record `kind`: a copy with its defaults
+    filled in, or `out` filled in.  Scalar fields and the items of a list of
+    scalars are checked here; only a record in a field or a list recurses.
+    `at` is a name or a (parent, key) pair, spelled out only for an error."""
+    if type(value) is not dict:
+        raise ScenarioError(f"{_dotted(at)} must be an object, got {value!r}")
+    if out is None:
+        out = dict(value)
     for key, field_kind, default, bound in _RECORDS[kind]:
         if key in value:
             field = value[key]
@@ -400,7 +401,26 @@ def _checked(kind, value, at, scenario: dict):
             raise ScenarioError(f"{_dotted(at)} is missing {key!r}")
         else:
             field = default(out, scenario) if callable(default) else default
-        out[key] = field = _checked(field_kind, field, (at, key), scenario)
+        if type(field_kind) is list:
+            if type(field) is not list:
+                raise ScenarioError(f"{_dotted((at, key))} must be a list, got {field!r}")
+            item_kind = field_kind[0]
+            if item_kind in _RECORDS:
+                field = [_checked(item_kind, item, ((at, key), i), scenario)
+                         for i, item in enumerate(field)]
+            else:
+                is_kind = _IS[item_kind]
+                for i, item in enumerate(field):
+                    if not is_kind(item):
+                        raise ScenarioError(
+                            f"{_dotted(((at, key), i))} must be {item_kind}, got {item!r}"
+                        )
+                field = list(field)
+        elif field_kind in _RECORDS:
+            field = _checked(field_kind, field, (at, key), scenario)
+        elif not _IS[field_kind](field):
+            raise ScenarioError(f"{_dotted((at, key))} must be {field_kind}, got {field!r}")
+        out[key] = field
         if bound and not _BOUNDS[bound](field):
             raise ScenarioError(f"{_dotted((at, key))} must be {bound}, got {field!r}")
     return out
@@ -453,9 +473,9 @@ def validate_scenario(scenario: dict) -> dict:
         if kind in ADVERSARY_KINDS and spec["class"] != "adversary":
             raise ScenarioError(f"flow {name}: kind {kind!r} needs class adversary")
         extra = "replayer" if kind == "replay_on_reservation_set" else "sender"
-        spec.update(_checked(extra, spec, ("scenario.flows", i), out))
+        _checked(extra, spec, ("scenario.flows", i), out, spec)
         if _reserves(spec):
-            spec.update(_checked("reservation", spec, ("scenario.flows", i), out))
+            _checked("reservation", spec, ("scenario.flows", i), out, spec)
             if len(set(path)) < len(path):  # a flow holds one credential per AS
                 twice = next(hop for j, hop in enumerate(path) if hop in path[:j])
                 raise ScenarioError(f"flow {name}: path visits AS {twice} twice")
@@ -781,13 +801,6 @@ class Network:
         """What a sending host reads: unix ns, with no skew."""
         return EPOCH_NS + self.sim.now
 
-    def _emit(self, flow: Flow) -> None:
-        packet = build_packet(flow.plan, flow.payload_len, self.host_clock, flow.counter)
-        transit = _Transit(flow, packet, self.sim.now, flow.wire_bytes)
-        flow.stats.offered_packets += 1
-        flow.stats.offered_bytes += transit.wire_bytes
-        self.ases[flow.path[0]].receive(transit, 0)
-
     def _schedule_flow(self, flow: Flow) -> None:
         start_ns, interval_ns, stop_ns = _schedule(flow.spec)
         self.sim.schedule(start_ns, self._tick, flow, start_ns, interval_ns, stop_ns)
@@ -796,7 +809,10 @@ class Network:
         """Send one packet at at_ns, and come back after interval_ns while before stop_ns."""
         if at_ns >= stop_ns:
             return
-        self._emit(flow)
+        packet = build_packet(flow.plan, flow.payload_len, self.host_clock, flow.counter)
+        flow.stats.offered_packets += 1
+        flow.stats.offered_bytes += flow.wire_bytes
+        self.ases[flow.path[0]].receive(_Transit(flow, packet, at_ns, flow.wire_bytes), 0)
         at_ns += interval_ns
         self.sim.schedule(at_ns, self._tick, flow, at_ns, interval_ns, stop_ns)
 
@@ -947,9 +963,3 @@ def expectation_failure(report: dict, expect: dict) -> str | None:
     if not _OPS[op](actual, value):
         return f"{metric}: {actual!r} {op} {value!r} is false"
     return None
-
-
-def check_expectations(report: dict, scenario: dict) -> list[str]:
-    """Evaluate the scenario's embedded assertions; returns failures."""
-    failures = (expectation_failure(report, expect) for expect in scenario["expect"])
-    return [failure for failure in failures if failure is not None]

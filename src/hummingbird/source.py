@@ -38,6 +38,7 @@ from .wire import (
 NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
 MAX_COUNTER = (1 << 22) - 1
+_new = object.__new__
 
 
 class SourceError(ValueError):
@@ -80,10 +81,13 @@ class PathPlan:
     @cached_property
     def fixed_part(self) -> tuple:
         """What every packet built from this plan shares: a template path,
-        its hdr_len, and (hop index, ReservationInfo, delivered key's cipher,
-        hop MAC as an int) for each reserved hop.  The template holds each
-        plain hop as sent, and each reserved hop with offset 0 and the plain
-        hop MAC, which a packet replaces.
+        its hdr_len, each reserved hop compiled into what a build reads per
+        packet, and the template's hop table, which every packet carries.
+        A reserved hop is (hop index, activity window start and end in ns,
+        res_start, the template hop's fields, the delivered key's cipher,
+        hop MAC as an int).  The template holds each plain hop as sent, and
+        each reserved hop with offset 0 and the plain hop MAC, which a
+        packet replaces.
 
         Runs the plan checks, then encodes the template, which checks every
         field's range, and only then builds the ciphers.  A failed check
@@ -125,12 +129,15 @@ class PathPlan:
         meta = PathMetaHdr(0, 0, tuple(seg_len), 0, 0, 0)
         template = HummingbirdPath(meta, tuple(infos), tuple(hops))
         encode_packet(Packet(self.dst_isd, self.dst_as, 0, template))
-        reserved_hops = tuple(
-            (index, hop_plan.reservation[0], crypto.Prf(hop_plan.reservation[1]),
-             int.from_bytes(hop_plan.hop_mac, "big"))
-            for index, hop_plan in reserved
-        )
-        return template, hdr_len, reserved_hops
+        reserved_hops = []
+        for index, hop_plan in reserved:
+            res, key = hop_plan.reservation
+            reserved_hops.append((
+                index, res.res_start * NS_PER_S, (res.res_start + res.duration) * NS_PER_S,
+                res.res_start, vars(hops[index]), crypto.Prf(key),
+                int.from_bytes(hop_plan.hop_mac, "big"),
+            ))
+        return template, hdr_len, tuple(reserved_hops), template.hop_table()
 
 
 @dataclass
@@ -177,7 +184,7 @@ def build_packet(
     millis = now % NS_PER_S // NS_PER_MS
     counter = counter_state.next(base, millis)
 
-    template, hdr_len, reserved = plan.fixed_part
+    template, hdr_len, reserved, table = plan.fixed_part
     pkt_len = pkt_len_for_mac(payload_len, hdr_len)
     if payload_len < 0:  # the template checked every other prefix field
         raise WireError(f"payload_len out of range for 16-bit field: {payload_len}")
@@ -188,21 +195,18 @@ def build_packet(
         block = mac_input_block(plan.dst_isd, plan.dst_as, pkt_len, 0, millis, counter)
         shared = int.from_bytes(block, "big")
         shift = 8 * (crypto.TAG_LEN - tag_len)
-    for index, res, a_key_prf, hop_mac in reserved:
-        active = res.res_start * NS_PER_S <= now <= (res.res_start + res.duration) * NS_PER_S
-        if not active and not allow_inactive:
+    for index, start_ns, end_ns, res_start, fields, a_key_prf, hop_mac in reserved:
+        if not start_ns <= now <= end_ns and not allow_inactive:
             raise ReservationInactive(
-                f"reservation [{res.res_start}, {res.res_start + res.duration}] "
-                f"not active at build time"
+                f"reservation [{res_start}, {end_ns // NS_PER_S}] not active at build time"
             )
-        offset = min(max(base - res.res_start, 0), 0xFFFF)
+        offset = min(max(base - res_start, 0), 0xFFFF)
         tag = crypto.prf_block(a_key_prf, (shared | offset << 32).to_bytes(16, "big"))
         mac = hop_mac ^ int.from_bytes(tag[:tag_len], "big") << shift
-        hop = hops[index]
-        hops[index] = FlyoverHopField(
-            False, False, hop.exp_time, hop.cons_ingress, hop.cons_egress,
-            mac.to_bytes(crypto.TAG_LEN, "big"), res.res_id, res.bw_code, offset, res.duration,
-        )
+        # The template hop with this packet's MAC and offset, built as
+        # frozen_record builds it, in one write of its fields.
+        hops[index] = hop = _new(FlyoverHopField)
+        hop.__dict__.update(fields, mac=mac.to_bytes(crypto.TAG_LEN, "big"), res_start_offset=offset)
     meta = PathMetaHdr(0, 0, template.meta.seg_len, base, millis, counter)
-    path = HummingbirdPath.laid_out(meta, template.infos, tuple(hops), template.hop_table())
+    path = HummingbirdPath.laid_out(meta, template.infos, tuple(hops), table)
     return Packet(plan.dst_isd, plan.dst_as, payload_len, path)

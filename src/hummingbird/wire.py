@@ -315,6 +315,21 @@ class FlyoverHopField(HopField):
         )
 
 
+class HopTable(tuple):
+    """A path's hop layout, the pair (starts, segments) of `hop_table`.
+
+    Every path laid out from this table shares it, so `steps` keeps what a
+    reader derives from the layout alone, by CurrHF (the router's step at
+    each hop).  It is no part of the pair: a table equals any walk of the
+    same layout.
+    """
+
+    def __new__(cls, pair: tuple[list[int], list[int]]) -> HopTable:
+        table = super().__new__(cls, pair)
+        table.steps = {}
+        return table
+
+
 @frozen_record
 class HummingbirdPath:
     """Full path header: meta, info fields, and the flat hop sequence.
@@ -333,14 +348,14 @@ class HummingbirdPath:
     _table = None  # not a field, so eq, repr and replace ignore the kept table
 
     @classmethod
-    def laid_out(cls, meta, infos, hops, table: tuple[list[int], list[int]]) -> HummingbirdPath:
+    def laid_out(cls, meta, infos, hops, table: HopTable) -> HummingbirdPath:
         """A path laid out as `table`, the walk of a path of the same seg_len and
         hop classes (the router's input, a plan's template, a forged packet's own)."""
         path = object.__new__(cls)
         path.__dict__.update(meta=meta, infos=infos, hops=hops, _table=table)
         return path
 
-    def hop_table(self) -> tuple[list[int], list[int]]:
+    def hop_table(self) -> HopTable:
         """Each hop's start word plus the total, and each hop's segment,
         walked once and kept.  Raises WireError unless the hops tile seg_len.
         """
@@ -362,7 +377,7 @@ class HummingbirdPath:
                 end = seg_ends[seg] if seg < len(seg_ends) else word
         if seg != len(seg_ends):
             raise WireError(f"hop fields do not tile segment {seg}")
-        self.__dict__["_table"] = table = starts, segments
+        self.__dict__["_table"] = table = HopTable((starts, segments))
         return table
 
     def _validate_layout(self) -> None:
@@ -444,15 +459,15 @@ def hop_field_offset(meta: PathMetaHdr) -> int:
 # Bandwidth encoding
 
 # Bits per second of each 10-bit BW code: a 5-bit exponent, then a 5-bit significand.
-_BW_VALUES = [
+BW_VALUES = [
     sig if exp == 0 else (32 + sig) << (exp - 1) for exp in range(32) for sig in range(32)
 ]
-MAX_BW_VALUE = _BW_VALUES[-1]
+MAX_BW_VALUE = BW_VALUES[-1]
 
 
 def decode_bw(code: int) -> int:
     """Bits-per-second value of a 10-bit BW code."""
-    return _BW_VALUES[_check(code, 10, "bw code")]
+    return BW_VALUES[_check(code, 10, "bw code")]
 
 
 def quantize_bw(raw_bps: int) -> int:
@@ -461,7 +476,7 @@ def quantize_bw(raw_bps: int) -> int:
         raise WireError(f"bandwidth must be non-negative: {raw_bps}")
     if raw_bps > MAX_BW_VALUE:
         raise WireError(f"bandwidth {raw_bps} exceeds the encodable maximum {MAX_BW_VALUE}")
-    return bisect_left(_BW_VALUES, raw_bps)
+    return bisect_left(BW_VALUES, raw_bps)
 
 
 # ---------------------------------------------------------------------------

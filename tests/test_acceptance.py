@@ -29,7 +29,6 @@ from hummingbird.ledger import (
     BandwidthAsset,
     Call,
     Direction,
-    Ledger,
     LedgerError,
     PkiRoot,
     Result,
@@ -38,8 +37,6 @@ from hummingbird.ledger import (
 )
 from hummingbird.policing import (
     ENTRY_BYTES,
-    TokenBucketArray,
-    array_bytes,
     monitor_code,
     size_array,
 )
@@ -75,6 +72,7 @@ from hummingbird.wire import (
 )
 
 from alloc_oracle import active_intervals, optimal_coloring
+from readers import Ledger, TokenBucketArray, array_bytes, check_expectations
 
 NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
@@ -179,7 +177,7 @@ def _chained_plan(ases, anchor_s, credentials=None):
 def _run_bundled(name: str) -> dict:
     scenario = sim.load_scenario(name)
     report = sim.Network(scenario, SEED).run()
-    failures = sim.check_expectations(report, scenario)
+    failures = check_expectations(report, scenario)
     assert failures == [], f"{name}: {failures}"
     return report
 
@@ -788,7 +786,7 @@ def test_11_buying_out_a_hop_costs_the_sum_of_listed_prices():
     )
 
     report = sim.Network(scenario, SEED).run()
-    assert sim.check_expectations(report, scenario) == []
+    assert check_expectations(report, scenario) == []
     assert report["ledger"]["spend"]["hoarder"] == expected
     assert report["ledger"]["open_listings_by_as"][str(target)] == 0
 

@@ -19,7 +19,6 @@ from hummingbird.ledger import (
     BandwidthAsset,
     Call,
     Direction,
-    Ledger,
     LedgerError,
     Listing,
     MARKET_ACCOUNT,
@@ -33,6 +32,7 @@ from hummingbird.residalloc import MAX_IDS
 from hummingbird.wire import quantize_bw
 
 from alloc_oracle import active_intervals
+from readers import Ledger
 
 AS_ID = 7
 SV = bytes(range(16))

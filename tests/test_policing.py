@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from hummingbird import policing
-from hummingbird.policing import TokenBucketArray, monitor_code, service_time_ns
-from hummingbird.wire import decode_bw, quantize_bw
+from hummingbird.policing import PolicingError, TokenBucketArray, monitor_code
+from hummingbird.wire import WireError, decode_bw, quantize_bw
+
+from readers import array_bytes, service_time_ns
 
 S = 1_000_000_000
 
@@ -100,14 +102,44 @@ class TestMonitor:
                 monitor_code(state, 0, code, PKT, 0)
 
 
+@pytest.mark.parametrize("pkt_len", [0, 1, 44, 1500, 65535])
+def test_charge_matches_the_reference_division(pkt_len):
+    """`monitor_code` charges from its BW-code table what the ceiling
+    division through `service_time_ns` gives, or raises what it raises (a
+    code outside 10 bits as a PolicingError with decode_bw's message)."""
+    now = 10 * S
+    for code in range(-1, 1025):
+        state = TokenBucketArray(2)
+        ts = [0, 0]
+        # Twice on one bucket at one instant, once more later, once out of range.
+        for res_id, at in ((0, now), (0, now), (0, now + 1), (2, now)):
+            try:
+                service_ns = service_time_ns(code, pkt_len)
+            except (WireError, PolicingError) as exc:
+                with pytest.raises(PolicingError) as raised:
+                    monitor_code(state, res_id, code, pkt_len, at)
+                assert (type(raised.value), str(raised.value)) == (PolicingError, str(exc))
+                continue
+            verdict = monitor_code(state, res_id, code, pkt_len, at)
+            if res_id < len(ts):
+                candidate = max(ts[res_id], at) + service_ns
+                assert verdict is (candidate <= at + state.burst_time_ns), (code, res_id)
+                if verdict:
+                    ts[res_id] = candidate
+            else:
+                assert verdict is False
+            assert list(state.ts) == ts, code
+        assert state.out_of_range == (0 < code < 1024), code
+
+
 class TestSizing:
     def test_spec_examples(self):
         entries = policing.size_array(100_000_000_000, 100_000)
         assert entries == 3_000_000
-        assert policing.array_bytes(entries) == 24_000_000
+        assert array_bytes(entries) == 24_000_000
         entries = policing.size_array(100_000_000_000, 4_000_000)
         assert entries == 75_000
-        assert policing.array_bytes(entries) == 600_000
+        assert array_bytes(entries) == 600_000
 
     def test_ceiling(self):
         # 3 * 10 / 9 = 3.33 rounds up at the fixed factor.

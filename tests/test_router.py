@@ -1,3 +1,4 @@
+import copy
 import random
 import struct
 from collections import Counter
@@ -708,6 +709,89 @@ class TestHandedLayout:
         untiled = replace(packet, path=replace(path, hops=hops))
         decision, out = process_packet(make_cfg(), untiled)
         assert (decision.reason, out) == (Reason.PARSE_ERROR, untiled)
+
+
+def random_plan(rng: random.Random):
+    """A plan of 1-3 segments of 1-3 hops, each plain or reserved at random.
+    A reserved hop that opens a later segment is a crossing's misplaced
+    flyover, which the crossing AS drops."""
+    segments = []
+    for _ in range(rng.randint(1, 3)):
+        seg_id = rng.randrange(1 << 16)
+        hops = []
+        for _ in range(rng.randint(1, 3)):
+            ingress, egress = rng.randrange(1, 1 << 16), rng.randrange(1, 1 << 16)
+            reservation = None
+            if rng.random() < 0.5:
+                res = make_reservation(
+                    ingress=ingress, egress=egress, res_id=rng.randrange(64),
+                    bw_code=rng.choice((BW_CODE, BW_SLOW)),
+                )
+                reservation = (res, crypto.derive_key(crypto.Prf(SV), res))
+            hops.append(source.HopPlan(ingress, egress, bytes(6), reservation=reservation))
+        hops = chain_hops(hops, seg_id, BASE_S - 100)
+        segments.append(source.SegmentPlan(seg_id, BASE_S - 100, hops))
+    return source.PathPlan(dst_isd=0x1234, dst_as=0xABCDEF, segments=tuple(segments))
+
+
+class TestTableReusedAcrossPackets:
+    """Every packet built from a plan carries the plan's hop table, and with
+    it the router's step at each CurrHF, worked out by the first packet that
+    reached it.  Each packet goes hop by hop through a router per hop, as
+    the simulator hands it on; at every hop the decision, the packet and
+    the policer match `router_oracle` on a freshly decoded copy, whose
+    table is walked anew."""
+
+    def forward(self, packet, routers: list, now: int) -> list:
+        reasons = []
+        for cfg in routers:
+            cfg.clock.now = now
+            try:
+                fresh = decode_packet(encode_packet(packet))
+            except wire.WireError:  # CurrHF off a hop boundary: a fresh record
+                fresh = replace(packet, path=replace(packet.path))
+            reference = RouterConfig(SV, FK, copy.deepcopy(cfg.policer), cfg.clock)
+            expected = router_oracle.process_packet(reference, fresh)
+            decision, out = process_packet(cfg, packet)
+            assert (decision, out) == expected
+            assert cfg.policer.ts == reference.policer.ts
+            assert cfg.policer.out_of_range == reference.policer.out_of_range == 0
+            reasons.append(decision.reason)
+            if decision.verdict is Verdict.DROP:
+                return reasons
+            assert out.path.hop_table() is packet.path.hop_table()
+            packet = out
+        raise AssertionError("a packet outlived its path")
+
+    def test_every_hop_matches_the_oracle(self):
+        rng = random.Random(2727)
+        reasons = Counter()
+        for _ in range(60):
+            plan = random_plan(rng)
+            table = plan.fixed_part[3]
+            starts, segments = table
+            # One router per AS, one more for the hop past the last: every
+            # path here is shorter than ten ASes.
+            routers = [make_cfg() for _ in range(10)]
+            now = BASE_NS
+            for kind in ("built", "built", "off a boundary", "built", "past the last hop", "built"):
+                now += rng.randrange(1, 4 * MS)
+                packet = build(plan, now)
+                if kind != "built":
+                    index = rng.randrange(len(starts) - 1)
+                    curr_hf, curr_inf = (
+                        (starts[index] + 1, segments[index]) if kind == "off a boundary"
+                        else (starts[-1], segments[-1])
+                    )
+                    meta = replace(packet.path.meta, curr_hf=curr_hf, curr_inf=curr_inf)
+                    path = HummingbirdPath.laid_out(meta, packet.path.infos, packet.path.hops, table)
+                    packet = replace(packet, path=path)
+                assert packet.path.hop_table() is table
+                reasons.update(self.forward(packet, routers, now))
+        assert {
+            Reason.PRIORITY, Reason.PLAIN_HOP, Reason.OVER_BUDGET, Reason.MISPLACED_FLYOVER,
+            Reason.PARSE_ERROR, Reason.NO_HOP,
+        } <= set(reasons)
 
 
 class TestZeroBandwidthCode:

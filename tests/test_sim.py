@@ -18,7 +18,6 @@ from hummingbird.sim import (
     Network,
     ScenarioError,
     bundled_scenarios,
-    check_expectations,
     load_scenario,
     report_json,
     validate_scenario,
@@ -26,6 +25,7 @@ from hummingbird.sim import (
 
 import router_oracle
 import source_oracle
+from readers import check_expectations
 
 
 def mini_topology():
